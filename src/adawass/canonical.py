@@ -5,162 +5,108 @@ its value at time t together with the conditional law of the next-step
 information state.  Two trees describe the same filtered process exactly
 when their level-1 information laws coincide, and merging siblings with
 equal states yields the minimal representative of the equivalence class.
+
+One depth-first builder computes the states, merging siblings as it goes;
+the only thing a tolerance changes is the comparison ``_close`` that
+decides when two states are the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .trees import ShapeMismatchError, TreeNode, TreeProcess
 
 __all__ = ["InfoState", "information_process", "level_one_law", "canonicalize", "equivalent"]
 
 
-@dataclass(frozen=True)
-class InfoState:
+class InfoState(NamedTuple):
     """Value at the current step plus the conditional law of the next state.
 
     ``law`` is None at the terminal level, otherwise a tuple of
     ``(InfoState, probability)`` pairs with distinct states, positive masses
-    summing to one, sorted canonically.
+    summing to one, sorted by the states' tuple order.
     """
 
     value: tuple[float, ...]
     law: tuple[tuple["InfoState", float], ...] | None = None
 
 
-def _sort_key(state: InfoState, memo: dict[int, tuple]) -> tuple:
-    key = memo.get(id(state))
-    if key is None:
-        if state.law is None:
-            key = (state.value,)
-        else:
-            key = (state.value, tuple((_sort_key(s, memo), q) for s, q in state.law))
-        memo[id(state)] = key
-    return key
+def _close(a: InfoState, b: InfoState, tol: float) -> bool:
+    """Whether two states count as the same: exact equality when ``tol`` <= 0,
+    otherwise values and masses agreeing componentwise within ``tol``."""
+    if tol <= 0.0:
+        return a == b
+    (va, la), (vb, lb) = a, b
+    if len(va) != len(vb) or any(abs(x - y) > tol for x, y in zip(va, vb)):
+        return False
+    if la is None or lb is None:
+        return la is lb
+    return len(la) == len(lb) and all(
+        abs(qa - qb) <= tol and _close(sa, sb, tol) for (sa, qa), (sb, qb) in zip(la, lb)
+    )
 
 
-def _merge(entries: list[tuple[InfoState, float]], memo: dict[int, tuple]) -> tuple[tuple[InfoState, float], ...]:
-    """Group equal states and sum their masses; order-independent result."""
-    groups: dict[InfoState, list[float]] = {}
-    reps: dict[InfoState, InfoState] = {}
-    for s, q in entries:
-        if s in groups:
-            groups[s].append(q)
+def _merge(entries: list[tuple[InfoState, float]], tol: float) -> tuple[tuple[InfoState, float], ...]:
+    """Group close states greedily in node-id order; the first state of a group
+    represents it and the group's masses are summed in sorted order."""
+    groups: list[tuple[InfoState, list[float]]] = []
+    for state, q in entries:
+        for rep, qs in groups:
+            if _close(rep, state, tol):
+                qs.append(q)
+                break
         else:
-            groups[s] = [q]
-            reps[s] = s
-    merged = [(reps[s], sum(sorted(qs))) for s, qs in groups.items()]
-    merged.sort(key=lambda e: _sort_key(e[0], memo))
+            groups.append((state, [q]))
+    merged = [(rep, sum(sorted(qs))) for rep, qs in groups]
+    # siblings share a level and are distinct and finite (validate rejects NaN),
+    # so the tuple order is total here and never compares None with a law
+    merged.sort(key=lambda e: e[0])
     return tuple(merged)
 
 
+def _law(proc: TreeProcess, nid: int, tol: float,
+         states: dict[int, InfoState] | None = None) -> tuple[tuple[InfoState, float], ...]:
+    """Merged law of the children's states, built depth-first; records every
+    child's state in ``states`` when given."""
+    entries = []
+    for c in proc.children(nid):
+        node = proc.node(c)
+        state = InfoState(node.value, _law(proc, c, tol, states) if proc.children(c) else None)
+        if states is not None:
+            states[c] = state
+        entries.append((state, node.prob))
+    return _merge(entries, tol)
+
+
 def information_process(proc: TreeProcess) -> dict[int, InfoState]:
-    """Backward recursion assigning an information state to every node at level >= 1.
+    """Information state of every node at level >= 1.
 
     Terminal nodes carry their value; an interior node carries its value and
     the edge-probability mixture of its children's states, with identical
     children merged by summing mass.
     """
-    memo: dict[int, tuple] = {}
     states: dict[int, InfoState] = {}
-    for t in range(proc.depth, 0, -1):
-        for nid in proc.level(t):
-            node = proc.node(nid)
-            if t == proc.depth:
-                states[nid] = InfoState(value=node.value)
-            else:
-                entries = [(states[c], proc.node(c).prob) for c in proc.children(nid)]
-                states[nid] = InfoState(value=node.value, law=_merge(entries, memo))
+    _law(proc, proc.root_id, 0.0, states)
     return states
 
 
 def level_one_law(proc: TreeProcess) -> tuple[tuple[InfoState, float], ...]:
     """The law of the time-1 information state; a complete invariant."""
-    memo: dict[int, tuple] = {}
-    states = information_process(proc)
-    entries = [(states[c], proc.node(c).prob) for c in proc.children(proc.root_id)]
-    return _merge(entries, memo)
+    return _law(proc, proc.root_id, 0.0)
 
 
 def _rebuild(depth: int, value_dims: tuple[int, ...],
              law: tuple[tuple[InfoState, float], ...]) -> TreeProcess:
     """Materialize the tree whose level-1 information law is ``law``."""
     nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
-    counter = [1]
 
     def emit(parent_id: int, t: int, entries: tuple[tuple[InfoState, float], ...]) -> None:
         for state, prob in entries:
-            nid = counter[0]
-            counter[0] += 1
+            nid = len(nodes)
             nodes.append(TreeNode(id=nid, parent=parent_id, time=t, value=state.value, prob=prob))
             if state.law is not None:
                 emit(nid, t + 1, state.law)
-
-    emit(0, 1, law)
-    return TreeProcess(depth=depth, value_dims=value_dims, nodes=tuple(nodes))
-
-
-# approximate variant: nested (value, law-or-None) descriptions
-
-
-def _approx_equal(a, b, tol: float) -> bool:
-    va, la = a
-    vb, lb = b
-    if len(va) != len(vb) or any(abs(x - y) > tol for x, y in zip(va, vb)):
-        return False
-    if (la is None) != (lb is None):
-        return False
-    if la is None:
-        return True
-    if len(la) != len(lb):
-        return False
-    return all(
-        abs(qa - qb) <= tol and _approx_equal(sa, sb, tol)
-        for (sa, qa), (sb, qb) in zip(la, lb)
-    )
-
-
-def _canon_desc(proc: TreeProcess, nid: int, tol: float):
-    node = proc.node(nid)
-    kids = proc.children(nid)
-    if not kids:
-        return (node.value, None)
-    return (node.value, _merge_descs([( _canon_desc(proc, c, tol), proc.node(c).prob) for c in kids], tol))
-
-
-def _merge_descs(entries, tol: float):
-    """Greedy pairwise merging in construction (node-id) order; first one wins."""
-    reps: list[list] = []
-    for desc, prob in entries:
-        for rep in reps:
-            if _approx_equal(rep[0], desc, tol):
-                rep[1] += prob
-                break
-        else:
-            reps.append([desc, prob])
-    reps.sort(key=lambda r: _desc_key(r[0]))
-    return tuple((d, q) for d, q in reps)
-
-
-def _desc_key(desc):
-    value, law = desc
-    if law is None:
-        return (value,)
-    return (value, tuple((_desc_key(d), q) for d, q in law))
-
-
-def _rebuild_desc(depth: int, value_dims: tuple[int, ...], law) -> TreeProcess:
-    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
-    counter = [1]
-
-    def emit(parent_id: int, t: int, entries) -> None:
-        for (value, sub), prob in entries:
-            nid = counter[0]
-            counter[0] += 1
-            nodes.append(TreeNode(id=nid, parent=parent_id, time=t, value=value, prob=prob))
-            if sub is not None:
-                emit(nid, t + 1, sub)
 
     emit(0, 1, law)
     return TreeProcess(depth=depth, value_dims=value_dims, nodes=tuple(nodes))
@@ -174,41 +120,21 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     values and probabilities agree componentwise within ``tol``, greedily in
     node-id order with the lowest id winning.
     """
-    if tol <= 0.0:
-        return _rebuild(proc.depth, proc.value_dims, level_one_law(proc))
-    root = proc.root_id
-    law = _merge_descs(
-        [(_canon_desc(proc, c, tol), proc.node(c).prob) for c in proc.children(root)], tol
-    )
-    return _rebuild_desc(proc.depth, proc.value_dims, law)
+    return _rebuild(proc.depth, proc.value_dims, _law(proc, proc.root_id, tol))
 
 
 def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     """True iff the two processes have adapted distance zero for every order.
 
     Tested as equality of the laws of the time-1 information states, i.e.
-    isomorphism of canonical forms (values within ``tol`` when positive).
+    isomorphism of canonical forms (values and masses within ``tol`` when
+    positive).
     """
     if a.depth != b.depth or a.value_dims != b.value_dims:
         raise ShapeMismatchError(
             f"shape mismatch: depth {a.depth}/{b.depth}, dims {a.value_dims}/{b.value_dims}"
         )
-    if tol <= 0.0:
-        return level_one_law(a) == level_one_law(b)
-    ca, cb = canonicalize(a, tol), canonicalize(b, tol)
-
-    def walk(na: int, nb: int) -> bool:
-        ka, kb = ca.children(na), cb.children(nb)
-        if len(ka) != len(kb):
-            return False
-        for ia, ib in zip(ka, kb):
-            xa, xb = ca.node(ia), cb.node(ib)
-            if abs(xa.prob - xb.prob) > tol:
-                return False
-            if any(abs(u - v) > tol for u, v in zip(xa.value, xb.value)):
-                return False
-            if not walk(ia, ib):
-                return False
-        return True
-
-    return walk(ca.root_id, cb.root_id)
+    # compare the laws as the laws of two value-less root states
+    root_a = InfoState((), _law(a, a.root_id, tol))
+    root_b = InfoState((), _law(b, b.root_id, tol))
+    return _close(root_a, root_b, tol)

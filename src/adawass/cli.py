@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from .canonical import canonicalize, equivalent
 from .curves import (
     CommonSpaceFlow,
     GridCurve,
+    _check_grid,
     dyadic_grid,
     flow_energy,
     geodesic,
@@ -129,10 +130,16 @@ def _curve_from_dict(data: dict) -> GridCurve:
     return GridCurve(grid=grid, processes=procs, p=p)
 
 
-def _parse_grid(args) -> tuple[float, ...]:
-    if args.grid is not None:
-        return tuple(float(u) for u in args.grid.split(","))
-    return dyadic_grid(args.dyadic)
+def _check_options(args) -> None:
+    """Reject a bad ``--p`` or ``--grid`` before any command runs; parses the grid."""
+    p = getattr(args, "p", None)
+    if p is not None and not 1.0 <= p < math.inf:
+        raise InputError(f"--p must be a finite order >= 1, got {p}")
+    if getattr(args, "grid", None) is not None:
+        try:
+            args.grid = _check_grid([float(u) for u in args.grid.split(",")])
+        except ValueError as exc:
+            raise InputError(f"--grid {args.grid}: {exc}") from exc
 
 
 def _write_derivative_csv(path: str, rows) -> None:
@@ -184,7 +191,7 @@ def cmd_check_plan(args) -> int:
 def cmd_geodesic(args) -> int:
     x = _load_tree(args.x)
     y = _load_tree(args.y)
-    grid = _parse_grid(args)
+    grid = args.grid if args.grid is not None else dyadic_grid(args.dyadic)
     flow = geodesic(x, y, args.p, grid, max_leaves=args.max_leaves)
     if args.out:
         _dump_json(args.out, _flow_to_dict(flow))
@@ -274,9 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="adawass",
         description="Adapted optimal transport on scenario trees.",
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("ADAWASS_THREADS", "1")),
-                        help="worker hint for nodewise solves (accepted for compatibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, max_leaves=False):
@@ -358,6 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

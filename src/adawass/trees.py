@@ -178,7 +178,9 @@ def validate(proc: TreeProcess) -> list[str]:
             violations.append(
                 f"node {n.id} at level {n.time} under parent at level {parent.time}"
             )
-        if not n.prob > 0.0:
+        if not math.isfinite(n.prob):
+            violations.append(f"node {n.id} has non-finite edge probability {n.prob}")
+        elif not n.prob > 0.0:
             violations.append(f"node {n.id} has non-positive edge probability {n.prob}")
         if n.time < 1 or n.time > proc.depth:
             violations.append(f"node {n.id} at level {n.time} outside 1..{proc.depth}")
@@ -187,6 +189,8 @@ def validate(proc: TreeProcess) -> list[str]:
         if n.value is None or len(n.value) != dim:
             got = "none" if n.value is None else str(len(n.value))
             violations.append(f"node {n.id} value has dim {got}, expected {dim}")
+        elif not all(map(math.isfinite, n.value)):
+            violations.append(f"node {n.id} has non-finite value {n.value}")
 
     kids: dict[int, list[TreeNode]] = {n.id: [] for n in proc.nodes}
     for n in proc.nodes:

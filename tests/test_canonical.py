@@ -149,6 +149,33 @@ def test_canonicalize_positive_tolerance_merges_near_duplicates():
     assert validate(merged) == []
 
 
+def doubled(proc, nid):
+    """Nested description of the subtree below ``nid`` with every child copied twice at half mass."""
+    out = []
+    for c in proc.children(nid):
+        node = proc.node(c)
+        out += [(node.prob / 2, node.value, doubled(proc, c))] * 2
+    return out
+
+
+def test_canonicalize_collapses_doubled_children_node_for_node():
+    rng = np.random.default_rng(83)
+    for _ in range(30):
+        base = random_process(rng, depth=3)
+        copy = build_process(list(base.value_dims), doubled(base, base.root_id))
+        for tol in (0.0, 1e-9):
+            assert canonicalize(copy, tol) == canonicalize(base, tol)
+            assert equivalent(copy, base, tol)
+
+
+def test_canonicalize_tolerant_chain_merges_greedily_first_wins():
+    # 6e-7 is within tol of both neighbours, so merging the transitive closure would leave one child
+    proc = build_process([1], [(0.25, 0.0, []), (0.25, 6e-7, []), (0.5, 1.2e-6, [])])
+    merged = canonicalize(proc, tol=1e-6)
+    kids = [merged.node(c) for c in merged.children(merged.root_id)]
+    assert [(k.value, k.prob) for k in kids] == [((0.0,), 0.5), ((1.2e-6,), 0.5)]
+
+
 # -- equivalent ---------------------------------------------------------------
 
 def test_equivalent_reflexive():

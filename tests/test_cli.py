@@ -63,6 +63,37 @@ def test_exit_codes(write_tree, capsys, tmp_path):
     assert run(capsys, ["dist", a, f])[0] == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["value", "prob"])
+def test_non_finite_input_exit_code(write_tree, capsys, tmp_path, bad, field):
+    good = build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])])
+    doc = tree_to_dict(good)
+    doc["nodes"][1][field] = [bad] if field == "value" else bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    g = write_tree("good.json", good)
+    for argv in (["dist", str(path), g], ["canonical", str(path)], ["equiv", g, str(path)]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("option", [["--p", "0.5"], ["--grid", "0,1,0.5"]])
+def test_bad_option_exit_code(write_tree, capsys, option):
+    a = write_tree("a.json", chain_process([1.0, 2.0]))
+    code, _, err = run(capsys, ["geodesic", a, a, *option])
+    assert code == 2
+    assert err.startswith(f"error: {option[0]}")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_threads_environment_variable_is_ignored(write_tree, capsys, monkeypatch):
+    monkeypatch.setenv("ADAWASS_THREADS", "abc")
+    a = write_tree("a.json", chain_process([1.0, 2.0]))
+    assert run(capsys, ["canonical", a])[0] == 0
+
+
 def test_size_guard_exit_code(write_tree, capsys, tmp_path):
     rng = np.random.default_rng(7)
     x = write_tree("x.json", random_process(rng, 2, (1, 1), 3, min_prob=0.3))

@@ -50,6 +50,20 @@ def test_validate_flags_nonpositive_probability():
     assert any("non-positive" in p for p in validate(proc))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_flags_non_finite_value(bad):
+    proc = build_process([2], [(0.5, (0.0, bad), []), (0.5, (1.0, 1.0), [])])
+    problems = validate(proc)
+    assert len(problems) == 1
+    assert "non-finite value" in problems[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_flags_non_finite_probability(bad):
+    proc = build_process([1], [(bad, 0.0, []), (1.0, 1.0, [])])
+    assert any("non-finite edge probability" in p for p in validate(proc))
+
+
 def test_path_distance_examples():
     assert path_distance([(1.0,), (2.0,)], [(3.0,), (5.0,)], 2.0) == pytest.approx(math.sqrt(13))
     assert path_distance([(1.0,), (2.0,)], [(1.0,), (2.0,)], 2.0) == 0.0
