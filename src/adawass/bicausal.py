@@ -16,7 +16,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .discrete_ot import MARGINAL_TOL, lp_solve, solve_transport
+from .discrete_ot import (
+    BALANCE_TOL,
+    MARGINAL_TOL,
+    InfeasibleError,
+    _transport_2x2,
+    lp_solve,
+    solve_transport,
+)
 from .trees import (
     ShapeMismatchError,
     TreeNode,
@@ -134,45 +141,104 @@ def _kernels_from_masses(plan: BicausalPlan):
     return kernels
 
 
+def _level_layout(proc: TreeProcess):
+    """Nodes of every level with each parent's children contiguous.
+
+    Returns, per level t, the node ids in that order and, for t < T, the
+    bounds of every node's children within level t + 1.
+    """
+    order = [(proc.root_id,)]
+    bounds = []
+    for t in range(proc.depth):
+        kids = [proc.children(v) for v in order[t]]
+        bounds.append(np.cumsum([0] + [len(k) for k in kids]))
+        order.append(tuple(c for k in kids for c in k))
+    return order, bounds
+
+
+def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
+                 cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every nodewise problem of one level at once.
+
+    ``cost`` is indexed by the children of the level on both sides; the
+    problem of parents (a, b) is its block ``[bx[a]:bx[a+1], by[b]:by[b+1]]``
+    with edge probabilities ``mu`` and ``nu`` over the same ranges.  Returns
+    the parents' values and the plans, block for block.  All 2x2 problems
+    go through one batched closed form, the others through
+    ``solve_transport``.
+    """
+    if not np.isfinite(cost).all():
+        raise ValueError("cost entries must be finite")
+    kx, ky = np.diff(bx), np.diff(by)
+    mu_sum = np.bincount(np.repeat(np.arange(kx.size), kx), weights=mu, minlength=kx.size)
+    nu_sum = np.bincount(np.repeat(np.arange(ky.size), ky), weights=nu, minlength=ky.size)
+    unbalanced = np.argwhere(np.abs(mu_sum[:, None] - nu_sum[None, :]) > BALANCE_TOL)
+    if unbalanced.size:
+        a, b = unbalanced[0]
+        raise InfeasibleError(
+            f"marginal masses {mu_sum[a]!r} and {nu_sum[b]!r} do not balance"
+        )
+    values = np.empty((kx.size, ky.size))
+    plans = np.zeros_like(cost)
+    two_x, two_y = kx == 2, ky == 2
+    rows = bx[:-1][two_x][:, None] + np.arange(2)
+    cols = by[:-1][two_y][:, None] + np.arange(2)
+    block = (rows[:, None, :, None], cols[None, :, None, :])
+    c = cost[block]
+    pl = _transport_2x2(mu[rows][:, None], nu[cols][None], c)
+    plans[block] = pl
+    # summed in the order of (plan * cost).sum() in solve_transport, bit for bit
+    values[np.ix_(two_x, two_y)] = (
+        (pl[..., 0, 0] * c[..., 0, 0] + pl[..., 0, 1] * c[..., 0, 1])
+        + pl[..., 1, 0] * c[..., 1, 0]) + pl[..., 1, 1] * c[..., 1, 1]
+    for a, b in zip(*np.nonzero(~np.outer(two_x, two_y))):
+        rx, ry = slice(bx[a], bx[a + 1]), slice(by[b], by[b + 1])
+        values[a, b], plans[rx, ry] = solve_transport(mu[rx], nu[ry], cost[rx, ry])
+    return values, plans
+
+
 def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, BicausalPlan]:
     """Adapted Wasserstein distance of order p with an optimal bicausal plan.
 
     Backward induction: at each pair of nodes the child distributions are
     coupled optimally against the one-step cost plus the continuation value;
-    the root value is the p-th power of the distance.
+    the root value is the p-th power of the distance.  The work runs a level
+    at a time, on cost and value matrices over all node pairs of the level.
     """
     _check_pair(x, y)
     if p < 1.0:
         raise ValueError(f"order p must be >= 1, got {p}")
     T = x.depth
-    values: dict[tuple[int, int], float] = {}
-    solved: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]] = {}
+    order_x, bounds_x = _level_layout(x)
+    order_y, bounds_y = _level_layout(y)
+    plans: list[np.ndarray | None] = [None] * T
+    values = None
     for t in range(T - 1, -1, -1):
-        for vx in x.level(t):
-            cx = x.children(vx)
-            mu = [x.node(c).prob for c in cx]
-            for vy in y.level(t):
-                cy = y.children(vy)
-                nu = [y.node(c).prob for c in cy]
-                cost = np.empty((len(cx), len(cy)))
-                for i, a in enumerate(cx):
-                    va = x.node(a).value
-                    for j, b in enumerate(cy):
-                        cost[i, j] = step_cost(va, y.node(b).value, p)
-                        if t + 1 < T:
-                            cost[i, j] += values[(a, b)]
-                val, plan = solve_transport(mu, nu, cost)
-                values[(vx, vy)] = val
-                solved[(vx, vy)] = (cx, cy, plan)
+        kids_x = [x.node(c) for c in order_x[t + 1]]
+        kids_y = [y.node(c) for c in order_y[t + 1]]
+        vx = np.array([n.value for n in kids_x])
+        vy = np.array([n.value for n in kids_y])
+        cost = np.sqrt(((vx[:, None] - vy[None]) ** 2).sum(-1)) ** p
+        if values is not None:
+            cost += values
+        values, plans[t] = _solve_level(
+            np.array([n.prob for n in kids_x]), np.array([n.prob for n in kids_y]),
+            bounds_x[t], bounds_y[t], cost,
+        )
 
-    total = values[(x.root_id, y.root_id)]
+    total = float(values[0, 0])
+    pos_x = {v: i for level in order_x for i, v in enumerate(level)}
+    pos_y = {v: i for level in order_y for i, v in enumerate(level)}
     # top-down pass keeps only kernels of reachable pairs and forms path-pair masses
     kernels: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]] = {}
     current: dict[tuple[int, int], float] = {(x.root_id, y.root_id): 1.0}
     for t in range(T):
+        bx, by = bounds_x[t], bounds_y[t]
         nxt: dict[tuple[int, int], float] = {}
         for (vx, vy), mass in current.items():
-            cx, cy, mat = solved[(vx, vy)]
+            ix, iy = pos_x[vx], pos_y[vy]
+            cx, cy = x.children(vx), y.children(vy)
+            mat = plans[t][bx[ix]:bx[ix + 1], by[iy]:by[iy + 1]].copy()
             kernels[(vx, vy)] = (cx, cy, mat)
             for i, a in enumerate(cx):
                 for j, b in enumerate(cy):

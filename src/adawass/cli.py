@@ -127,14 +127,28 @@ def _curve_from_dict(data: dict) -> GridCurve:
         problems = validate(proc)
         if problems:
             raise InputError(f"curve process {i} invalid: " + "; ".join(problems))
-    return GridCurve(grid=grid, processes=procs, p=p)
+    if not 1.0 <= p < math.inf:
+        raise InputError(f"curve p must be a finite order >= 1, got {p}")
+    try:
+        return GridCurve(grid=grid, processes=procs, p=p)
+    except ShapeMismatchError:
+        raise
+    except ValueError as exc:
+        raise InputError(f"malformed curve document: {exc}") from exc
 
 
 def _check_options(args) -> None:
-    """Reject a bad ``--p`` or ``--grid`` before any command runs; parses the grid."""
+    """Reject a bad ``--p``, ``--grid``, ``--dyadic`` or ``--tol-equiv`` before any
+    command runs; parses the grid."""
     p = getattr(args, "p", None)
     if p is not None and not 1.0 <= p < math.inf:
         raise InputError(f"--p must be a finite order >= 1, got {p}")
+    tol = getattr(args, "tol_equiv", None)
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise InputError(f"--tol-equiv must be a finite tolerance >= 0, got {tol}")
+    dyadic = getattr(args, "dyadic", None)
+    if dyadic is not None and dyadic < 0:
+        raise InputError(f"--dyadic must be a level >= 0, got {dyadic}")
     if getattr(args, "grid", None) is not None:
         try:
             args.grid = _check_grid([float(u) for u in args.grid.split(",")])
@@ -202,7 +216,7 @@ def cmd_geodesic(args) -> int:
         _write_derivative_csv(args.csv, metric_derivative(curve))
     if args.particles:
         _write_particles_csv(args.particles, flow)
-    print(_fmt(aw_distance(x, y, args.p)[0]))
+    print(_fmt(flow.coupling.plans[0].value))
     return EXIT_OK
 
 

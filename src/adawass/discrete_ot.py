@@ -1,12 +1,17 @@
 """Exact optimal transport between finite discrete laws.
 
-The solver is a dense two-phase primal simplex.  Problem sizes here are
-small (nodewise couplings on scenario trees and path-pair oracles), so
-determinism and exactness matter far more than speed: entering columns take
-the largest reduced cost with index tie-breaking, leaving rows follow the
-lexicographic ratio test, so the iteration cannot cycle even on the heavily
-degenerate causality polytopes.  Together with a fixed atom ordering the
-solver always returns the same optimal vertex for the same input.
+Transport problems go to a transportation simplex: a north-west-corner
+start (no phase one), u-v potentials on the basis tree, the most negative
+reduced cost entering with lowest-index tie-breaking, the smallest-index
+blocking cell leaving, and Bland's rule after a run of degenerate pivots,
+so the iteration cannot cycle.  One-row, one-column and 2x2 problems have
+closed forms; the 2x2 one is batched so that callers can solve many at
+once.  The dense two-phase simplex ``lp_solve`` serves only the path-pair
+oracle: entering columns take the largest reduced cost with index
+tie-breaking and leaving rows follow the lexicographic ratio test, which
+keeps it cycle-free on the heavily degenerate causality polytopes.  Both
+solvers pivot deterministically, so together with a fixed atom ordering the
+same input always gives the same optimal vertex.
 """
 
 from __future__ import annotations
@@ -29,6 +34,23 @@ __all__ = [
 MASS_TOL = 1e-12
 MARGINAL_TOL = 1e-10
 _MIN_ATOM = 1e-14
+# Marginal totals may differ by this much before a problem counts as
+# unbalanced: each side is normalized on its own (trees to within 1e-12).
+BALANCE_TOL = 1e-9
+# Reduced costs above -_OPTIMALITY_TOL * max|cost| count as optimal: potentials
+# summed along a basis path carry rounding near (n + m) * 1e-16 * max|cost|,
+# far below it, and stopping there leaves the value within it of the optimum.
+_OPTIMALITY_TOL = 1e-12
+# A 2x2 cost gap c00 - c01 - c10 + c11 at or below this is a tie and takes
+# the upper endpoint: gaps this small are rounding noise for costs of order one.
+_GAP_TOL = 1e-14
+# Bland's rule takes over after this many degenerate pivots in a row per row
+# and column node: the most negative reduced cost needs fewer pivots on
+# degenerate problems, Bland's rule cannot cycle.
+_BLAND_AFTER = 1
+# Pivot cap per cell; Bland's rule already rules out cycling, so hitting it
+# means a defect, which the iteration-limit error reports.
+_MAX_PIVOTS_PER_CELL = 50
 
 
 class InfeasibleError(ValueError):
@@ -207,29 +229,115 @@ def lp_solve(c: Sequence[float], a_mat, b: Sequence[float],
 
 
 def _transport_simplex(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Solve the transport LP through the generic simplex; returns the plan."""
+    """Transportation simplex from the north-west corner; returns the plan.
+
+    The basis is a spanning tree of n + m - 1 cells on the row and column
+    nodes, so every pivot is a walk along a tree path and needs no tableau.
+    Each pivot recomputes the potentials u_i + v_j = c_ij from row 0, enters
+    the cell of most negative reduced cost c_ij - u_i - v_j (lowest flat
+    index among ties) and moves mass round the cycle it closes; the leaving
+    cell is the blocking cell of smallest row-major index.  After n + m
+    degenerate pivots in a row the entering cell is the lowest-index
+    improving one (Bland's rule) until a pivot moves mass, so the pivot
+    sequence cannot cycle.
+    """
     n, m = cost.shape
-    a = np.zeros((n + m, n * m))
-    for i in range(n):
-        a[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        a[n + j, j::m] = 1.0
-    rhs = np.concatenate([mu, nu])
-    _, x = lp_solve(cost.ravel(), a, rhs)
-    return x.reshape(n, m)
+    c = cost.tolist()
+    # north-west corner with degenerate fill: one index advances per cell
+    flow: dict[tuple[int, int], float] = {}
+    adj: list[list[int]] = [[] for _ in range(n + m)]   # rows 0..n-1, columns n..n+m-1
+    rows, cols = mu.tolist(), nu.tolist()
+    i = j = 0
+    while True:
+        take = min(rows[i], cols[j])
+        flow[(i, j)] = take
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+        if i == n - 1 and j == m - 1:
+            break
+        if j == m - 1 or (i < n - 1 and rows[i] <= cols[j]):
+            cols[j] -= take
+            i += 1
+        else:
+            rows[i] -= take
+            j += 1
+
+    tol = _OPTIMALITY_TOL * float(np.abs(cost).max())
+    pot = [0.0] * (n + m)
+    up = [-1] * (n + m)
+    depth = [0] * (n + m)
+    degenerate = 0
+    for _ in range(_MAX_PIVOTS_PER_CELL * n * m):
+        # potentials along the basis tree rooted at row 0
+        up[0] = -1
+        order = [0]
+        for a in order:
+            for b in adj[a]:
+                if b != up[a]:
+                    up[b], depth[b] = a, depth[a] + 1
+                    pot[b] = (c[a][b - n] if a < n else c[b][a - n]) - pot[a]
+                    order.append(b)
+        reduced = (cost - np.add.outer(pot[:n], pot[n:])).ravel()
+        if degenerate < _BLAND_AFTER * (n + m):
+            k = int(reduced.argmin())
+            if not reduced[k] < -tol:
+                break
+        else:
+            improving = np.flatnonzero(reduced < -tol)
+            if improving.size == 0:
+                break
+            k = int(improving[0])
+        ei, ej = divmod(k, m)
+        # the cycle: tree paths from both ends of the entering cell to their apex;
+        # counted from either end, odd cells lose mass and even cells gain it
+        a, b = ei, n + ej
+        side_a: list[tuple[int, int]] = []
+        side_b: list[tuple[int, int]] = []
+        while a != b:
+            if depth[a] >= depth[b]:
+                side_a.append((a, up[a] - n) if a < n else (up[a], a - n))
+                a = up[a]
+            else:
+                side_b.append((b, up[b] - n) if b < n else (up[b], b - n))
+                b = up[b]
+        losing = side_a[0::2] + side_b[0::2]
+        theta = min(flow[cell] for cell in losing)
+        leave = min(cell for cell in losing if flow[cell] == theta)
+        for cell in losing:
+            flow[cell] -= theta
+        for cell in side_a[1::2] + side_b[1::2]:
+            flow[cell] += theta
+        flow[(ei, ej)] = theta
+        del flow[leave]
+        li, lj = leave
+        adj[li].remove(n + lj)
+        adj[n + lj].remove(li)
+        adj[ei].append(n + ej)
+        adj[n + ej].append(ei)
+        degenerate = degenerate + 1 if theta == 0.0 else 0
+    else:
+        raise RuntimeError("transport simplex iteration limit exceeded")
+
+    plan = np.zeros((n, m))
+    for (i, j), f in flow.items():
+        plan[i, j] = f
+    return plan
 
 
 def _transport_2x2(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Closed form for the one-parameter 2x2 polytope; endpoint chosen by the cost gap."""
-    lo = max(0.0, mu[0] + nu[0] - 1.0)
-    hi = min(mu[0], nu[0])
-    gap = cost[0, 0] - cost[0, 1] - cost[1, 0] + cost[1, 1]
-    theta = lo if gap > 1e-14 else hi
-    plan = np.array([
-        [theta, mu[0] - theta],
-        [nu[0] - theta, mu[1] - nu[0] + theta],
-    ])
-    return np.maximum(plan, 0.0)
+    """Closed form for a batch of 2x2 problems; plans of shape (..., 2, 2).
+
+    ``mu`` and ``nu`` have shape (..., 2) and ``cost`` (..., 2, 2), all
+    broadcast together.  Each polytope has one parameter, the mass on cell
+    (0, 0), between ``lo`` and ``hi``; the endpoint is chosen by the cost gap.
+    """
+    mu0, mu1, nu0 = mu[..., 0], mu[..., 1], nu[..., 0]
+    lo = np.maximum(0.0, mu0 + nu0 - 1.0)
+    hi = np.minimum(mu0, nu0)
+    gap = cost[..., 0, 0] - cost[..., 0, 1] - cost[..., 1, 0] + cost[..., 1, 1]
+    theta = np.where(gap > _GAP_TOL, lo, hi)
+    plan = np.stack(np.broadcast_arrays(theta, mu0 - theta, nu0 - theta, mu1 - nu0 + theta), axis=-1)
+    return np.maximum(plan, 0.0).reshape(plan.shape[:-1] + (2, 2))
 
 
 def solve_transport(mu_masses, nu_masses, cost) -> tuple[float, np.ndarray]:
@@ -247,7 +355,7 @@ def solve_transport(mu_masses, nu_masses, cost) -> tuple[float, np.ndarray]:
         raise ValueError(f"cost has shape {cmat.shape}, expected {(n, m)}")
     if not np.isfinite(cmat).all():
         raise ValueError("cost entries must be finite")
-    if abs(mu_m.sum() - nu_m.sum()) > 1e-9:
+    if abs(mu_m.sum() - nu_m.sum()) > BALANCE_TOL:
         raise InfeasibleError(
             f"marginal masses {mu_m.sum()!r} and {nu_m.sum()!r} do not balance"
         )
@@ -256,7 +364,7 @@ def solve_transport(mu_masses, nu_masses, cost) -> tuple[float, np.ndarray]:
     elif m == 1:
         plan = mu_m[:, None].copy()
     elif n == 2 and m == 2:
-        plan = _transport_2x2(mu_m, nu_m, cmat)
+        plan = _transport_2x2(mu_m[None], nu_m[None], cmat[None])[0]
     else:
         plan = _transport_simplex(mu_m, nu_m, cmat)
     plan[plan < 0.0] = 0.0

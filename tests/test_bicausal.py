@@ -21,6 +21,9 @@ from adawass import (
     validate,
     w_distance,
 )
+from adawass.bicausal import _solve_level
+from adawass.discrete_ot import solve_transport
+from adawass.trees import step_cost
 
 from conftest import epsilon_x, epsilon_y, random_pair, random_process
 
@@ -42,6 +45,56 @@ def w_of_path_laws(x, y, p):
 
 
 # -- aw_distance --------------------------------------------------------------
+
+def nodewise_reference(x, y, p):
+    """The backward induction one node pair at a time; root value and per-pair plans."""
+    values, plans = {}, {}
+    for t in range(x.depth - 1, -1, -1):
+        for vx in x.level(t):
+            cx = x.children(vx)
+            for vy in y.level(t):
+                cy = y.children(vy)
+                cost = np.empty((len(cx), len(cy)))
+                for i, a in enumerate(cx):
+                    for j, b in enumerate(cy):
+                        cost[i, j] = step_cost(x.node(a).value, y.node(b).value, p)
+                        if t + 1 < x.depth:
+                            cost[i, j] += values[(a, b)]
+                values[(vx, vy)], plans[(vx, vy)] = solve_transport(
+                    [x.node(c).prob for c in cx], [y.node(c).prob for c in cy], cost)
+    return values[(x.root_id, y.root_id)], plans
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_level_wise_induction_matches_nodewise_reference(rng, p):
+    # the level path batches every 2x2 pair; its values and kernels must equal
+    # the per-pair solves bit for bit, on trees of mixed branching
+    for _ in range(15):
+        x, y = random_pair(rng, depth=3, max_branch=3)
+        total, plans = nodewise_reference(x, y, p)
+        value, plan = aw_distance(x, y, p)
+        assert value == total ** (1.0 / p)
+        for pair, (cx, cy, mat) in plan.kernels.items():
+            assert (cx, cy) == (x.children(pair[0]), y.children(pair[1]))
+            assert mat.tobytes() == plans[pair].tobytes()
+
+
+def test_level_solve_matches_per_pair_solve_transport(rng):
+    # one level of 12 x 10 parents with 1..3 children each: most pairs go
+    # through the batched 2x2 closed form, the rest through solve_transport
+    kx, ky = rng.choice([1, 2, 2, 3], size=12), rng.choice([1, 2, 2, 3], size=10)
+    bx, by = np.concatenate([[0], np.cumsum(kx)]), np.concatenate([[0], np.cumsum(ky)])
+    mu = np.concatenate([w / w.sum() for w in (rng.uniform(0.1, 1.0, k) for k in kx)])
+    nu = np.concatenate([w / w.sum() for w in (rng.uniform(0.1, 1.0, k) for k in ky)])
+    cost = rng.uniform(0.0, 3.0, size=(bx[-1], by[-1]))
+    values, plans = _solve_level(mu, nu, bx, by, cost)
+    for a in range(len(kx)):
+        for b in range(len(ky)):
+            rx, ry = slice(bx[a], bx[a + 1]), slice(by[b], by[b + 1])
+            value, plan = solve_transport(mu[rx], nu[ry], cost[rx, ry])
+            assert values[a, b] == value
+            assert plans[rx, ry].tobytes() == plan.tobytes()
+
 
 def test_aw_deterministic_pair(dirac_pair):
     x, y = dirac_pair

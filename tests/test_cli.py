@@ -88,6 +88,52 @@ def test_bad_option_exit_code(write_tree, capsys, option):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["canonical", "{a}", "--tol-equiv", "nan"],
+    ["canonical", "{a}", "--tol-equiv", "inf"],
+    ["equiv", "{a}", "{a}", "--tol-equiv=-1e-9"],
+    ["geodesic", "{a}", "{a}", "--dyadic", "-1"],
+])
+def test_bad_tolerance_or_dyadic_exit_code(write_tree, capsys, argv):
+    a = write_tree("a.json", build_process([1], [(0.5, 0.0, []), (0.5, 5.0, [])]))
+    option = next(arg.split("=")[0] for arg in argv if arg.startswith("--"))
+    code, out, err = run(capsys, [arg.format(a=a) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option}")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["curve-energy", "represent"])
+@pytest.mark.parametrize("field,bad", [("grid", [0.0, 0.5, 0.5, 1.0]),
+                                       ("grid", [0.0, 0.75, 0.5, 1.0]),
+                                       ("p", 0.5)])
+def test_bad_curve_document_exit_code(capsys, tmp_path, command, field, bad):
+    a, b = chain_process([0.0, 0.0]), chain_process([1.0, 1.0])
+    doc = {"grid": [0.0, 1 / 3, 2 / 3, 1.0], "p": 2.0,
+           "processes": [tree_to_dict(t) for t in (a, b, a, b)]}
+    doc[field] = bad
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "f.json")] if command == "represent" else [])
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_geodesic_prints_the_dist_line(write_tree, capsys, tmp_path):
+    rng = np.random.default_rng(5)
+    x = write_tree("x.json", random_process(rng, 2, (1, 1), 3))
+    y = write_tree("y.json", random_process(rng, 2, (1, 1), 3))
+    for p in ("1", "2"):
+        code, dist_out, _ = run(capsys, ["dist", x, y, "--p", p])
+        assert code == 0
+        code, geo_out, _ = run(capsys, ["geodesic", x, y, "--p", p, "--grid", "0,0.5,1"])
+        assert code == 0
+        assert geo_out == dist_out
+
+
 def test_threads_environment_variable_is_ignored(write_tree, capsys, monkeypatch):
     monkeypatch.setenv("ADAWASS_THREADS", "abc")
     a = write_tree("a.json", chain_process([1.0, 2.0]))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from adawass import DiscreteLaw, InfeasibleError, UnboundedError, lp_solve, w_distance
-from adawass.discrete_ot import _transport_simplex
+from adawass import discrete_ot
+from adawass.discrete_ot import MARGINAL_TOL, _transport_2x2, _transport_simplex
 
 
 # -- independent oracles ------------------------------------------------------
@@ -39,6 +40,28 @@ def transport_vertex_enumeration(mu, nu, cost):
             )
             best = min(best, total)
     return best
+
+
+def transport_lp(mu, nu, cost):
+    """The transport problem as an explicit LP for the generic simplex; returns the plan."""
+    n, m = cost.shape
+    a = np.zeros((n + m, n * m))
+    for i in range(n):
+        a[i, i * m:(i + 1) * m] = 1.0
+    for j in range(m):
+        a[n + j, j::m] = 1.0
+    _, x = lp_solve(cost.ravel(), a, np.concatenate([mu, nu]))
+    return x.reshape(n, m)
+
+
+def closed_form_2x2(mu, nu, cost):
+    """One 2x2 problem by its scalar closed form: mass on cell (0, 0) at lo or hi."""
+    lo = max(0.0, mu[0] + nu[0] - 1.0)
+    hi = min(mu[0], nu[0])
+    gap = cost[0, 0] - cost[0, 1] - cost[1, 0] + cost[1, 1]
+    theta = lo if gap > 1e-14 else hi
+    plan = np.array([[theta, mu[0] - theta], [nu[0] - theta, mu[1] - nu[0] + theta]])
+    return np.maximum(plan, 0.0)
 
 
 def lp_all_bases(c, a, b):
@@ -206,7 +229,7 @@ def test_w_distance_closed_forms_match_simplex():
         cost = rng.uniform(0.0, 3.0, size=(n, m))
         value, _ = w_distance(mu, nu, cost)
         reference = float(
-            (_transport_simplex(np.asarray(mu.masses), np.asarray(nu.masses), cost) * cost).sum()
+            (transport_lp(np.asarray(mu.masses), np.asarray(nu.masses), cost) * cost).sum()
         )
         assert value == pytest.approx(reference, abs=1e-10)
 
@@ -257,6 +280,67 @@ def test_w_distance_plan_marginals_within_tolerance():
         _, plan = w_distance(mu, nu, cost)
         row_err, col_err = plan.marginal_errors()
         assert row_err <= 1e-10 and col_err <= 1e-10
+
+
+def fuzz_transport_instance(rng, kind):
+    """Masses and costs of one fuzz case; sizes 2..12 per side."""
+    n, m = (int(k) for k in rng.integers(2, 13, size=2))
+    if kind == "equal":          # equal marginals: every north-west step is a tie
+        m = n
+        mu = nu = np.full(n, 1.0 / n)
+        cost = rng.uniform(0.0, 3.0, size=(n, m))
+    elif kind == "integer":      # integer masses and costs: ties everywhere
+        mu = rng.integers(1, 4, size=n).astype(float)
+        nu = rng.integers(1, 4, size=m).astype(float)
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        cost = rng.integers(0, 4, size=(n, m)).astype(float)
+    else:
+        mu, nu = rng.uniform(0.1, 1.0, size=n), rng.uniform(0.1, 1.0, size=m)
+        if kind == "tiny":       # atoms down to 1e-14
+            mu[rng.integers(n)] = 1e-14
+            nu[rng.integers(m)] = 1e-14
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        cost = rng.uniform(0.0, 3.0, size=(n, m))
+    return mu, nu, cost
+
+
+@pytest.mark.parametrize("kind", ["random", "equal", "integer", "tiny"])
+@pytest.mark.parametrize("bland_after", [1, 0])
+def test_transport_simplex_matches_lp_solve(monkeypatch, kind, bland_after):
+    # runs of n + m degenerate pivots are rare, so 0 makes Bland's rule the only rule
+    monkeypatch.setattr(discrete_ot, "_BLAND_AFTER", bland_after)
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        mu, nu, cost = fuzz_transport_instance(rng, kind)
+        plan = _transport_simplex(mu, nu, cost)
+        value = float((plan * cost).sum())
+        reference = float((transport_lp(mu, nu, cost) * cost).sum())
+        assert value == pytest.approx(reference, rel=1e-12, abs=1e-300)
+        assert plan.min() >= 0.0
+        assert np.abs(plan.sum(axis=1) - mu).max() <= MARGINAL_TOL
+        assert np.abs(plan.sum(axis=0) - nu).max() <= MARGINAL_TOL
+
+
+def test_transport_simplex_repeats_bit_identical_plans():
+    rng = np.random.default_rng(59)
+    for kind in ("random", "equal", "integer", "tiny"):
+        mu, nu, cost = fuzz_transport_instance(rng, kind)
+        first = _transport_simplex(mu, nu, cost)
+        for _ in range(3):
+            assert _transport_simplex(mu.copy(), nu.copy(), cost.copy()).tobytes() == first.tobytes()
+
+
+def test_batched_2x2_matches_scalar_closed_form():
+    rng = np.random.default_rng(61)
+    mu = rng.uniform(0.1, 1.0, size=(40, 2))
+    nu = rng.uniform(0.1, 1.0, size=(40, 2))
+    mu, nu = mu / mu.sum(axis=1, keepdims=True), nu / nu.sum(axis=1, keepdims=True)
+    nu[:10] = mu[:10]                                  # equal marginals
+    cost = rng.uniform(0.0, 3.0, size=(40, 2, 2))
+    cost[10:20, 1, 1] = cost[10:20, 0, 1] + cost[10:20, 1, 0] - cost[10:20, 0, 0]  # zero gap
+    batched = _transport_2x2(mu, nu, cost)
+    for k in range(40):
+        assert batched[k].tobytes() == closed_form_2x2(mu[k], nu[k], cost[k]).tobytes()
 
 
 def test_discrete_law_rejects_degenerate_masses():

@@ -1,0 +1,43 @@
+"""The benchmark's pinned dist-bushy values, recomputed by the library.
+
+``perfbench/reference.json`` pins the seed-0 ``dist`` values that every
+benchmark run checks; a solver change that moved them would make every
+benchmark run fail.  This test regenerates the first request cycle of that
+pool with the benchmark's own generator and checks the values and plans.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from adawass import aw_distance, check_bicausal
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # dataclasses resolve their module here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_first_dist_bushy_cycle_matches_pinned_values(workloads):
+    pinned = json.loads((PERFBENCH / "reference.json").read_text())["dist-bushy"]
+    rng = np.random.default_rng(pinned["seed"])
+    for i, kind in enumerate(workloads.DIST_CYCLE):
+        depth, branching, dim = workloads.DIST_SHAPES[kind]
+        x = workloads.bushy(rng, depth, branching, dim)
+        y = workloads.bushy(rng, depth, branching, dim)
+        value, plan = aw_distance(x, y, pinned["p"])
+        assert workloads.close(value, pinned["values"][i]), (i, kind, value)
+        assert check_bicausal(plan), (i, kind)
