@@ -29,6 +29,7 @@ from .curves import (
 from .discrete_ot import (
     DiscreteLaw,
     InfeasibleError,
+    SolverError,
     TransportPlan,
     UnboundedError,
     lp_solve,

@@ -16,11 +16,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .discrete_ot import (
+from .discrete_ot import (  # noqa: F401  (solve_transport: perfbench/tracer.py wraps it here)
     BALANCE_TOL,
     MARGINAL_TOL,
     InfeasibleError,
-    _transport_2x2,
+    _solve_batch,
     lp_solve,
     solve_transport,
 )
@@ -29,7 +29,6 @@ from .trees import (
     TreeNode,
     TreeProcess,
     process_with_values,
-    step_cost,
 )
 
 __all__ = [
@@ -47,6 +46,10 @@ __all__ = [
 CAUSALITY_TOL = 1e-9
 MAX_PRODUCT_LEAVES = 100_000
 _PRUNE = 1e-13
+# Nodewise problems solved together in one lockstep batch: large enough that
+# the per-pivot numpy calls are shared by many problems, small enough that the
+# batch's basis inverses stay a few megabytes.
+_LEVEL_BATCH = 1024
 
 
 class SizeGuardError(RuntimeError):
@@ -82,9 +85,16 @@ class BicausalPlan:
     def from_pair_masses(cls, x: TreeProcess, y: TreeProcess, p: float,
                          masses: Mapping[tuple[int, int], float]) -> "BicausalPlan":
         _check_pair(x, y)
-        cost = 0.0
-        for (k, l), m in masses.items():
-            cost += m * _pair_cost(x, y, k, l, p)
+        xi = {k: i for i, k in enumerate(x.leaves)}
+        yi = {l: j for j, l in enumerate(y.leaves)}
+        try:
+            i = np.array([xi[k] for k, _ in masses], dtype=np.intp)
+            j = np.array([yi[l] for _, l in masses], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"plan lists a pair with a non-leaf node {exc}") from None
+        weighted = np.fromiter(masses.values(), float, len(masses)) * _path_costs(x, y, p, i, j)
+        # summed in listing order, as a running total
+        cost = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
         return cls(x=x, y=y, p=p, pair_masses=dict(masses), value=cost ** (1.0 / p))
 
     @classmethod
@@ -109,9 +119,23 @@ class BicausalPlan:
         return _kernels_from_masses(self)
 
 
-def _pair_cost(x: TreeProcess, y: TreeProcess, leaf_x: int, leaf_y: int, p: float) -> float:
-    px, py = x.leaf_paths[leaf_x], y.leaf_paths[leaf_y]
-    return sum(step_cost(a, b, p) for a, b in zip(px, py))
+def _step_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """step_cost over the last axis of two value arrays: |a - b|_2^p."""
+    return np.sqrt(((a - b) ** 2).sum(axis=-1)) ** p
+
+
+def _path_costs(x: TreeProcess, y: TreeProcess, p: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Costs of the leaf pairs (x.leaves[i], y.leaves[j]), broadcast over i and j.
+
+    The step costs (step_cost of the two values at each time) are added
+    from the first step on.
+    """
+    total = 0.0
+    for t in range(x.depth):
+        vx = np.array([x.leaf_paths[k][t] for k in x.leaves])
+        vy = np.array([y.leaf_paths[l][t] for l in y.leaves])
+        total = total + _step_costs(vx[i], vy[j], p)
+    return total
 
 
 def _kernels_from_masses(plan: BicausalPlan):
@@ -163,9 +187,10 @@ def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
     ``cost`` is indexed by the children of the level on both sides; the
     problem of parents (a, b) is its block ``[bx[a]:bx[a+1], by[b]:by[b+1]]``
     with edge probabilities ``mu`` and ``nu`` over the same ranges.  Returns
-    the parents' values and the plans, block for block.  All 2x2 problems
-    go through one batched closed form, the others through
-    ``solve_transport``.
+    the parents' values and the plans, block for block.  The parent pairs
+    are grouped by their numbers of children, and each group is solved in
+    batches of at most ``_LEVEL_BATCH`` problems, which bounds the memory of
+    the lockstep simplex.
     """
     if not np.isfinite(cost).all():
         raise ValueError("cost entries must be finite")
@@ -180,20 +205,17 @@ def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
         )
     values = np.empty((kx.size, ky.size))
     plans = np.zeros_like(cost)
-    two_x, two_y = kx == 2, ky == 2
-    rows = bx[:-1][two_x][:, None] + np.arange(2)
-    cols = by[:-1][two_y][:, None] + np.arange(2)
-    block = (rows[:, None, :, None], cols[None, :, None, :])
-    c = cost[block]
-    pl = _transport_2x2(mu[rows][:, None], nu[cols][None], c)
-    plans[block] = pl
-    # summed in the order of (plan * cost).sum() in solve_transport, bit for bit
-    values[np.ix_(two_x, two_y)] = (
-        (pl[..., 0, 0] * c[..., 0, 0] + pl[..., 0, 1] * c[..., 0, 1])
-        + pl[..., 1, 0] * c[..., 1, 0]) + pl[..., 1, 1] * c[..., 1, 1]
-    for a, b in zip(*np.nonzero(~np.outer(two_x, two_y))):
-        rx, ry = slice(bx[a], bx[a + 1]), slice(by[b], by[b + 1])
-        values[a, b], plans[rx, ry] = solve_transport(mu[rx], nu[ry], cost[rx, ry])
+    # sorted(set(...)), not np.unique, which imports numpy.ma (2 MB) on first use
+    for n in sorted(set(kx.tolist())):
+        for m in sorted(set(ky.tolist())):
+            pa, pb = (g.ravel() for g in np.meshgrid(
+                np.flatnonzero(kx == n), np.flatnonzero(ky == m), indexing="ij"))
+            for s in range(0, pa.size, _LEVEL_BATCH):
+                a, b = pa[s:s + _LEVEL_BATCH], pb[s:s + _LEVEL_BATCH]
+                rows = bx[a][:, None] + np.arange(n)
+                cols = by[b][:, None] + np.arange(m)
+                block = (rows[:, :, None], cols[:, None, :])
+                values[a, b], plans[block] = _solve_batch(mu[rows], nu[cols], cost[block])
     return values, plans
 
 
@@ -218,7 +240,7 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
         kids_y = [y.node(c) for c in order_y[t + 1]]
         vx = np.array([n.value for n in kids_x])
         vy = np.array([n.value for n in kids_y])
-        cost = np.sqrt(((vx[:, None] - vy[None]) ** 2).sum(-1)) ** p
+        cost = _step_costs(vx[:, None], vy[None], p)
         if values is not None:
             cost += values
         values, plans[t] = _solve_level(
@@ -322,7 +344,7 @@ def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bic
         raise ValueError(f"order p must be >= 1, got {p}")
     lx, ly = x.leaves, y.leaves
     ny = len(ly)
-    cost = np.array([[_pair_cost(x, y, k, l, p) for l in ly] for k in lx])
+    cost = _path_costs(x, y, p, np.arange(len(lx))[:, None], np.arange(ny)[None, :])
     a, b = _lp_rows(x, y)
     total, sol = lp_solve(cost.ravel(), a, b)
     masses: dict[tuple[int, int], float] = {}

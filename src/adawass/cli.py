@@ -1,8 +1,8 @@
 """Command-line surface: file formats, configuration, plot-data emission.
 
 Exit codes: 0 success, 2 unreadable or invalid input, 3 shape mismatch,
-4 size guard tripped.  All commands are deterministic; --seed only affects
-``quantize``.
+4 size guard tripped, 5 internal solver failure.  All commands are
+deterministic; --seed only affects ``quantize``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .curves import (
     represent_curve,
     skorokhod,
 )
+from .discrete_ot import InfeasibleError, SolverError, UnboundedError
 from .trees import (
     ShapeMismatchError,
     TreeProcess,
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SHAPE = 3
 EXIT_SIZE = 4
+EXIT_SOLVER = 5
 
 
 class InputError(ValueError):
@@ -71,24 +73,39 @@ def _load_tree(path: str) -> TreeProcess:
     return proc
 
 
-def _dump_json(path: str | None, payload) -> None:
-    text = json.dumps(payload, indent=2)
+def _write_text(path: str | None, text: str) -> None:
     if path is None:
         print(text)
     else:
         Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _dump_json(path: str | None, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2))
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12f}"
 
 
-def _plan_to_dict(plan: BicausalPlan) -> dict:
-    pairs = [
-        {"leaf_x": k, "leaf_y": l, "mass": m}
-        for (k, l), m in sorted(plan.pair_masses.items())
-    ]
-    return {"pairs": pairs, "value": plan.value, "p": plan.p}
+_PAIR_ROW = '    {\n      "leaf_x": %d,\n      "leaf_y": %d,\n      "mass": %s\n    }'
+
+
+def _plan_json(plan: BicausalPlan) -> str:
+    """The plan document {"pairs": [{"leaf_x", "leaf_y", "mass"}, ...], "value", "p"}.
+
+    The text is what ``json.dumps(..., indent=2)`` writes, byte for byte, but
+    the pairs rows come from a template: with ``indent`` set, ``json`` falls
+    back to its pure-Python encoder, which costs more than solving a plan
+    of a few thousand pairs.  Masses go through ``float.__repr__`` as
+    ``json`` writes floats (``repr`` of an ``np.float64`` differs).
+    """
+    rows = ",\n".join([
+        _PAIR_ROW % (k, l, float.__repr__(m)) for (k, l), m in sorted(plan.pair_masses.items())
+    ])
+    pairs = f"[\n{rows}\n  ]" if rows else "[]"
+    return (f'{{\n  "pairs": {pairs},\n  "value": {json.dumps(plan.value)},\n'
+            f'  "p": {json.dumps(plan.p)}\n}}')
 
 
 def _plan_from_dict(data: dict, x: TreeProcess, y: TreeProcess) -> BicausalPlan:
@@ -99,7 +116,12 @@ def _plan_from_dict(data: dict, x: TreeProcess, y: TreeProcess) -> BicausalPlan:
         }
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed plan document: {exc}") from exc
-    return BicausalPlan.from_pair_masses(x, y, p, masses)
+    try:
+        return BicausalPlan.from_pair_masses(x, y, p, masses)
+    except ShapeMismatchError:
+        raise
+    except ValueError as exc:
+        raise InputError(f"malformed plan document: {exc}") from exc
 
 
 def _flow_to_dict(flow: CommonSpaceFlow) -> dict:
@@ -181,7 +203,7 @@ def cmd_dist(args) -> int:
     value, plan = aw_distance(x, y, args.p)
     print(_fmt(value))
     if args.plan:
-        _dump_json(args.plan, _plan_to_dict(plan))
+        _write_text(args.plan, _plan_json(plan))
     return EXIT_OK
 
 
@@ -189,7 +211,7 @@ def cmd_plan(args) -> int:
     x = _load_tree(args.x)
     y = _load_tree(args.y)
     _, plan = aw_distance(x, y, args.p)
-    _dump_json(args.out, _plan_to_dict(plan))
+    _write_text(args.out, _plan_json(plan))
     return EXIT_OK
 
 
@@ -387,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
+    except (SolverError, InfeasibleError, UnboundedError) as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

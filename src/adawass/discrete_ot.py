@@ -1,17 +1,20 @@
 """Exact optimal transport between finite discrete laws.
 
-Transport problems go to a transportation simplex: a north-west-corner
-start (no phase one), u-v potentials on the basis tree, the most negative
-reduced cost entering with lowest-index tie-breaking, the smallest-index
-blocking cell leaving, and Bland's rule after a run of degenerate pivots,
-so the iteration cannot cycle.  One-row, one-column and 2x2 problems have
-closed forms; the 2x2 one is batched so that callers can solve many at
-once.  The dense two-phase simplex ``lp_solve`` serves only the path-pair
-oracle: entering columns take the largest reduced cost with index
-tie-breaking and leaving rows follow the lexicographic ratio test, which
-keeps it cycle-free on the heavily degenerate causality polytopes.  Both
-solvers pivot deterministically, so together with a fixed atom ordering the
-same input always gives the same optimal vertex.
+Transport problems go to a transportation simplex that solves a batch of
+same-shape problems in lockstep with numpy: a north-west-corner start (no
+phase one), potentials from a basis inverse kept exact by rank-one updates,
+the most negative reduced cost entering with lowest-index tie-breaking, the
+smallest-index blocking cell leaving, and Bland's rule after a run of
+degenerate pivots, so the iteration cannot cycle.  Each problem pivots on
+its own data only and leaves the batch once optimal, so a single problem
+(``solve_transport`` solves a batch of one) gets the same plan as in any
+batch.  One-row, one-column and 2x2 problems have closed forms.  The dense
+two-phase simplex ``lp_solve`` serves only the path-pair oracle: entering
+columns take the largest reduced cost with index tie-breaking and leaving
+rows follow the lexicographic ratio test, which keeps it cycle-free on the
+heavily degenerate causality polytopes.  Both solvers pivot
+deterministically, so together with a fixed atom ordering the same input
+always gives the same optimal vertex.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "DiscreteLaw",
     "TransportPlan",
     "InfeasibleError",
+    "SolverError",
     "UnboundedError",
     "lp_solve",
     "solve_transport",
@@ -59,6 +63,10 @@ class InfeasibleError(ValueError):
 
 class UnboundedError(ValueError):
     """The objective is unbounded below on the feasible set."""
+
+
+class SolverError(RuntimeError):
+    """A simplex hit its iteration limit: a defect, since neither solver can cycle."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,7 @@ def _simplex_iterate(tableau: np.ndarray, basis: np.ndarray, allowed: int,
         col = int(candidates[np.argmax(reduced[candidates])])
         row = _leaving_row(tableau, col, m, tol)
         _pivot(tableau, basis, row, col)
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise SolverError("simplex iteration limit exceeded")
 
 
 def lp_solve(c: Sequence[float], a_mat, b: Sequence[float],
@@ -229,99 +237,89 @@ def lp_solve(c: Sequence[float], a_mat, b: Sequence[float],
 
 
 def _transport_simplex(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Transportation simplex from the north-west corner; returns the plan.
+    """Transportation simplex on a batch of same-shape problems; returns the plans.
 
-    The basis is a spanning tree of n + m - 1 cells on the row and column
-    nodes, so every pivot is a walk along a tree path and needs no tableau.
-    Each pivot recomputes the potentials u_i + v_j = c_ij from row 0, enters
-    the cell of most negative reduced cost c_ij - u_i - v_j (lowest flat
-    index among ties) and moves mass round the cycle it closes; the leaving
-    cell is the blocking cell of smallest row-major index.  After n + m
-    degenerate pivots in a row the entering cell is the lowest-index
-    improving one (Bland's rule) until a pivot moves mass, so the pivot
-    sequence cannot cycle.
+    ``mu`` has shape (B, n), ``nu`` (B, m) and ``cost`` (B, n, m).  Every
+    problem starts from its north-west corner and pivots in lockstep with the
+    others; a problem leaves the active set once it is optimal, and the pivots
+    of one problem never read another's data, so its plan is the same in any
+    batch.  Per problem the state is the basis cells, their flows and the
+    inverse of the basis over the potentials: row 0 stands for u_0 = 0, rows
+    1..n-1 for u_1..u_{n-1} and rows n..n+m-1 for v_0..v_{m-1}, and row q holds
+    the signs with which the basis costs sum to potential q.  The basis
+    matrix is totally unimodular, so the inverse holds only 0 and +-1 and its
+    rank-one (Sherman-Morrison) update is exact.  Each pivot enters the cell
+    of most negative reduced cost c_ij - u_i - v_j (lowest flat index among
+    ties); the sum of the inverse's rows u_i and v_j is the cycle that the
+    entering cell closes, +1 on the cells that lose mass, and the leaving cell
+    is the blocking cell of smallest row-major index.  After n + m degenerate
+    pivots in a row the entering cell is the lowest-index improving one
+    (Bland's rule) until a pivot moves mass, so the pivot sequence cannot
+    cycle.
     """
-    n, m = cost.shape
-    c = cost.tolist()
-    # north-west corner with degenerate fill: one index advances per cell
-    flow: dict[tuple[int, int], float] = {}
-    adj: list[list[int]] = [[] for _ in range(n + m)]   # rows 0..n-1, columns n..n+m-1
-    rows, cols = mu.tolist(), nu.tolist()
-    i = j = 0
-    while True:
-        take = min(rows[i], cols[j])
-        flow[(i, j)] = take
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-        if i == n - 1 and j == m - 1:
+    size, n, m = cost.shape
+    k_basis = n + m - 1
+    # north-west corner with degenerate fill: one index advances per cell,
+    # and the node it reaches gets the cell's cost minus its neighbour's potential
+    rows, cols = mu.copy(), nu.copy()
+    cells = np.empty((size, k_basis), dtype=np.intp)
+    flow = np.empty((size, k_basis))
+    inv = np.zeros((size, n + m, k_basis))
+    batch = np.arange(size)
+    i = np.zeros(size, dtype=np.intp)
+    j = np.zeros(size, dtype=np.intp)
+    new, old = np.full(size, n), i.copy()
+    for k in range(k_basis):
+        take = np.minimum(rows[batch, i], cols[batch, j])
+        cells[:, k] = i * m + j
+        flow[:, k] = take
+        inv[batch, new] = -inv[batch, old]
+        inv[batch, new, k] = 1.0
+        if k == k_basis - 1:
             break
-        if j == m - 1 or (i < n - 1 and rows[i] <= cols[j]):
-            cols[j] -= take
-            i += 1
-        else:
-            rows[i] -= take
-            j += 1
+        down = (j == m - 1) | ((i < n - 1) & (rows[batch, i] <= cols[batch, j]))
+        cols[batch[down], j[down]] -= take[down]
+        rows[batch[~down], i[~down]] -= take[~down]
+        i, j = i + down, j + ~down
+        new, old = np.where(down, i, n + j), np.where(down, n + j, i)
 
-    tol = _OPTIMALITY_TOL * float(np.abs(cost).max())
-    pot = [0.0] * (n + m)
-    up = [-1] * (n + m)
-    depth = [0] * (n + m)
-    degenerate = 0
+    cflat = cost.reshape(size, n * m)
+    cbasis = np.take_along_axis(cflat, cells, axis=1)
+    tol = _OPTIMALITY_TOL * np.abs(cflat).max(axis=1)
+    degenerate = np.zeros(size, dtype=np.intp)
+    plans = np.zeros((size, n * m))
+    active = batch
     for _ in range(_MAX_PIVOTS_PER_CELL * n * m):
-        # potentials along the basis tree rooted at row 0
-        up[0] = -1
-        order = [0]
-        for a in order:
-            for b in adj[a]:
-                if b != up[a]:
-                    up[b], depth[b] = a, depth[a] + 1
-                    pot[b] = (c[a][b - n] if a < n else c[b][a - n]) - pot[a]
-                    order.append(b)
-        reduced = (cost - np.add.outer(pot[:n], pot[n:])).ravel()
-        if degenerate < _BLAND_AFTER * (n + m):
-            k = int(reduced.argmin())
-            if not reduced[k] < -tol:
+        pot = (inv * cbasis[:, None, :]).sum(axis=2)
+        reduced = cflat - (pot[:, :n, None] + pot[:, None, n:]).reshape(-1, n * m)
+        improving = reduced < -tol[:, None]
+        done = ~improving.any(axis=1)
+        if done.any():
+            plans[active[done, None], cells[done]] = flow[done]
+            keep = ~done
+            active, cells, flow, inv, cbasis, cflat, tol, degenerate, reduced, improving = (
+                arr[keep] for arr in (active, cells, flow, inv, cbasis, cflat, tol,
+                                      degenerate, reduced, improving))
+            if not active.size:
                 break
-        else:
-            improving = np.flatnonzero(reduced < -tol)
-            if improving.size == 0:
-                break
-            k = int(improving[0])
-        ei, ej = divmod(k, m)
-        # the cycle: tree paths from both ends of the entering cell to their apex;
-        # counted from either end, odd cells lose mass and even cells gain it
-        a, b = ei, n + ej
-        side_a: list[tuple[int, int]] = []
-        side_b: list[tuple[int, int]] = []
-        while a != b:
-            if depth[a] >= depth[b]:
-                side_a.append((a, up[a] - n) if a < n else (up[a], a - n))
-                a = up[a]
-            else:
-                side_b.append((b, up[b] - n) if b < n else (up[b], b - n))
-                b = up[b]
-        losing = side_a[0::2] + side_b[0::2]
-        theta = min(flow[cell] for cell in losing)
-        leave = min(cell for cell in losing if flow[cell] == theta)
-        for cell in losing:
-            flow[cell] -= theta
-        for cell in side_a[1::2] + side_b[1::2]:
-            flow[cell] += theta
-        flow[(ei, ej)] = theta
-        del flow[leave]
-        li, lj = leave
-        adj[li].remove(n + lj)
-        adj[n + lj].remove(li)
-        adj[ei].append(n + ej)
-        adj[n + ej].append(ei)
-        degenerate = degenerate + 1 if theta == 0.0 else 0
-    else:
-        raise RuntimeError("transport simplex iteration limit exceeded")
-
-    plan = np.zeros((n, m))
-    for (i, j), f in flow.items():
-        plan[i, j] = f
-    return plan
+        at = np.arange(active.size)
+        enter = np.where(degenerate < _BLAND_AFTER * (n + m),
+                         reduced.argmin(axis=1), improving.argmax(axis=1))
+        ei, ej = np.divmod(enter, m)
+        cycle = inv[at, ei] + inv[at, n + ej]
+        losing = cycle > 0.0
+        theta = np.where(losing, flow, np.inf).min(axis=1)
+        leave = np.where(losing & (flow == theta[:, None]), cells, n * m).argmin(axis=1)
+        flow -= theta[:, None] * cycle
+        flow[at, leave] = theta
+        cells[at, leave] = enter
+        cbasis[at, leave] = cflat[at, enter]
+        cycle[at, leave] -= 1.0
+        inv -= inv[at, :, leave][:, :, None] * cycle[:, None, :]
+        degenerate = np.where(theta == 0.0, degenerate + 1, 0)
+    if active.size:
+        raise SolverError("transport simplex iteration limit exceeded")
+    return plans.reshape(size, n, m)
 
 
 def _transport_2x2(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -340,12 +338,34 @@ def _transport_2x2(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> np.ndarr
     return np.maximum(plan, 0.0).reshape(plan.shape[:-1] + (2, 2))
 
 
+def _solve_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and plans of B balanced problems of one shape; no checks.
+
+    ``mu`` has shape (B, n), ``nu`` (B, m) and ``cost`` (B, n, m).  One-row
+    and one-column problems are copies of the other marginal, 2x2 ones take
+    the closed form and the rest the transportation simplex; every step
+    treats each problem on its own, so results do not depend on the batch.
+    """
+    size, n, m = cost.shape
+    if n == 1:
+        plans = nu[:, None, :].copy()
+    elif m == 1:
+        plans = mu[:, :, None].copy()
+    elif n == 2 and m == 2:
+        plans = _transport_2x2(mu, nu, cost)
+    else:
+        plans = _transport_simplex(mu, nu, cost)
+    plans[plans < 0.0] = 0.0
+    return (plans * cost).reshape(size, n * m).sum(axis=1), plans
+
+
 def solve_transport(mu_masses, nu_masses, cost) -> tuple[float, np.ndarray]:
     """Optimal plan between raw mass vectors; no atom-size restrictions.
 
     Internal workhorse behind :func:`w_distance` and the nodewise solves of
     the bicausal induction, where machine-epsilon atoms can legitimately
-    appear on product trees.
+    appear on product trees.  It solves a batch of one, so its result is the
+    one the level-wise induction gets for the same problem.
     """
     mu_m = np.asarray(mu_masses, dtype=float)
     nu_m = np.asarray(nu_masses, dtype=float)
@@ -359,17 +379,8 @@ def solve_transport(mu_masses, nu_masses, cost) -> tuple[float, np.ndarray]:
         raise InfeasibleError(
             f"marginal masses {mu_m.sum()!r} and {nu_m.sum()!r} do not balance"
         )
-    if n == 1:
-        plan = nu_m[None, :].copy()
-    elif m == 1:
-        plan = mu_m[:, None].copy()
-    elif n == 2 and m == 2:
-        plan = _transport_2x2(mu_m[None], nu_m[None], cmat[None])[0]
-    else:
-        plan = _transport_simplex(mu_m, nu_m, cmat)
-    plan[plan < 0.0] = 0.0
-    value = float((plan * cmat).sum())
-    return value, plan
+    values, plans = _solve_batch(mu_m[None], nu_m[None], cmat[None])
+    return float(values[0]), plans[0]
 
 
 def w_distance(mu: DiscreteLaw, nu: DiscreteLaw, cost) -> tuple[float, TransportPlan]:

@@ -21,6 +21,7 @@ from adawass import (
     validate,
     w_distance,
 )
+from adawass import bicausal
 from adawass.bicausal import _solve_level
 from adawass.discrete_ot import solve_transport
 from adawass.trees import step_cost
@@ -79,21 +80,24 @@ def test_level_wise_induction_matches_nodewise_reference(rng, p):
             assert mat.tobytes() == plans[pair].tobytes()
 
 
-def test_level_solve_matches_per_pair_solve_transport(rng):
-    # one level of 12 x 10 parents with 1..3 children each: most pairs go
-    # through the batched 2x2 closed form, the rest through solve_transport
-    kx, ky = rng.choice([1, 2, 2, 3], size=12), rng.choice([1, 2, 2, 3], size=10)
-    bx, by = np.concatenate([[0], np.cumsum(kx)]), np.concatenate([[0], np.cumsum(ky)])
-    mu = np.concatenate([w / w.sum() for w in (rng.uniform(0.1, 1.0, k) for k in kx)])
-    nu = np.concatenate([w / w.sum() for w in (rng.uniform(0.1, 1.0, k) for k in ky)])
-    cost = rng.uniform(0.0, 3.0, size=(bx[-1], by[-1]))
-    values, plans = _solve_level(mu, nu, bx, by, cost)
-    for a in range(len(kx)):
-        for b in range(len(ky)):
-            rx, ry = slice(bx[a], bx[a + 1]), slice(by[b], by[b + 1])
-            value, plan = solve_transport(mu[rx], nu[ry], cost[rx, ry])
-            assert values[a, b] == value
-            assert plans[rx, ry].tobytes() == plan.tobytes()
+def test_level_solve_matches_per_pair_solve_transport(rng, monkeypatch):
+    # one level of 12 x 10 parents: with 1..3 children most pairs go through
+    # the batched 2x2 closed form; with 1..5 several general shapes form,
+    # n != m among them, and a batch size of 5 cuts every group into batches
+    for choices, batch in (([1, 2, 2, 3], 1024), ([1, 2, 3, 4, 5], 1024), ([1, 2, 3, 4, 5], 5)):
+        monkeypatch.setattr(bicausal, "_LEVEL_BATCH", batch)
+        kx, ky = rng.choice(choices, size=12), rng.choice(choices, size=10)
+        bx, by = np.concatenate([[0], np.cumsum(kx)]), np.concatenate([[0], np.cumsum(ky)])
+        mu = np.concatenate([w / w.sum() for w in (rng.uniform(0.1, 1.0, k) for k in kx)])
+        nu = np.concatenate([w / w.sum() for w in (rng.uniform(0.1, 1.0, k) for k in ky)])
+        cost = rng.uniform(0.0, 3.0, size=(bx[-1], by[-1]))
+        values, plans = _solve_level(mu, nu, bx, by, cost)
+        for a in range(len(kx)):
+            for b in range(len(ky)):
+                rx, ry = slice(bx[a], bx[a + 1]), slice(by[b], by[b + 1])
+                value, plan = solve_transport(mu[rx], nu[ry], cost[rx, ry])
+                assert values[a, b] == value
+                assert plans[rx, ry].tobytes() == plan.tobytes()
 
 
 def test_aw_deterministic_pair(dirac_pair):

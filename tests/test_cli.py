@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from adawass import build_process, chain_process, tree_from_dict, tree_to_dict
-from adawass.cli import main
+from adawass import aw_distance, build_process, chain_process, discrete_ot, tree_from_dict, tree_to_dict
+from adawass.bicausal import BicausalPlan
+from adawass.cli import _plan_json, main
 
 from conftest import epsilon_x, epsilon_y, random_process
 
@@ -163,6 +164,53 @@ def test_plan_round_trip_and_check(write_tree, capsys, tmp_path):
     code, out, _ = run(capsys, ["check-plan", plan_file, x, y])
     assert code == 0
     assert out.strip() == "bicausal"
+
+
+def plan_to_dict(plan):
+    """The plan document as data; the reference for the template writer."""
+    pairs = [
+        {"leaf_x": k, "leaf_y": l, "mass": m}
+        for (k, l), m in sorted(plan.pair_masses.items())
+    ]
+    return {"pairs": pairs, "value": plan.value, "p": plan.p}
+
+
+def test_plan_documents_match_the_json_encoder(write_tree, capsys, tmp_path):
+    rng = np.random.default_rng(11)
+    for p in ("1", "2"):
+        x, y = random_process(rng, 3, (1, 2, 1), 4), random_process(rng, 3, (1, 2, 1), 4)
+        xp, yp = write_tree("x.json", x), write_tree("y.json", y)
+        expected = json.dumps(plan_to_dict(aw_distance(x, y, float(p))[1]), indent=2) + "\n"
+        plan_file = tmp_path / "plan.json"
+        assert run(capsys, ["dist", xp, yp, "--p", p, "--plan", str(plan_file)])[0] == 0
+        assert plan_file.read_bytes() == expected.encode()
+        code, out, _ = run(capsys, ["plan", xp, yp, "--p", p])
+        assert code == 0 and out == expected
+    empty = BicausalPlan(x=x, y=y, p=2.0, pair_masses={}, value=0.0)
+    assert _plan_json(empty) == json.dumps(plan_to_dict(empty), indent=2)
+
+
+def test_solver_failure_exit_code(write_tree, capsys, monkeypatch):
+    # no pivot allowed: the first general nodewise problem hits the iteration limit
+    monkeypatch.setattr(discrete_ot, "_MAX_PIVOTS_PER_CELL", 0)
+    rng = np.random.default_rng(13)
+    x = write_tree("x.json", random_process(rng, 2, (1, 1), 3, min_prob=0.3))
+    y = write_tree("y.json", random_process(rng, 2, (1, 1), 3, min_prob=0.3))
+    code, out, err = run(capsys, ["dist", x, y])
+    assert code == 5
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "iteration limit" in err
+
+
+def test_check_plan_rejects_pairs_of_non_leaves(write_tree, capsys, tmp_path):
+    x = write_tree("x.json", epsilon_x())
+    y = write_tree("y.json", epsilon_y(0.1))
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(
+        {"pairs": [{"leaf_x": 0, "leaf_y": 0, "mass": 1.0}], "value": 1.0, "p": 1.0}))
+    code, _, err = run(capsys, ["check-plan", str(plan_file), x, y])
+    assert code == 2
+    assert len(err.splitlines()) == 1
 
 
 def test_check_plan_flags_bad_plan(write_tree, capsys, tmp_path):

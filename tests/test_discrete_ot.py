@@ -5,7 +5,13 @@ import pytest
 
 from adawass import DiscreteLaw, InfeasibleError, UnboundedError, lp_solve, w_distance
 from adawass import discrete_ot
-from adawass.discrete_ot import MARGINAL_TOL, _transport_2x2, _transport_simplex
+from adawass.discrete_ot import (
+    MARGINAL_TOL,
+    SolverError,
+    _transport_2x2,
+    _transport_simplex,
+    solve_transport,
+)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -282,9 +288,9 @@ def test_w_distance_plan_marginals_within_tolerance():
         assert row_err <= 1e-10 and col_err <= 1e-10
 
 
-def fuzz_transport_instance(rng, kind):
-    """Masses and costs of one fuzz case; sizes 2..12 per side."""
-    n, m = (int(k) for k in rng.integers(2, 13, size=2))
+def fuzz_transport_instance(rng, kind, shape=None):
+    """Masses and costs of one fuzz case; sizes 2..12 per side unless ``shape`` is given."""
+    n, m = shape if shape is not None else (int(k) for k in rng.integers(2, 13, size=2))
     if kind == "equal":          # equal marginals: every north-west step is a tie
         m = n
         mu = nu = np.full(n, 1.0 / n)
@@ -304,6 +310,20 @@ def fuzz_transport_instance(rng, kind):
     return mu, nu, cost
 
 
+def solve_alone(mu, nu, cost):
+    """The transportation simplex on a batch of one."""
+    return _transport_simplex(mu[None], nu[None], cost[None])[0]
+
+
+def assert_matches_lp_solve(mu, nu, cost, plan):
+    value = float((plan * cost).sum())
+    reference = float((transport_lp(mu, nu, cost) * cost).sum())
+    assert value == pytest.approx(reference, rel=1e-12, abs=1e-300)
+    assert plan.min() >= 0.0
+    assert np.abs(plan.sum(axis=1) - mu).max() <= MARGINAL_TOL
+    assert np.abs(plan.sum(axis=0) - nu).max() <= MARGINAL_TOL
+
+
 @pytest.mark.parametrize("kind", ["random", "equal", "integer", "tiny"])
 @pytest.mark.parametrize("bland_after", [1, 0])
 def test_transport_simplex_matches_lp_solve(monkeypatch, kind, bland_after):
@@ -312,22 +332,64 @@ def test_transport_simplex_matches_lp_solve(monkeypatch, kind, bland_after):
     rng = np.random.default_rng(53)
     for _ in range(40):
         mu, nu, cost = fuzz_transport_instance(rng, kind)
-        plan = _transport_simplex(mu, nu, cost)
-        value = float((plan * cost).sum())
-        reference = float((transport_lp(mu, nu, cost) * cost).sum())
-        assert value == pytest.approx(reference, rel=1e-12, abs=1e-300)
-        assert plan.min() >= 0.0
-        assert np.abs(plan.sum(axis=1) - mu).max() <= MARGINAL_TOL
-        assert np.abs(plan.sum(axis=0) - nu).max() <= MARGINAL_TOL
+        assert_matches_lp_solve(mu, nu, cost, solve_alone(mu, nu, cost))
+
+
+@pytest.mark.parametrize("kind", ["random", "equal", "integer", "tiny"])
+@pytest.mark.parametrize("bland_after", [1, 0])
+def test_batched_transport_simplex_matches_lp_solve(monkeypatch, kind, bland_after):
+    # the same checks on batches of four problems of one shape, solved in lockstep
+    monkeypatch.setattr(discrete_ot, "_BLAND_AFTER", bland_after)
+    rng = np.random.default_rng(67)
+    for _ in range(15):
+        shape = tuple(int(k) for k in rng.integers(2, 13, size=2))
+        batch = [fuzz_transport_instance(rng, kind, shape) for _ in range(4)]
+        mu, nu, cost = (np.stack(arrays) for arrays in zip(*batch))
+        plans = _transport_simplex(mu, nu, cost)
+        for k in range(4):
+            assert_matches_lp_solve(mu[k], nu[k], cost[k], plans[k])
 
 
 def test_transport_simplex_repeats_bit_identical_plans():
     rng = np.random.default_rng(59)
     for kind in ("random", "equal", "integer", "tiny"):
         mu, nu, cost = fuzz_transport_instance(rng, kind)
-        first = _transport_simplex(mu, nu, cost)
+        first = solve_alone(mu, nu, cost)
         for _ in range(3):
-            assert _transport_simplex(mu.copy(), nu.copy(), cost.copy()).tobytes() == first.tobytes()
+            assert solve_alone(mu.copy(), nu.copy(), cost.copy()).tobytes() == first.tobytes()
+        copies = _transport_simplex(np.stack([mu] * 3), np.stack([nu] * 3), np.stack([cost] * 3))
+        assert copies.tobytes() == np.stack([first] * 3).tobytes()
+
+
+@pytest.mark.parametrize("bland_after", [1, 0])
+def test_transport_simplex_plans_do_not_depend_on_the_batch(monkeypatch, bland_after):
+    # a problem pivots on its own data only: mixed kinds in one batch, in
+    # either order or cut in two, give each problem the plan it gets alone
+    monkeypatch.setattr(discrete_ot, "_BLAND_AFTER", bland_after)
+    rng = np.random.default_rng(71)
+    for shape in ((3, 3), (5, 5), (4, 6), (6, 4), (10, 10), (2, 7)):
+        kinds = ["random", "integer", "tiny"] + (["equal"] if shape[0] == shape[1] else [])
+        batch = [fuzz_transport_instance(rng, kinds[k % len(kinds)], shape) for k in range(12)]
+        mu, nu, cost = (np.stack(arrays) for arrays in zip(*batch))
+        # costs of order 1e-6, 1 and 1e6: each tolerance scales with its own max|cost|
+        cost *= 10.0 ** (6 * (np.arange(12) % 3) - 6)[:, None, None]
+        plans = _transport_simplex(mu, nu, cost)
+        backwards = _transport_simplex(mu[::-1], nu[::-1], cost[::-1])[::-1]
+        head = _transport_simplex(mu[:5], nu[:5], cost[:5])
+        for k in range(12):
+            alone = solve_alone(mu[k], nu[k], cost[k])
+            assert plans[k].tobytes() == alone.tobytes()
+            assert backwards[k].tobytes() == alone.tobytes()
+            if k < 5:
+                assert head[k].tobytes() == alone.tobytes()
+
+
+def test_transport_simplex_iteration_limit_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(discrete_ot, "_MAX_PIVOTS_PER_CELL", 0)
+    rng = np.random.default_rng(73)
+    mu, nu, cost = fuzz_transport_instance(rng, "random", (3, 4))
+    with pytest.raises(SolverError, match="iteration limit"):
+        solve_transport(mu, nu, cost)
 
 
 def test_batched_2x2_matches_scalar_closed_form():
