@@ -43,7 +43,13 @@ __all__ = [
     "factor_plan",
 ]
 
+# Absolute slack on the causality identities of check_bicausal and
+# check_multicausal, differences of two products of masses in [0, 1]: their
+# rounding, and that of the cylinder sums behind them, is near 1e-16 per term,
+# so the solver's plans pass with room to spare, while a plan that anticipates
+# by a mass product above 1e-9 fails.
 CAUSALITY_TOL = 1e-9
+# Default size guard on the product trees that glue builds.
 MAX_PRODUCT_LEAVES = 100_000
 _PRUNE = 1e-13
 # Nodewise problems solved together in one lockstep batch: large enough that

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from pathlib import Path
 
 from .bicausal import (
+    CAUSALITY_TOL,
+    MAX_PRODUCT_LEAVES,
     BicausalPlan,
     SizeGuardError,
     aw_distance,
@@ -25,6 +28,7 @@ from .curves import (
     CommonSpaceFlow,
     GridCurve,
     _check_grid,
+    _particle_levels,
     dyadic_grid,
     flow_energy,
     geodesic,
@@ -34,7 +38,7 @@ from .curves import (
     skorokhod,
 )
 from .discrete_ot import InfeasibleError, SolverError, UnboundedError
-from .trees import (
+from .trees import (  # noqa: F401  (tree_to_dict: perfbench/tracer.py wraps it here)
     ShapeMismatchError,
     TreeProcess,
     quantize_paths,
@@ -80,31 +84,98 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _dump_json(path: str | None, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2))
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12f}"
 
 
-_PAIR_ROW = '    {\n      "leaf_x": %d,\n      "leaf_y": %d,\n      "mass": %s\n    }'
+# Every document is written from templates, byte for byte what
+# ``json.dumps(..., indent=2)`` writes: with ``indent`` set, ``json`` falls
+# back to its pure-Python encoder, which costs more than building a flow or
+# solving a plan of a few thousand pairs.
+
+
+def _numbers(values: list) -> list[str]:
+    """The JSON text of every number, from one pass of ``json``'s C encoder
+    (one number per line, since no number contains a newline).
+
+    Ints stay ints, floats go through ``float.__repr__`` (``repr`` of an
+    ``np.float64`` differs) and ``None`` is ``null``, as ``json.dumps``
+    writes them.
+    """
+    if not values:
+        return []
+    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+
+
+def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """Encoded items as a JSON list (or object) opening on a line indented by
+    ``indent`` spaces, laid out as ``indent=2`` lays it out."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (indent + 2)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
+
+
+_NODE_ROW = ('{\n      "id": %s,\n      "parent": %s,\n      "time": %s,\n'
+             '      "value": %s,\n      "prob": %s\n    }')
+
+
+def _tree_json(proc: TreeProcess) -> str:
+    """The tree document of ``tree_to_dict``: {"depth", "value_dims", "nodes"}."""
+    nodes = proc.nodes
+    head = _numbers([x for n in nodes for x in (n.id, n.parent, n.time, n.prob)])
+    flat = iter(_numbers([v for n in nodes if n.value is not None for v in n.value]))
+    rows = [
+        _NODE_ROW % (nid, parent, time,
+                     "null" if n.value is None else _block([next(flat) for _ in n.value], 6),
+                     prob)
+        for n, nid, parent, time, prob in zip(nodes, head[0::4], head[1::4], head[2::4], head[3::4])
+    ]
+    return ('{\n  "depth": %s,\n  "value_dims": %s,\n  "nodes": %s\n}'
+            % (json.dumps(proc.depth), _block(_numbers(list(proc.value_dims)), 2), _block(rows, 2)))
+
+
+def _labels_row(dims: tuple[int, ...]) -> str:
+    """Template of one node's entry in a flow's "labels": its key, then one
+    list per grid index with ``dims[i]`` numbers."""
+    per_u = ",\n".join(f'      "{i}": ' + _block(["%s"] * d, 6) for i, d in enumerate(dims))
+    return '"%s": {\n' + per_u + "\n    }"
+
+
+def _flow_json(flow: CommonSpaceFlow) -> str:
+    """The flow document {"base", "grid", "p", "interpolation", "labels"}.
+
+    "labels" maps every non-root node, in ``flow.labels[0]`` order, to its
+    label at each grid index.
+    """
+    grid = range(len(flow.grid))
+    per_node = [[flow.labels[i][nid] for i in grid] for nid in flow.labels[0]]
+    flat = _numbers([v for vecs in per_node for vec in vecs for v in vec])
+    templates: dict[tuple[int, ...], str] = {}
+    rows, pos = [], 0
+    for nid, vecs in zip(flow.labels[0], per_node):
+        dims = tuple(map(len, vecs))
+        if dims not in templates:
+            templates[dims] = _labels_row(dims)
+        end = pos + sum(dims)
+        rows.append(templates[dims] % (nid, *flat[pos:end]))
+        pos = end
+    return ('{\n  "base": %s,\n  "grid": %s,\n  "p": %s,\n  "interpolation": %s,\n'
+            '  "labels": %s\n}'
+            % (_tree_json(flow.base).replace("\n", "\n  "), _block(_numbers(list(flow.grid)), 2),
+               json.dumps(flow.p), json.dumps(flow.interpolation), _block(rows, 2, "{}")))
+
+
+_PAIR_ROW = '{\n      "leaf_x": %d,\n      "leaf_y": %d,\n      "mass": %s\n    }'
 
 
 def _plan_json(plan: BicausalPlan) -> str:
     """The plan document {"pairs": [{"leaf_x", "leaf_y", "mass"}, ...], "value", "p"}.
 
-    The text is what ``json.dumps(..., indent=2)`` writes, byte for byte, but
-    the pairs rows come from a template: with ``indent`` set, ``json`` falls
-    back to its pure-Python encoder, which costs more than solving a plan
-    of a few thousand pairs.  Masses go through ``float.__repr__`` as
-    ``json`` writes floats (``repr`` of an ``np.float64`` differs).
+    Masses go through ``float.__repr__`` as ``json`` writes floats.
     """
-    rows = ",\n".join([
-        _PAIR_ROW % (k, l, float.__repr__(m)) for (k, l), m in sorted(plan.pair_masses.items())
-    ])
-    pairs = f"[\n{rows}\n  ]" if rows else "[]"
-    return (f'{{\n  "pairs": {pairs},\n  "value": {json.dumps(plan.value)},\n'
+    rows = [_PAIR_ROW % (k, l, float.__repr__(m)) for (k, l), m in sorted(plan.pair_masses.items())]
+    return (f'{{\n  "pairs": {_block(rows, 2)},\n  "value": {json.dumps(plan.value)},\n'
             f'  "p": {json.dumps(plan.p)}\n}}')
 
 
@@ -122,20 +193,6 @@ def _plan_from_dict(data: dict, x: TreeProcess, y: TreeProcess) -> BicausalPlan:
         raise
     except ValueError as exc:
         raise InputError(f"malformed plan document: {exc}") from exc
-
-
-def _flow_to_dict(flow: CommonSpaceFlow) -> dict:
-    labels = {
-        str(nid): {str(i): list(flow.labels[i][nid]) for i in range(len(flow.grid))}
-        for nid in flow.labels[0]
-    }
-    return {
-        "base": tree_to_dict(flow.base),
-        "grid": list(flow.grid),
-        "p": flow.p,
-        "interpolation": flow.interpolation,
-        "labels": labels,
-    }
 
 
 def _curve_from_dict(data: dict) -> GridCurve:
@@ -160,14 +217,17 @@ def _curve_from_dict(data: dict) -> GridCurve:
 
 
 def _check_options(args) -> None:
-    """Reject a bad ``--p``, ``--grid``, ``--dyadic`` or ``--tol-equiv`` before any
-    command runs; parses the grid."""
+    """Reject a bad ``--p``, ``--grid``, ``--dyadic``, ``--tol-equiv``,
+    ``--tol-check``, ``--weights`` or ``--branching`` before any command runs;
+    parses the grid, the weights and the branching factors."""
     p = getattr(args, "p", None)
     if p is not None and not 1.0 <= p < math.inf:
         raise InputError(f"--p must be a finite order >= 1, got {p}")
-    tol = getattr(args, "tol_equiv", None)
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise InputError(f"--tol-equiv must be a finite tolerance >= 0, got {tol}")
+    for option in ("tol_equiv", "tol_check"):
+        tol = getattr(args, option, None)
+        if tol is not None and not 0.0 <= tol < math.inf:
+            name = "--" + option.replace("_", "-")
+            raise InputError(f"{name} must be a finite tolerance >= 0, got {tol}")
     dyadic = getattr(args, "dyadic", None)
     if dyadic is not None and dyadic < 0:
         raise InputError(f"--dyadic must be a level >= 0, got {dyadic}")
@@ -176,6 +236,13 @@ def _check_options(args) -> None:
             args.grid = _check_grid([float(u) for u in args.grid.split(",")])
         except ValueError as exc:
             raise InputError(f"--grid {args.grid}: {exc}") from exc
+    for option, convert in (("weights", float), ("branching", int)):
+        text = getattr(args, option, None)
+        if text is not None:
+            try:
+                setattr(args, option, [convert(v) for v in text.split(",")])
+            except ValueError as exc:
+                raise InputError(f"--{option} {text}: {exc}") from exc
 
 
 def _write_derivative_csv(path: str, rows) -> None:
@@ -187,14 +254,18 @@ def _write_derivative_csv(path: str, rows) -> None:
 
 
 def _write_particles_csv(path: str, flow: CommonSpaceFlow) -> None:
+    """One row per grid point, particle (leaf) and time: the particle's label."""
+    levels = _particle_levels(flow)
+    leaves = flow.base.leaves
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         dim = max(len(v) for v in flow.labels[0].values())
         writer.writerow(["u", "particle", "time", *[f"x{i}" for i in range(dim)]])
         for i, u in enumerate(flow.grid):
-            for leaf in flow.base.leaves:
-                for t, vec in enumerate(flow.label_path(leaf, i), start=1):
-                    writer.writerow([repr(u), leaf, t, *[repr(v) for v in vec]])
+            steps = [[list(map(repr, vec)) for vec in labels[i][anc].tolist()]
+                     for labels, anc in levels]
+            writer.writerows([repr(u), leaf, t, *steps[t - 1][j]]
+                             for j, leaf in enumerate(leaves) for t in range(1, len(levels) + 1))
 
 
 def cmd_dist(args) -> int:
@@ -230,7 +301,7 @@ def cmd_geodesic(args) -> int:
     grid = args.grid if args.grid is not None else dyadic_grid(args.dyadic)
     flow = geodesic(x, y, args.p, grid, max_leaves=args.max_leaves)
     if args.out:
-        _dump_json(args.out, _flow_to_dict(flow))
+        _write_text(args.out, _flow_json(flow))
     if args.csv:
         curve = GridCurve(grid=flow.grid,
                           processes=tuple(flow.process_at(i) for i in range(len(flow.grid))),
@@ -255,7 +326,7 @@ def cmd_curve_energy(args) -> int:
 def cmd_represent(args) -> int:
     curve = _curve_from_dict(_load_json(args.curve))
     flow = represent_curve(curve, max_leaves=args.max_leaves)
-    _dump_json(args.out, _flow_to_dict(flow))
+    _write_text(args.out, _flow_json(flow))
     print(_fmt(flow_energy(flow, curve.p)))
     return EXIT_OK
 
@@ -266,12 +337,14 @@ def cmd_skorokhod(args) -> int:
         raise InputError(f"{args.seq_dir}: no .json process files found")
     seq = [_load_tree(str(f)) for f in files]
     limit = _load_tree(args.limit)
-    weights = None
-    if args.weights:
-        weights = [float(w) for w in args.weights.split(",")]
-    flow = skorokhod(seq, limit, args.p, weights=weights, max_leaves=args.max_leaves)
+    try:
+        flow = skorokhod(seq, limit, args.p, weights=args.weights, max_leaves=args.max_leaves)
+    except ShapeMismatchError:
+        raise
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if args.out:
-        _dump_json(args.out, _flow_to_dict(flow))
+        _write_text(args.out, _flow_json(flow))
     print("n u_n aw_to_target")
     for n, u in enumerate(flow.grid):
         dist, _ = aw_distance(flow.process_at(n), flow.targets[n], args.p)
@@ -283,7 +356,7 @@ def cmd_canonical(args) -> int:
     proc = _load_tree(args.x)
     merged = canonicalize(proc, tol=args.tol_equiv)
     if args.out:
-        _dump_json(args.out, tree_to_dict(merged))
+        _write_text(args.out, _tree_json(merged))
     print(f"{len(proc.nodes)} -> {len(merged.nodes)} nodes")
     return EXIT_OK
 
@@ -302,17 +375,19 @@ def cmd_quantize(args) -> int:
                     for step in path] for path in data["samples"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed samples document: {exc}") from exc
-    branching = [int(b) for b in args.branching.split(",")]
     try:
-        proc = quantize_paths(samples, branching, seed=args.seed)
+        proc = quantize_paths(samples, args.branching, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _dump_json(args.out, tree_to_dict(proc))
+    _write_text(args.out, _tree_json(proc))
     print(f"{len(proc.leaves)} scenarios")
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each ``parse_args`` returns a
+    fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="adawass",
         description="Adapted optimal transport on scenario trees.",
@@ -322,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp, max_leaves=False):
         sp.add_argument("--p", type=float, default=2.0, help="order of the distance")
         if max_leaves:
-            sp.add_argument("--max-leaves", type=int, default=100_000,
+            sp.add_argument("--max-leaves", type=int, default=MAX_PRODUCT_LEAVES,
                             help="size guard on the product tree")
 
     sp = sub.add_parser("dist", help="adapted Wasserstein distance between two trees")
@@ -339,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-plan", help="verify the bicausality of a stored plan")
     sp.add_argument("plan"), sp.add_argument("x"), sp.add_argument("y")
-    sp.add_argument("--tol-check", type=float, default=1e-9)
+    sp.add_argument("--tol-check", type=float, default=CAUSALITY_TOL)
     sp.set_defaults(func=cmd_check_plan)
 
     sp = sub.add_parser("geodesic", help="displacement interpolation between two trees")
@@ -362,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("represent", help="common-space flow for a grid curve")
     sp.add_argument("curve")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--max-leaves", type=int, default=100_000)
+    sp.add_argument("--max-leaves", type=int, default=MAX_PRODUCT_LEAVES)
     sp.set_defaults(func=cmd_represent)
 
     sp = sub.add_parser("skorokhod", help="common-space representation of a sequence")
@@ -395,8 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _check_options(args)
         return args.func(args)

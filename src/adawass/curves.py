@@ -9,18 +9,22 @@ the value space between grid points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .bicausal import (
     MAX_PRODUCT_LEAVES,
     BicausalPlan,
     MulticausalCoupling,
     SizeGuardError,
+    _step_costs,
     aw_distance,
     glue,
 )
-from .trees import ShapeMismatchError, TreeProcess, process_with_values, step_cost
+from .trees import ShapeMismatchError, TreeProcess, process_with_values
 
 __all__ = [
     "GridCurve",
@@ -37,6 +41,12 @@ __all__ = [
     "weighted_p_variation",
     "skorokhod",
 ]
+
+# Slack on the sum of explicit weights (at most one in weighted_p_variation,
+# exactly one in skorokhod).  Weights rounded to ten decimals (three times
+# 0.3333333333) miss one by 1e-10 and pass; a weight left out or mistyped
+# misses it by far more.
+WEIGHT_SUM_TOL = 1e-9
 
 
 def dyadic_grid(level: int) -> tuple[float, ...]:
@@ -185,20 +195,51 @@ def p_energy(curve: GridCurve) -> float:
     return total
 
 
+def _particle_levels(flow: CommonSpaceFlow) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The particle paths of a flow as arrays, one pair per level t = 1..T.
+
+    ``labels[i, k]`` is the label at grid index i of node ``base.level(t)[k]``
+    and ``anc[j]`` the position in ``base.level(t)`` of the ancestor of leaf
+    ``base.leaves[j]``, so ``labels[i, anc[j]]`` is step t of
+    ``label_path(base.leaves[j], i)``.  Levels stay apart because value dims
+    can differ between levels.
+    """
+    base = flow.base
+    out = []
+    anc = np.arange(len(base.leaves))
+    for t in range(base.depth, 0, -1):
+        level = base.level(t)
+        labels = np.array([[lab[nid] for nid in level] for lab in flow.labels], dtype=float)
+        out.append((labels, anc))
+        if t > 1:
+            pos = {nid: k for k, nid in enumerate(base.level(t - 1))}
+            anc = np.array([pos[base.node(nid).parent] for nid in level])[anc]
+    out.reverse()
+    return out
+
+
+def _particle_terms(flow: CommonSpaceFlow, p: float, weights) -> np.ndarray:
+    """Reach probability times interval weight times the p-th power of the
+    particle step, per particle (leaf) and grid interval.
+
+    A particle's step is summed over the levels as the p-metric of its two
+    label paths.  Each entry is formed in the per-leaf loop's order of
+    operations.
+    """
+    reach = flow.base.reach_prob
+    mass = np.array([reach[leaf] for leaf in flow.base.leaves])
+    steps = 0.0
+    for labels, anc in _particle_levels(flow):
+        steps = steps + _step_costs(labels[:-1], labels[1:], p)[:, anc]
+    return mass[:, None] * np.asarray(weights, dtype=float) * steps.T
+
+
 def flow_energy(flow: CommonSpaceFlow, p: float) -> float:
     """Particle-level p-energy, exact for piecewise-linear particle paths."""
-    base = flow.base
-    reach = base.reach_prob
-    total = 0.0
-    for leaf in base.leaves:
-        mass = reach[leaf]
-        for i in range(len(flow.grid) - 1):
-            du = flow.grid[i + 1] - flow.grid[i]
-            a = flow.label_path(leaf, i)
-            b = flow.label_path(leaf, i + 1)
-            dp = sum(step_cost(s, t, p) for s, t in zip(a, b))
-            total += mass * du ** (1.0 - p) * dp
-    return total
+    g = flow.grid
+    terms = _particle_terms(flow, p, [(b - a) ** (1.0 - p) for a, b in zip(g, g[1:])])
+    # a running total, particle by particle and interval by interval
+    return float(np.cumsum(terms)[-1])
 
 
 @dataclass(frozen=True)
@@ -220,17 +261,13 @@ def verify_flow_ac(flow: CommonSpaceFlow, p: float) -> list[IntervalSlack]:
     grid processes, ``rhs`` the expected p-th power of the particle step;
     the slack is nonnegative for every flow on a common filtered space.
     """
-    base = flow.base
-    reach = base.reach_prob
+    # running totals over the particles, one per interval
+    rhs = np.cumsum(_particle_terms(flow, p, np.ones(len(flow.grid) - 1)), axis=0)[-1]
     out = []
     for i in range(len(flow.grid) - 1):
         dist, _ = aw_distance(flow.process_at(i), flow.process_at(i + 1), p)
-        rhs = 0.0
-        for leaf in base.leaves:
-            a = flow.label_path(leaf, i)
-            b = flow.label_path(leaf, i + 1)
-            rhs += reach[leaf] * sum(step_cost(s, t, p) for s, t in zip(a, b))
-        out.append(IntervalSlack(lo=flow.grid[i], hi=flow.grid[i + 1], lhs=dist**p, rhs=rhs))
+        out.append(IntervalSlack(lo=flow.grid[i], hi=flow.grid[i + 1], lhs=dist**p,
+                                 rhs=float(rhs[i])))
     return out
 
 
@@ -288,9 +325,9 @@ def weighted_p_variation(seq: Sequence[TreeProcess], p: float,
         used = tuple(float(w) for w in weights)
         if len(used) != len(dists):
             raise ValueError(f"{len(dists)} weights required, got {len(used)}")
-        if any(w <= 0.0 for w in used):
-            raise ValueError("weights must be positive")
-        if sum(used) > 1.0 + 1e-9:
+        if not all(0.0 < w < math.inf for w in used):
+            raise ValueError("weights must be positive and finite")
+        if sum(used) > 1.0 + WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {sum(used)!r} > 1")
     total = 0.0
     for d, b in zip(dists, used):
@@ -316,10 +353,10 @@ def skorokhod(seq: Sequence[TreeProcess], limit: TreeProcess, p: float,
         used = [float(w) for w in weights]
         if len(used) != len(chain) - 1:
             raise ValueError(f"{len(chain) - 1} weights required, got {len(used)}")
-        if any(w <= 0.0 for w in used):
-            raise ValueError("weights must be positive")
+        if not all(0.0 < w < math.inf for w in used):
+            raise ValueError("weights must be positive and finite")
         s = sum(used)
-        if abs(s - 1.0) > 1e-9:
+        if abs(s - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {s!r}, expected 1")
         used = [w / s for w in used]
     else:

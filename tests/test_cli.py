@@ -1,12 +1,34 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adawass import aw_distance, build_process, chain_process, discrete_ot, tree_from_dict, tree_to_dict
+import adawass
+from adawass import (
+    GridCurve,
+    TreeNode,
+    TreeProcess,
+    aw_distance,
+    build_process,
+    canonicalize,
+    chain_process,
+    discrete_ot,
+    dyadic_grid,
+    geodesic,
+    quantize_paths,
+    represent_curve,
+    skorokhod,
+    tree_from_dict,
+    tree_to_dict,
+)
 from adawass.bicausal import BicausalPlan
-from adawass.cli import _plan_json, main
+from adawass.cli import _flow_json, _plan_json, _tree_json, _write_particles_csv, main
 
 from conftest import epsilon_x, epsilon_y, random_process
 
@@ -105,6 +127,52 @@ def test_bad_tolerance_or_dyadic_exit_code(write_tree, capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+def write_seq(tmp_path, procs):
+    """A skorokhod sequence directory, files sorted by name in list order."""
+    seq_dir = tmp_path / "seq"
+    seq_dir.mkdir()
+    for n, proc in enumerate(procs):
+        (seq_dir / f"{n:02d}.json").write_text(json.dumps(tree_to_dict(proc)))
+    return str(seq_dir)
+
+
+@pytest.mark.parametrize("argv", [
+    ["skorokhod", "{seq}", "{limit}", "--weights", "a,b"],
+    ["skorokhod", "{seq}", "{limit}", "--weights", "0.5,-0.5"],
+    ["skorokhod", "{seq}", "{limit}", "--weights", "0.2,0.2"],
+    ["skorokhod", "{seq}", "{limit}", "--weights", "1"],
+    ["skorokhod", "{seq}", "{limit}", "--weights", "nan,1"],
+    ["quantize", "{samples}", "--branching", "x,2"],
+])
+def test_bad_weights_or_branching_exit_code(write_tree, capsys, tmp_path, argv):
+    seq = write_seq(tmp_path, [chain_process([1.0, 1.0]), chain_process([0.5, 0.5])])
+    limit = write_tree("limit.json", chain_process([0.0, 0.0]))
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps({"samples": [[[0.0], [1.0]], [[1.0], [2.0]]]}))
+    code, out, err = run(capsys, [a.format(seq=seq, limit=limit, samples=samples) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_successive_main_calls_match_fresh_processes(write_tree, capsys, tmp_path):
+    rng = np.random.default_rng(19)
+    x = write_tree("x.json", random_process(rng, 2, (1, 1), 3))
+    y = write_tree("y.json", random_process(rng, 2, (1, 1), 3))
+    calls = [["geodesic", x, y, "--grid", "0,0.5,1", "--p", "1", "--out", "{out}"],
+             ["geodesic", x, y, "--out", "{out}"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(adawass.__file__).parents[1]))
+    for k, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{k}.json", tmp_path / f"fresh{k}.json"
+        code, out, _ = run(capsys, [a.format(out=here) for a in argv])
+        proc = subprocess.run([sys.executable, "-m", "adawass.cli", *[a.format(out=fresh) for a in argv]],
+                              capture_output=True, text=True, env=env, check=True)
+        assert code == 0
+        assert out == proc.stdout
+        assert here.read_bytes() == fresh.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["curve-energy", "represent"])
 @pytest.mark.parametrize("field,bad", [("grid", [0.0, 0.5, 0.5, 1.0]),
                                        ("grid", [0.0, 0.75, 0.5, 1.0]),
@@ -190,6 +258,84 @@ def test_plan_documents_match_the_json_encoder(write_tree, capsys, tmp_path):
     assert _plan_json(empty) == json.dumps(plan_to_dict(empty), indent=2)
 
 
+def flow_to_dict(flow):
+    """The flow document as data; the reference for the template writer."""
+    labels = {
+        str(nid): {str(i): list(flow.labels[i][nid]) for i in range(len(flow.grid))}
+        for nid in flow.labels[0]
+    }
+    return {"base": tree_to_dict(flow.base), "grid": list(flow.grid), "p": flow.p,
+            "interpolation": flow.interpolation, "labels": labels}
+
+
+def encoded(doc) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def write_particles_by_label_path(path, flow):
+    """The particles CSV leaf by leaf through label_path; the reference for the array writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        dim = max(len(v) for v in flow.labels[0].values())
+        writer.writerow(["u", "particle", "time", *[f"x{i}" for i in range(dim)]])
+        for i, u in enumerate(flow.grid):
+            for leaf in flow.base.leaves:
+                for t, vec in enumerate(flow.label_path(leaf, i), start=1):
+                    writer.writerow([repr(u), leaf, t, *[repr(v) for v in vec]])
+
+
+def test_flow_and_tree_documents_match_the_json_encoder(write_tree, capsys, tmp_path):
+    rng = np.random.default_rng(17)
+    # geodesic on a pair whose dims (so the product's) differ by level
+    x, y = random_process(rng, 3, (1, 2, 1), 3), random_process(rng, 3, (1, 2, 1), 3)
+    xp, yp = write_tree("x.json", x), write_tree("y.json", y)
+    out_file, part_file, ref_file = (tmp_path / n for n in ("geo.json", "part.csv", "ref.csv"))
+    assert run(capsys, ["geodesic", xp, yp, "--p", "1.5", "--out", str(out_file),
+                        "--particles", str(part_file)])[0] == 0
+    flow = geodesic(x, y, 1.5, dyadic_grid(2))
+    assert out_file.read_bytes() == encoded(flow_to_dict(flow))
+    write_particles_by_label_path(ref_file, flow)
+    assert part_file.read_bytes() == ref_file.read_bytes()
+
+    procs = tuple(random_process(rng, 2, (2, 1), 3) for _ in range(3))
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps({"grid": [0.0, 0.3, 1.0], "p": 2.0,
+                                      "processes": [tree_to_dict(t) for t in procs]}))
+    assert run(capsys, ["represent", str(curve_file), "--out", str(out_file)])[0] == 0
+    flow = represent_curve(GridCurve(grid=(0.0, 0.3, 1.0), processes=procs, p=2.0))
+    assert out_file.read_bytes() == encoded(flow_to_dict(flow))
+    _write_particles_csv(str(part_file), flow)
+    write_particles_by_label_path(ref_file, flow)
+    assert part_file.read_bytes() == ref_file.read_bytes()
+
+    seq = [random_process(rng, 2, (1, 1), 2) for _ in range(3)]
+    limit = write_tree("limit.json", seq[2])
+    assert run(capsys, ["skorokhod", write_seq(tmp_path, seq[:2]), limit,
+                        "--weights", "0.25,0.75", "--out", str(out_file)])[0] == 0
+    assert out_file.read_bytes() == encoded(flow_to_dict(skorokhod(seq[:2], seq[2], 2.0, [0.25, 0.75])))
+
+    dup = build_process([1, 1], [(0.5, 0.0, [(0.5, -1.0, []), (0.5, 1.0, [])])] * 2)
+    assert run(capsys, ["canonical", write_tree("dup.json", dup), "--out", str(out_file)])[0] == 0
+    assert out_file.read_bytes() == encoded(tree_to_dict(canonicalize(dup)))
+
+    samples = [[[float(v)], [float(v + w)]] for v, w in rng.normal(size=(40, 2))]
+    sfile = tmp_path / "samples.json"
+    sfile.write_text(json.dumps({"samples": samples}))
+    assert run(capsys, ["quantize", str(sfile), "--branching", "2,3", "--seed", "5",
+                        "--out", str(out_file)])[0] == 0
+    assert out_file.read_bytes() == encoded(tree_to_dict(quantize_paths(samples, [2, 3], seed=5)))
+
+    # library-built: int entries stay ints, as json writes them
+    ints = TreeProcess(depth=1, value_dims=(2,), nodes=(
+        TreeNode(id=0, parent=None, time=0, value=None, prob=1),
+        TreeNode(id=1, parent=0, time=1, value=(1, -2), prob=1)))
+    assert (_tree_json(ints) + "\n").encode() == encoded(tree_to_dict(ints))
+    curve = GridCurve(grid=(0.0, 1.0), p=2,
+                      processes=(chain_process([[1], [2, 3]]), chain_process([[4], [5, 6]])))
+    flow = represent_curve(curve)
+    assert (_flow_json(flow) + "\n").encode() == encoded(flow_to_dict(flow))
+
+
 def test_solver_failure_exit_code(write_tree, capsys, monkeypatch):
     # no pivot allowed: the first general nodewise problem hits the iteration limit
     monkeypatch.setattr(discrete_ot, "_MAX_PIVOTS_PER_CELL", 0)
@@ -229,6 +375,13 @@ def test_check_plan_flags_bad_plan(write_tree, capsys, tmp_path):
     code, out, _ = run(capsys, ["check-plan", str(plan_file), x, y])
     assert code == 0
     assert out.strip() == "not bicausal"
+    # every identity test |...| > tol is false for nan, and inf passes anything
+    for tol in ("nan", "inf", "-1e-9"):
+        code, out, err = run(capsys, ["check-plan", str(plan_file), x, y, f"--tol-check={tol}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol-check")
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_geodesic_writes_flow_and_csv(write_tree, capsys, tmp_path):

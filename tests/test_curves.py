@@ -21,6 +21,7 @@ from adawass import (
     verify_flow_ac,
     weighted_p_variation,
 )
+from adawass.trees import step_cost
 
 from conftest import epsilon_x, epsilon_y, random_pair, random_process
 
@@ -164,6 +165,56 @@ def test_flow_energy_dominates_distance_for_perturbed_flows():
         energy = flow_energy(bent, 2.0)
         assert energy >= total**2 - 1e-9
         assert energy > total**2 + 1e-6
+
+
+def flow_energy_by_leaf(flow, p):
+    """Per-leaf loop over label paths; the reference for the array code."""
+    reach = flow.base.reach_prob
+    total = 0.0
+    for leaf in flow.base.leaves:
+        for i in range(len(flow.grid) - 1):
+            du = flow.grid[i + 1] - flow.grid[i]
+            a, b = flow.label_path(leaf, i), flow.label_path(leaf, i + 1)
+            total += reach[leaf] * du ** (1.0 - p) * sum(step_cost(s, t, p) for s, t in zip(a, b))
+    return total
+
+
+def step_power_by_leaf(flow, p):
+    """Per-interval expected p-th power of the particle step, leaf by leaf."""
+    reach = flow.base.reach_prob
+    out = []
+    for i in range(len(flow.grid) - 1):
+        rhs = 0.0
+        for leaf in flow.base.leaves:
+            a, b = flow.label_path(leaf, i), flow.label_path(leaf, i + 1)
+            rhs += reach[leaf] * sum(step_cost(s, t, p) for s, t in zip(a, b))
+        out.append(rhs)
+    return out
+
+
+def reference_flows(rng, p):
+    """A geodesic on a pair whose dims differ by level, a represented curve
+    of three processes, a Skorokhod flow and a flow with shuffled labels."""
+    x, y = random_pair(rng, depth=3, dims=(1, 2, 3), max_branch=3)
+    geo = geodesic(x, y, p, dyadic_grid(2))
+    curve = GridCurve(grid=(0.0, 0.4, 1.0), p=p,
+                      processes=tuple(random_process(rng, 2, (2, 1), 3) for _ in range(3)))
+    seq = [random_process(rng, 2, (1, 1), 2) for _ in range(3)]
+    return [geo, represent_curve(curve), skorokhod(seq[:2], seq[2], p),
+            shuffle_level_labels(geo, 2, 3, rng)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_flow_energy_and_step_powers_match_the_leaf_loops(p):
+    rng = np.random.default_rng(251)
+    for flow in reference_flows(rng, p):
+        assert flow_energy(flow, p) == pytest.approx(flow_energy_by_leaf(flow, p), rel=1e-12)
+        rhs = [e.rhs for e in verify_flow_ac(flow, p)]
+        assert rhs == pytest.approx(step_power_by_leaf(flow, p), rel=1e-12)
+    z = random_process(rng, 3, (1, 2, 1), 3)
+    const = geodesic(z, z, p, dyadic_grid(2))
+    assert flow_energy(const, p) == 0.0
+    assert all(e.rhs == 0.0 for e in verify_flow_ac(const, p))
 
 
 # -- verify_flow_ac ------------------------------------------------------------
@@ -335,6 +386,8 @@ def test_weighted_variation_rejects_bad_weights():
         weighted_p_variation([a, b], 2.0, weights=[-0.5])
     with pytest.raises(ValueError):
         weighted_p_variation([a, b], 2.0, weights=[0.4, 0.6])
+    with pytest.raises(ValueError):
+        weighted_p_variation([a, b], 2.0, weights=[math.nan])
 
 
 # -- skorokhod ----------------------------------------------------------------
@@ -394,3 +447,5 @@ def test_skorokhod_rejects_bad_weights():
         skorokhod([a], b, 2.0, weights=[0.5])
     with pytest.raises(ValueError):
         skorokhod([a, b], b, 2.0, weights=[-1.0, 2.0])
+    with pytest.raises(ValueError):
+        skorokhod([a, b], b, 2.0, weights=[math.nan, 1.0])
