@@ -3,13 +3,20 @@
 Two independent routes compute the same optimum.  The main solver runs a
 backward induction over pairs of tree nodes, solving one small transport
 problem per pair; this is exact because bicausal couplings of tree-filtered
-processes factorize into successive conditional couplings.  The oracle
-solves one linear program over path-pair masses whose causality conditions
-enter as linear product identities against the fixed marginal laws.
+processes factorize into successive conditional couplings.  It solves a
+tree level at a time; the transportation simplex starts each problem with
+two or more children on each side, other than 2x2, at the north-west
+corner of its children sorted by value, and a top-down pass over index
+arrays of the reachable node pairs forms the path-pair masses, while the
+nodewise kernels of the plan are built only when first read (``glue``
+reads them).  The oracle solves one linear program over path-pair masses
+whose causality conditions enter as linear product identities against the
+fixed marginal laws.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -20,6 +27,7 @@ from .discrete_ot import (  # noqa: F401  (solve_transport: perfbench/tracer.py 
     BALANCE_TOL,
     MARGINAL_TOL,
     InfeasibleError,
+    _simplex_shape,
     _solve_batch,
     lp_solve,
     solve_transport,
@@ -51,6 +59,11 @@ __all__ = [
 CAUSALITY_TOL = 1e-9
 # Default size guard on the product trees that glue builds.
 MAX_PRODUCT_LEAVES = 100_000
+# Path-pair masses of an LP oracle solution at or below this are dropped as
+# pivoting residue: the dense tableau leaves rounding near 1e-16 per pivot on
+# cells that should be zero.  Dropping them moves a marginal, a sum over one
+# row or column of the plan, by at most its length times 1e-13, far below
+# MARGINAL_TOL for the plans the oracle can solve.
 _PRUNE = 1e-13
 # Nodewise problems solved together in one lockstep batch: large enough that
 # the per-pivot numpy calls are shared by many problems, small enough that the
@@ -126,8 +139,10 @@ class BicausalPlan:
 
 
 def _step_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """step_cost over the last axis of two value arrays: |a - b|_2^p."""
-    return np.sqrt(((a - b) ** 2).sum(axis=-1)) ** p
+    """step_cost over the last axis of two value arrays: |a - b|_2^p; a cost
+    that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(((a - b) ** 2).sum(axis=-1)) ** p
 
 
 def _path_costs(x: TreeProcess, y: TreeProcess, p: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -137,9 +152,9 @@ def _path_costs(x: TreeProcess, y: TreeProcess, p: float, i: np.ndarray, j: np.n
     from the first step on.
     """
     total = 0.0
-    for t in range(x.depth):
-        vx = np.array([x.leaf_paths[k][t] for k in x.leaves])
-        vy = np.array([y.leaf_paths[l][t] for l in y.leaves])
+    for t in range(1, x.depth + 1):
+        vx = np.array([x.node(v).value for v in x.level(t)])[x.leaf_ancestors[t]]
+        vy = np.array([y.node(w).value for w in y.level(t)])[y.leaf_ancestors[t]]
         total = total + _step_costs(vx[i], vy[j], p)
     return total
 
@@ -186,8 +201,18 @@ def _level_layout(proc: TreeProcess):
     return order, bounds
 
 
+def _value_order(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Positions of a level's children, each parent's block sorted by value.
+
+    A stable ``np.lexsort``: first by the parent's position, then by the
+    child's value vector in lexicographic order; ties keep tree order.
+    """
+    parent = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    return np.lexsort((*values.T[::-1], parent))
+
+
 def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
-                 cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 cost: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every nodewise problem of one level at once.
 
     ``cost`` is indexed by the children of the level on both sides; the
@@ -196,10 +221,16 @@ def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
     the parents' values and the plans, block for block.  The parent pairs
     are grouped by their numbers of children, and each group is solved in
     batches of at most ``_LEVEL_BATCH`` problems, which bounds the memory of
-    the lockstep simplex.
+    the lockstep simplex.  Problems for the transportation simplex list
+    their rows and columns in the value order (``_value_order``) of the
+    children's values ``vx`` and ``vy``, one row per child, and their plans
+    are scattered back to tree order; the closed forms keep tree order.
     """
     if not np.isfinite(cost).all():
-        raise ValueError("cost entries must be finite")
+        if np.isnan(cost).any():
+            raise ValueError("cost entries must be finite")
+        # values are finite, so their costs (or sums of them) overflowed
+        raise OverflowError("nodewise costs overflow: the values are too far apart for this order")
     kx, ky = np.diff(bx), np.diff(by)
     mu_sum = np.bincount(np.repeat(np.arange(kx.size), kx), weights=mu, minlength=kx.size)
     nu_sum = np.bincount(np.repeat(np.arange(ky.size), ky), weights=nu, minlength=ky.size)
@@ -212,17 +243,58 @@ def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
     values = np.empty((kx.size, ky.size))
     plans = np.zeros_like(cost)
     # sorted(set(...)), not np.unique, which imports numpy.ma (2 MB) on first use
-    for n in sorted(set(kx.tolist())):
-        for m in sorted(set(ky.tolist())):
+    sizes_x, sizes_y = sorted(set(kx.tolist())), sorted(set(ky.tolist()))
+    # the largest shape is a simplex shape if any is
+    if _simplex_shape(sizes_x[-1], sizes_y[-1]):
+        ox, oy = _value_order(vx, bx), _value_order(vy, by)
+    for n in sizes_x:
+        for m in sizes_y:
+            general = _simplex_shape(n, m)
             pa, pb = (g.ravel() for g in np.meshgrid(
                 np.flatnonzero(kx == n), np.flatnonzero(ky == m), indexing="ij"))
             for s in range(0, pa.size, _LEVEL_BATCH):
                 a, b = pa[s:s + _LEVEL_BATCH], pb[s:s + _LEVEL_BATCH]
                 rows = bx[a][:, None] + np.arange(n)
                 cols = by[b][:, None] + np.arange(m)
+                if general:
+                    rows, cols = ox[rows], oy[cols]
                 block = (rows[:, :, None], cols[:, None, :])
                 values[a, b], plans[block] = _solve_batch(mu[rows], nu[cols], cost[block])
     return values, plans
+
+
+class _LevelKernels(Mapping):
+    """The nodewise kernels of an ``aw_distance`` plan, read-only and lazy.
+
+    Holds, per level, the reachable parent pairs (level positions) and their
+    plan blocks gathered flat in row-major order; the dict of
+    ``(cx, cy, matrix)`` entries, level by level in the order of the top-down
+    pass, is built on first access.
+    """
+
+    def __init__(self, x: TreeProcess, y: TreeProcess, order_x, order_y, levels):
+        self._args = (x, y, order_x, order_y, levels)
+
+    @functools.cached_property
+    def _kernels(self) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
+        x, y, order_x, order_y, levels = self._args
+        out = {}
+        for ids_x, ids_y, (px, py, cells, flat) in zip(order_x, order_y, levels):
+            ends = cells.cumsum()
+            for a, b, lo, hi in zip(px.tolist(), py.tolist(), (ends - cells).tolist(), ends.tolist()):
+                vx, vy = ids_x[a], ids_y[b]
+                cx, cy = x.children(vx), y.children(vy)
+                out[(vx, vy)] = (cx, cy, flat[lo:hi].reshape(len(cx), len(cy)))
+        return out
+
+    def __getitem__(self, key):
+        return self._kernels[key]
+
+    def __iter__(self):
+        return iter(self._kernels)
+
+    def __len__(self) -> int:
+        return len(self._kernels)
 
 
 def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, BicausalPlan]:
@@ -232,6 +304,12 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
     coupled optimally against the one-step cost plus the continuation value;
     the root value is the p-th power of the distance.  The work runs a level
     at a time, on cost and value matrices over all node pairs of the level.
+    The transportation simplex starts each general problem at the north-west
+    corner of its children sorted by value: for one-dimensional values and
+    a convex cost that corner is the monotone (quantile) coupling, optimal
+    for the step cost alone, so few pivots remain.  A top-down pass then
+    carries the pair masses down over the reachable pairs only, as index
+    arrays; the kernels are built from its blocks on first access.
     """
     _check_pair(x, y)
     if p < 1.0:
@@ -251,31 +329,34 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
             cost += values
         values, plans[t] = _solve_level(
             np.array([n.prob for n in kids_x]), np.array([n.prob for n in kids_y]),
-            bounds_x[t], bounds_y[t], cost,
+            bounds_x[t], bounds_y[t], cost, vx, vy,
         )
 
     total = float(values[0, 0])
-    pos_x = {v: i for level in order_x for i, v in enumerate(level)}
-    pos_y = {v: i for level in order_y for i, v in enumerate(level)}
-    # top-down pass keeps only kernels of reachable pairs and forms path-pair masses
-    kernels: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]] = {}
-    current: dict[tuple[int, int], float] = {(x.root_id, y.root_id): 1.0}
+    # top-down pass: per level the reachable pairs as positions (px, py), their
+    # candidate cells flat, and the masses, child = parent mass times plan entry
+    px = py = np.zeros(1, dtype=np.intp)
+    mass = np.ones(1)
+    levels = []
     for t in range(T):
         bx, by = bounds_x[t], bounds_y[t]
-        nxt: dict[tuple[int, int], float] = {}
-        for (vx, vy), mass in current.items():
-            ix, iy = pos_x[vx], pos_y[vy]
-            cx, cy = x.children(vx), y.children(vy)
-            mat = plans[t][bx[ix]:bx[ix + 1], by[iy]:by[iy + 1]].copy()
-            kernels[(vx, vy)] = (cx, cy, mat)
-            for i, a in enumerate(cx):
-                for j, b in enumerate(cy):
-                    if mat[i, j] > 0.0:
-                        key = (a, b)
-                        nxt[key] = nxt.get(key, 0.0) + mass * mat[i, j]
-        current = nxt
+        start_x, start_y = bx[px], by[py]
+        ky = by[py + 1] - start_y
+        cells = (bx[px + 1] - start_x) * ky
+        k = np.arange(px.size).repeat(cells)
+        i, j = np.divmod(np.arange(k.size) - (cells.cumsum() - cells).repeat(cells), ky[k])
+        cx, cy = start_x[k] + i, start_y[k] + j
+        flat = plans[t][cx, cy]
+        flat.flags.writeable = False
+        levels.append((px, py, cells, flat))
+        reached = flat > 0.0
+        px, py, mass = cx[reached], cy[reached], mass[k[reached]] * flat[reached]
+    leaves_x, leaves_y = order_x[T], order_y[T]
+    masses = dict(zip(((leaves_x[a], leaves_y[b]) for a, b in zip(px.tolist(), py.tolist())),
+                      mass.tolist()))
     value = total ** (1.0 / p)
-    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=current, value=value, kernels=kernels)
+    kernels = _LevelKernels(x, y, order_x, order_y, levels)
+    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=masses, value=value, kernels=kernels)
     return value, plan
 
 
@@ -367,8 +448,7 @@ def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bic
 def _group_matrices(proc: TreeProcess, t: int):
     """Leaf indices, ancestor index per leaf, and reach probabilities at level t."""
     nodes = proc.level(t)
-    pos = {v: i for i, v in enumerate(nodes)}
-    anc = np.array([pos[proc.ancestor_at(k, t)] for k in proc.leaves])
+    anc = proc.leaf_ancestors[t]
     indicator = np.zeros((len(nodes), len(proc.leaves)))
     indicator[anc, np.arange(len(proc.leaves))] = 1.0
     reach = np.array([proc.reach_prob[v] for v in nodes])
@@ -379,6 +459,8 @@ def check_bicausal(plan: BicausalPlan, tol: float = CAUSALITY_TOL) -> bool:
     """Verify marginal and two-sided causality identities of a plan."""
     x, y = plan.x, plan.y
     pi = plan.matrix()
+    if not np.isfinite(pi).all():  # every comparison below is false for NaN
+        return False
     mu = np.array([x.reach_prob[k] for k in x.leaves])
     nu = np.array([y.reach_prob[l] for l in y.leaves])
     if np.abs(pi.sum(axis=1) - mu).max() > MARGINAL_TOL:

@@ -1,8 +1,9 @@
 """Command-line surface: file formats, configuration, plot-data emission.
 
-Exit codes: 0 success, 2 unreadable or invalid input, 3 shape mismatch,
-4 size guard tripped, 5 internal solver failure.  All commands are
-deterministic; --seed only affects ``quantize``.
+Exit codes: 0 success, 2 unreadable or invalid input (including values so
+far apart that their costs overflow), 3 shape mismatch, 4 size guard
+tripped, 5 internal solver failure.  All commands are deterministic; --seed
+only affects ``quantize``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -180,13 +181,22 @@ def _plan_json(plan: BicausalPlan) -> str:
 
 
 def _plan_from_dict(data: dict, x: TreeProcess, y: TreeProcess) -> BicausalPlan:
+    """The plan of a plan document; a bad ``p``, a non-finite mass or a pair
+    listed twice is an input error."""
     try:
         p = float(data["p"])
-        masses = {
-            (int(e["leaf_x"]), int(e["leaf_y"])): float(e["mass"]) for e in data["pairs"]
-        }
-    except (KeyError, TypeError) as exc:
+        pairs = [((int(e["leaf_x"]), int(e["leaf_y"])), float(e["mass"])) for e in data["pairs"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed plan document: {exc}") from exc
+    if not 1.0 <= p < math.inf:
+        raise InputError(f"plan p must be a finite order >= 1, got {p}")
+    masses: dict[tuple[int, int], float] = {}
+    for pair, mass in pairs:
+        if not math.isfinite(mass):
+            raise InputError(f"plan lists a non-finite mass {mass} for pair {pair}")
+        if pair in masses:
+            raise InputError(f"plan lists pair {pair} twice")
+        masses[pair] = mass
     try:
         return BicausalPlan.from_pair_masses(x, y, p, masses)
     except ShapeMismatchError:
@@ -200,7 +210,7 @@ def _curve_from_dict(data: dict) -> GridCurve:
         grid = tuple(float(u) for u in data["grid"])
         p = float(data.get("p", 2.0))
         procs = tuple(tree_from_dict(t) for t in data["processes"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed curve document: {exc}") from exc
     for i, proc in enumerate(procs):
         problems = validate(proc)
@@ -474,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_options(args)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ShapeMismatchError as exc:

@@ -205,17 +205,11 @@ def _particle_levels(flow: CommonSpaceFlow) -> list[tuple[np.ndarray, np.ndarray
     can differ between levels.
     """
     base = flow.base
-    out = []
-    anc = np.arange(len(base.leaves))
-    for t in range(base.depth, 0, -1):
-        level = base.level(t)
-        labels = np.array([[lab[nid] for nid in level] for lab in flow.labels], dtype=float)
-        out.append((labels, anc))
-        if t > 1:
-            pos = {nid: k for k, nid in enumerate(base.level(t - 1))}
-            anc = np.array([pos[base.node(nid).parent] for nid in level])[anc]
-    out.reverse()
-    return out
+    return [
+        (np.array([[lab[nid] for nid in base.level(t)] for lab in flow.labels], dtype=float),
+         base.leaf_ancestors[t])
+        for t in range(1, base.depth + 1)
+    ]
 
 
 def _particle_terms(flow: CommonSpaceFlow, p: float, weights) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Transport problems go to a transportation simplex that solves a batch of
 same-shape problems in lockstep with numpy: a north-west-corner start (no
-phase one), potentials from a basis inverse kept exact by rank-one updates,
-the most negative reduced cost entering with lowest-index tie-breaking, the
-smallest-index blocking cell leaving, and Bland's rule after a run of
-degenerate pivots, so the iteration cannot cycle.  Each problem pivots on
+phase one) in the order the caller lists the atoms, potentials from a basis
+inverse kept exact by rank-one updates, the most negative reduced cost
+entering with lowest-index tie-breaking, the smallest-index blocking cell
+leaving, and Bland's rule after a run of degenerate pivots, so the
+iteration cannot cycle.  Each problem pivots on
 its own data only and leaves the batch once optimal, so a single problem
 (``solve_transport`` solves a batch of one) gets the same plan as in any
 batch.  One-row, one-column and 2x2 problems have closed forms.  The dense
@@ -14,7 +15,10 @@ columns take the largest reduced cost with index tie-breaking and leaving
 rows follow the lexicographic ratio test, which keeps it cycle-free on the
 heavily degenerate causality polytopes.  Both solvers pivot
 deterministically, so together with a fixed atom ordering the same input
-always gives the same optimal vertex.
+always gives the same optimal vertex.  The start is only as good as that
+order: with atoms on the line sorted by value and a convex cost, the
+north-west corner is the monotone (quantile) coupling, which is optimal, so
+``aw_distance`` lists the children of its simplex problems by value.
 """
 
 from __future__ import annotations
@@ -338,6 +342,12 @@ def _transport_2x2(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> np.ndarr
     return np.maximum(plan, 0.0).reshape(plan.shape[:-1] + (2, 2))
 
 
+def _simplex_shape(n: int, m: int) -> bool:
+    """Whether n x m problems go to the transportation simplex: those with no
+    closed form (not one row, one column or 2x2)."""
+    return n > 1 and m > 1 and n * m > 4
+
+
 def _solve_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and plans of B balanced problems of one shape; no checks.
 
@@ -347,14 +357,14 @@ def _solve_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> tuple[np.n
     treats each problem on its own, so results do not depend on the batch.
     """
     size, n, m = cost.shape
-    if n == 1:
+    if _simplex_shape(n, m):
+        plans = _transport_simplex(mu, nu, cost)
+    elif n == 1:
         plans = nu[:, None, :].copy()
     elif m == 1:
         plans = mu[:, :, None].copy()
-    elif n == 2 and m == 2:
-        plans = _transport_2x2(mu, nu, cost)
     else:
-        plans = _transport_simplex(mu, nu, cost)
+        plans = _transport_2x2(mu, nu, cost)
     plans[plans < 0.0] = 0.0
     return (plans * cost).reshape(size, n * m).sum(axis=1), plans
 

@@ -123,6 +123,20 @@ class TreeProcess:
     def leaf_paths(self) -> Mapping[int, tuple[tuple[float, ...], ...]]:
         return {leaf: self.path_values(leaf) for leaf in self.leaves}
 
+    @cached_property
+    def leaf_ancestors(self) -> tuple[np.ndarray, ...]:
+        """Per level t = 0..T, the position in ``level(t)`` of the ancestor of
+        every leaf, leaves in ``leaves`` order (read-only arrays)."""
+        anc = np.arange(len(self.leaves))
+        out = [anc]
+        for t in range(self.depth, 0, -1):
+            pos = {nid: k for k, nid in enumerate(self.level(t - 1))}
+            anc = np.array([pos[self.node(nid).parent] for nid in self.level(t)], dtype=np.intp)[anc]
+            out.append(anc)
+        for arr in out:
+            arr.flags.writeable = False
+        return tuple(reversed(out))
+
     def ancestor_at(self, node_id: int, t: int) -> int:
         nid = node_id
         while self.node(nid).time > t:
@@ -396,6 +410,6 @@ def tree_from_dict(data: dict) -> TreeProcess:
             )
             for n in data["nodes"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed tree document: {exc}") from exc
     return TreeProcess(depth=depth, value_dims=dims, nodes=nodes)

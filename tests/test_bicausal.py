@@ -6,6 +6,7 @@ import pytest
 from adawass import (
     BicausalPlan,
     DiscreteLaw,
+    GridCurve,
     ShapeMismatchError,
     SizeGuardError,
     aw_distance,
@@ -14,10 +15,13 @@ from adawass import (
     chain_process,
     check_bicausal,
     check_multicausal,
+    dyadic_grid,
     factor_plan,
+    geodesic,
     glue,
     path_distance,
     path_law,
+    represent_curve,
     validate,
     w_distance,
 )
@@ -47,23 +51,63 @@ def w_of_path_laws(x, y, p):
 
 # -- aw_distance --------------------------------------------------------------
 
+def value_ordered_solve(mu, nu, cost, vx, vy):
+    """solve_transport as the level solve runs it: a problem for the
+    transportation simplex (not 1 x m, n x 1 or 2 x 2) gets its children
+    sorted by value, ties in tree order, and its plan is mapped back."""
+    mu, nu, cost = np.asarray(mu), np.asarray(nu), np.asarray(cost)
+    n, m = cost.shape
+    if n == 1 or m == 1 or n * m == 4:
+        return solve_transport(mu, nu, cost)
+    rx = sorted(range(n), key=lambda i: tuple(vx[i]))
+    ry = sorted(range(m), key=lambda j: tuple(vy[j]))
+    value, sub = solve_transport(mu[rx], nu[ry], cost[np.ix_(rx, ry)])
+    plan = np.empty_like(sub)
+    plan[np.ix_(rx, ry)] = sub
+    return value, plan
+
+
 def nodewise_reference(x, y, p):
-    """The backward induction one node pair at a time; root value and per-pair plans."""
-    values, plans = {}, {}
+    """The backward induction one node pair at a time: the root value and the
+    per-pair plans, and the root value of tree-order solves."""
+    values, plans, tree_values = {}, {}, {}
     for t in range(x.depth - 1, -1, -1):
         for vx in x.level(t):
             cx = x.children(vx)
             for vy in y.level(t):
                 cy = y.children(vy)
                 cost = np.empty((len(cx), len(cy)))
+                tree_cost = np.empty((len(cx), len(cy)))
                 for i, a in enumerate(cx):
                     for j, b in enumerate(cy):
-                        cost[i, j] = step_cost(x.node(a).value, y.node(b).value, p)
+                        cost[i, j] = tree_cost[i, j] = step_cost(x.node(a).value, y.node(b).value, p)
                         if t + 1 < x.depth:
                             cost[i, j] += values[(a, b)]
-                values[(vx, vy)], plans[(vx, vy)] = solve_transport(
-                    [x.node(c).prob for c in cx], [y.node(c).prob for c in cy], cost)
-    return values[(x.root_id, y.root_id)], plans
+                            tree_cost[i, j] += tree_values[(a, b)]
+                mu, nu = [x.node(c).prob for c in cx], [y.node(c).prob for c in cy]
+                values[(vx, vy)], plans[(vx, vy)] = value_ordered_solve(
+                    mu, nu, cost, [x.node(c).value for c in cx], [y.node(c).value for c in cy])
+                tree_values[(vx, vy)], _ = solve_transport(mu, nu, tree_cost)
+    root = (x.root_id, y.root_id)
+    return values[root], plans, tree_values[root]
+
+
+def eager_top_down(x, y, plans):
+    """Kernels and pair masses as the former dict-walking top-down pass built them."""
+    kernels = {}
+    current = {(x.root_id, y.root_id): 1.0}
+    for _ in range(x.depth):
+        nxt = {}
+        for (vx, vy), mass in current.items():
+            cx, cy = x.children(vx), y.children(vy)
+            mat = plans[(vx, vy)].copy()
+            kernels[(vx, vy)] = (cx, cy, mat)
+            for i, a in enumerate(cx):
+                for j, b in enumerate(cy):
+                    if mat[i, j] > 0.0:
+                        nxt[(a, b)] = nxt.get((a, b), 0.0) + mass * mat[i, j]
+        current = nxt
+    return kernels, current
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -72,9 +116,10 @@ def test_level_wise_induction_matches_nodewise_reference(rng, p):
     # the per-pair solves bit for bit, on trees of mixed branching
     for _ in range(15):
         x, y = random_pair(rng, depth=3, max_branch=3)
-        total, plans = nodewise_reference(x, y, p)
+        total, plans, tree_total = nodewise_reference(x, y, p)
         value, plan = aw_distance(x, y, p)
         assert value == total ** (1.0 / p)
+        assert total == pytest.approx(tree_total, rel=1e-12, abs=0.0)
         for pair, (cx, cy, mat) in plan.kernels.items():
             assert (cx, cy) == (x.children(pair[0]), y.children(pair[1]))
             assert mat.tobytes() == plans[pair].tobytes()
@@ -83,21 +128,100 @@ def test_level_wise_induction_matches_nodewise_reference(rng, p):
 def test_level_solve_matches_per_pair_solve_transport(rng, monkeypatch):
     # one level of 12 x 10 parents: with 1..3 children most pairs go through
     # the batched 2x2 closed form; with 1..5 several general shapes form,
-    # n != m among them, and a batch size of 5 cuts every group into batches
+    # n != m among them, and a batch size of 5 cuts every group into batches;
+    # values on a coarse grid tie, in the first coordinate or in both
     for choices, batch in (([1, 2, 2, 3], 1024), ([1, 2, 3, 4, 5], 1024), ([1, 2, 3, 4, 5], 5)):
         monkeypatch.setattr(bicausal, "_LEVEL_BATCH", batch)
         kx, ky = rng.choice(choices, size=12), rng.choice(choices, size=10)
         bx, by = np.concatenate([[0], np.cumsum(kx)]), np.concatenate([[0], np.cumsum(ky)])
         mu = np.concatenate([w / w.sum() for w in (rng.uniform(0.1, 1.0, k) for k in kx)])
         nu = np.concatenate([w / w.sum() for w in (rng.uniform(0.1, 1.0, k) for k in ky)])
+        vx = rng.integers(0, 3, size=(bx[-1], 2)).astype(float)
+        vy = rng.integers(0, 3, size=(by[-1], 2)).astype(float)
         cost = rng.uniform(0.0, 3.0, size=(bx[-1], by[-1]))
-        values, plans = _solve_level(mu, nu, bx, by, cost)
+        values, plans = _solve_level(mu, nu, bx, by, cost, vx, vy)
         for a in range(len(kx)):
             for b in range(len(ky)):
                 rx, ry = slice(bx[a], bx[a + 1]), slice(by[b], by[b + 1])
-                value, plan = solve_transport(mu[rx], nu[ry], cost[rx, ry])
+                value, plan = value_ordered_solve(mu[rx], nu[ry], cost[rx, ry], vx[rx], vy[ry])
                 assert values[a, b] == value
                 assert plans[rx, ry].tobytes() == plan.tobytes()
+                tree_value, _ = solve_transport(mu[rx], nu[ry], cost[rx, ry])
+                assert value == pytest.approx(tree_value, rel=1e-12, abs=0.0)
+
+
+def quantile_cost(atoms_x, atoms_y, p):
+    """Cost of the monotone coupling of two laws on the line, from the sorted
+    atoms: the two quantile functions integrated over their common steps."""
+    xs, ys = sorted(atoms_x), sorted(atoms_y)
+    i = j = 0
+    left_x, left_y = xs[0][1], ys[0][1]
+    total = 0.0
+    while True:
+        step = min(left_x, left_y)
+        total += step * abs(xs[i][0] - ys[j][0]) ** p
+        left_x, left_y = left_x - step, left_y - step
+        if left_x <= left_y:
+            i += 1
+            if i == len(xs):
+                return total
+            left_x = xs[i][1]
+        else:
+            j += 1
+            if j == len(ys):
+                return total
+            left_y = ys[j][1]
+
+
+def test_depth_one_value_is_the_quantile_coupling_cost(rng):
+    # on the line with a convex cost the monotone coupling is optimal, which
+    # is why the north-west corner of value-sorted children is a good start
+    for n in range(1, 8):
+        for m in range(1, 8):
+            x, y = (random_process(rng, 1, (1,), k) for k in (n, m))
+            value, plan = aw_distance(x, y, 2.0)
+            atoms = [[(proc.node(c).value[0], proc.node(c).prob) for c in proc.leaves]
+                     for proc in (x, y)]
+            assert value ** 2 == pytest.approx(quantile_cost(*atoms, 2.0), rel=1e-12, abs=1e-15)
+            assert check_bicausal(plan)
+
+
+def reversed_children(proc):
+    """The same process with every node's children listed in reverse order."""
+    return type(proc)(depth=proc.depth, value_dims=proc.value_dims, nodes=proc.nodes[::-1])
+
+
+def test_reversed_child_order_gives_the_same_value(rng):
+    for _ in range(20):
+        x, y = random_pair(rng, depth=3, max_branch=4)
+        rx, ry = reversed_children(x), reversed_children(y)
+        assert rx.children(rx.root_id) == x.children(x.root_id)[::-1]
+        value, _ = aw_distance(x, y, 2.0)
+        reversed_value, plan = aw_distance(rx, ry, 2.0)
+        assert reversed_value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert check_bicausal(plan)
+
+
+def test_lazy_kernels_equal_the_eager_top_down_pass(rng):
+    # the plans of a geodesic and of a represented curve: kernels key for key
+    # and bit for bit, in the same order, and the same pair masses
+    x, y = random_pair(rng, depth=3, max_branch=4)
+    grid = dyadic_grid(2)
+    curve = GridCurve(grid=(0.0, 0.5, 1.0),
+                      processes=tuple(random_process(rng, 2, (1, 2), 3) for _ in range(3)), p=1.5)
+    plans = [geodesic(x, y, 2.0, grid).coupling.plans[0]]
+    plans += represent_curve(curve).coupling.plans
+    assert len(plans) == 3
+    for plan in plans:
+        _, reference, _ = nodewise_reference(plan.x, plan.y, plan.p)
+        kernels, masses = eager_top_down(plan.x, plan.y, reference)
+        assert list(plan.kernels) == list(kernels)
+        for key, (cx, cy, mat) in kernels.items():
+            lazy = plan.kernels[key]
+            assert lazy[:2] == (cx, cy)
+            assert lazy[2].tobytes() == mat.tobytes() and lazy[2].shape == mat.shape
+        assert list(plan.pair_masses.items()) == list(masses.items())
+        assert len(plan.kernels) == len(kernels)
 
 
 def test_aw_deterministic_pair(dirac_pair):
@@ -257,6 +381,16 @@ def test_check_bicausal_catches_marginal_violation():
     x, y = chain_process([0.0, 0.0]), chain_process([1.0, 1.0])
     plan = BicausalPlan.from_pair_masses(x, y, 2.0, {(x.leaves[0], y.leaves[0]): 0.5})
     assert not check_bicausal(plan)
+
+
+def test_check_bicausal_rejects_non_finite_masses(rng):
+    x, y = random_pair(rng, depth=2)
+    _, plan = aw_distance(x, y, 2.0)
+    first = next(iter(plan.pair_masses))
+    for bad in (math.nan, math.inf):
+        for keys in ([first], list(plan.pair_masses)):
+            masses = dict(plan.pair_masses) | {k: bad for k in keys}
+            assert not check_bicausal(BicausalPlan(x=x, y=y, p=2.0, pair_masses=masses, value=0.0))
 
 
 # -- glue and multicausal -----------------------------------------------------

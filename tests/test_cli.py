@@ -21,6 +21,7 @@ from adawass import (
     discrete_ot,
     dyadic_grid,
     geodesic,
+    process_with_values,
     quantize_paths,
     represent_curve,
     skorokhod,
@@ -384,6 +385,79 @@ def test_check_plan_flags_bad_plan(write_tree, capsys, tmp_path):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("edit", [
+    "one mass nan", "all masses nan", "mass inf", "mass -inf",
+    "p abc", "p nan", "p 0.5", "p inf", "pair twice", "leaf id abc",
+])
+def test_check_plan_rejects_malformed_plan_documents(write_tree, capsys, tmp_path, edit):
+    # a NaN mass passed as bicausal: every |...| > tol comparison is false for NaN
+    rng = np.random.default_rng(29)
+    xt, yt = random_process(rng, 2, (1, 1), 3), random_process(rng, 2, (1, 1), 3)
+    x, y = write_tree("x.json", xt), write_tree("y.json", yt)
+    plan_file = tmp_path / "plan.json"
+    assert run(capsys, ["dist", x, y, "--plan", str(plan_file)])[0] == 0
+    doc = json.loads(plan_file.read_text())
+    assert len(doc["pairs"]) > 1
+    field, bad = edit.rsplit(" ", 1)
+    if field == "one mass":
+        doc["pairs"][1]["mass"] = math.nan
+    elif field == "all masses":
+        for e in doc["pairs"]:
+            e["mass"] = math.nan
+    elif field == "mass":
+        doc["pairs"][0]["mass"] = float(bad)
+    elif field == "p":
+        doc["p"] = bad if bad == "abc" else float(bad)
+    elif field == "pair":
+        doc["pairs"].append(dict(doc["pairs"][0]))
+    else:
+        doc["pairs"][0]["leaf_x"] = bad
+    plan_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["check-plan", str(plan_file), x, y])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_infinite_depth_or_bad_utf8_exit_code(write_tree, capsys, tmp_path):
+    x = write_tree("x.json", epsilon_x())
+    doc = tree_to_dict(epsilon_x())
+    doc["depth"] = math.inf
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc))
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b'{"pairs": [], "p": "\xff"}')
+    for argv in (["dist", str(deep), x], ["check-plan", str(garbled), x, x]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+
+def test_costs_that_overflow_are_invalid_input(write_tree, capsys, tmp_path):
+    far = write_tree("far.json", build_process([1], [(0.5, 1e200, []), (0.5, -1e200, [])]))
+    near = write_tree("near.json", build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])]))
+    for argv in (["dist", far, near], ["geodesic", far, near]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: nodewise costs overflow")
+        assert len(err.splitlines()) == 1
+
+
+def test_python_dash_m_runs_the_command_line_tool(write_tree, capsys):
+    x = write_tree("x.json", epsilon_x())
+    y = write_tree("y.json", epsilon_y(0.1))
+    env = dict(os.environ, PYTHONPATH=str(Path(adawass.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "adawass", "dist", x, y, "--p", "1"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.100000000000\n", "")
+    proc = subprocess.run([sys.executable, "-m", "adawass", "dist", x, x + ".missing"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and len(proc.stderr.splitlines()) == 1
+
+
 def test_geodesic_writes_flow_and_csv(write_tree, capsys, tmp_path):
     a = write_tree("a.json", chain_process([1.0, 2.0]))
     b = write_tree("b.json", chain_process([3.0, 5.0]))
@@ -491,6 +565,20 @@ def test_commands_are_byte_deterministic(write_tree, capsys, tmp_path):
         assert code == 0
         outputs.append((out, flow_file.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_successive_dist_plan_runs_write_identical_files(write_tree, capsys, tmp_path):
+    # general nodewise problems, and values rounded to integers so that
+    # siblings tie and the value order falls back to tree order
+    rng = np.random.default_rng(37)
+    x, y = (random_process(rng, 3, (1, 2, 1), 5) for _ in range(2))
+    ties = process_with_values(y, {n.id: np.round(n.value).tolist() for n in y.nodes if n.value})
+    for a, b in ((x, y), (x, ties)):
+        xp, yp = write_tree("x.json", a), write_tree("y.json", b)
+        files = [tmp_path / f"plan{k}.json" for k in range(2)]
+        outs = [run(capsys, ["dist", xp, yp, "--plan", str(f)]) for f in files]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
 
 
 def test_flow_round_trip_values(write_tree, capsys, tmp_path):

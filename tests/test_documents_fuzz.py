@@ -1,0 +1,133 @@
+"""Property tests: malformed tree and plan documents never end in a traceback.
+
+Each example takes a valid document, applies one to three random edits
+(replace any entry by an arbitrary JSON value, NaN and infinities included,
+delete it, or duplicate a list entry) and runs the command-line tool on it.
+Every run must end in exit 0 with its normal output (the edits left the
+document valid), or in exit 2 (bad input) or 3 (shape mismatch) with exactly
+one line on stderr.
+"""
+
+import copy
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from adawass import aw_distance, build_process, tree_to_dict
+from adawass.cli import _plan_json, main
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+X = build_process([1, 2], [
+    (0.25, 0.0, [(0.5, (1.0, 0.0), []), (0.5, (-1.0, 0.5), [])]),
+    (0.75, 2.0, [(0.2, (0.0, 1.0), []), (0.3, (1.0, 1.0), []), (0.5, (2.0, 0.0), [])]),
+])
+Y = build_process([1, 2], [
+    (0.5, 1.0, [(1.0, (0.0, 0.0), [])]),
+    (0.5, -1.0, [(0.4, (1.0, -1.0), []), (0.6, (0.5, 0.5), [])]),
+])
+TREE_DOC = tree_to_dict(X)
+PLAN_DOC = json.loads(_plan_json(aw_distance(X, Y, 2.0)[1]))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def slots(doc, path=()):
+    """The path of every entry of a JSON document, the document itself first."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from slots(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from slots(value, path + (i,))
+
+
+@st.composite
+def edited(draw, base):
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(slots(doc))))
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "delete":
+            del parent[key]
+        elif action == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = draw(json_values)
+    return doc
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (0, 2, 3), (code, err)
+    if code:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == ""
+
+
+def non_finite_masses(doc):
+    try:
+        return any(isinstance(e["mass"], float) and not math.isfinite(e["mass"])
+                   for e in doc["pairs"])
+    except (KeyError, TypeError, IndexError):
+        return False
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "x.json").write_text(json.dumps(TREE_DOC))
+    (base / "y.json").write_text(json.dumps(tree_to_dict(Y)))
+    return base
+
+
+@FUZZ
+@given(doc=edited(TREE_DOC), second=st.booleans())
+def test_malformed_tree_documents_exit_cleanly(files, doc, second):
+    bad = files / "bad-tree.json"
+    bad.write_text(json.dumps(doc))
+    y = str(files / "y.json")
+    code, out, err = run_main(["dist", y, str(bad)] if second else ["dist", str(bad), y])
+    assert_clean_exit(code, out, err)
+    if code == 0:
+        assert np.isfinite(float(out))
+
+
+@FUZZ
+@given(doc=edited(PLAN_DOC))
+def test_malformed_plan_documents_exit_cleanly(files, doc):
+    bad = files / "bad-plan.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_main(["check-plan", str(bad), str(files / "x.json"), str(files / "y.json")])
+    assert_clean_exit(code, out, err)
+    if code == 0:
+        assert out in ("bicausal\n", "not bicausal\n")
+    if non_finite_masses(doc):
+        assert code == 2
