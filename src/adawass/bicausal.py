@@ -104,14 +104,8 @@ class BicausalPlan:
     def from_pair_masses(cls, x: TreeProcess, y: TreeProcess, p: float,
                          masses: Mapping[tuple[int, int], float]) -> "BicausalPlan":
         _check_pair(x, y)
-        xi = {k: i for i, k in enumerate(x.leaves)}
-        yi = {l: j for j, l in enumerate(y.leaves)}
-        try:
-            i = np.array([xi[k] for k, _ in masses], dtype=np.intp)
-            j = np.array([yi[l] for _, l in masses], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"plan lists a pair with a non-leaf node {exc}") from None
-        weighted = np.fromiter(masses.values(), float, len(masses)) * _path_costs(x, y, p, i, j)
+        i, j, m = _pair_arrays(x, y, masses)
+        weighted = m * _path_costs(x, y, p, i, j)
         # summed in listing order, as a running total
         cost = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
         return cls(x=x, y=y, p=p, pair_masses=dict(masses), value=cost ** (1.0 / p))
@@ -125,10 +119,8 @@ class BicausalPlan:
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((len(self.x.leaves), len(self.y.leaves)))
-        xi = {k: i for i, k in enumerate(self.x.leaves)}
-        yi = {l: j for j, l in enumerate(self.y.leaves)}
-        for (k, l), mass in self.pair_masses.items():
-            m[xi[k], yi[l]] = mass
+        i, j, masses = _pair_arrays(self.x, self.y, self.pair_masses)
+        m[i, j] = masses
         return m
 
     def effective_kernels(self):
@@ -136,6 +128,16 @@ class BicausalPlan:
         if self.kernels is not None:
             return self.kernels
         return _kernels_from_masses(self)
+
+
+def _pair_arrays(x: TreeProcess, y: TreeProcess, masses: Mapping[tuple[int, int], float]):
+    """Leaf positions (i, j) and masses of the listed leaf pairs, as arrays."""
+    try:
+        i = np.array([x.leaf_index[k] for k, _ in masses], dtype=np.intp)
+        j = np.array([y.leaf_index[l] for _, l in masses], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"plan lists a pair with a non-leaf node {exc}") from None
+    return i, j, np.fromiter(masses.values(), float, len(masses))
 
 
 def _step_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
@@ -153,52 +155,32 @@ def _path_costs(x: TreeProcess, y: TreeProcess, p: float, i: np.ndarray, j: np.n
     """
     total = 0.0
     for t in range(1, x.depth + 1):
-        vx = np.array([x.node(v).value for v in x.level(t)])[x.leaf_ancestors[t]]
-        vy = np.array([y.node(w).value for w in y.level(t)])[y.leaf_ancestors[t]]
+        vx = x.layout[t].values[x.leaf_ancestors[t]]
+        vy = y.layout[t].values[y.leaf_ancestors[t]]
         total = total + _step_costs(vx[i], vy[j], p)
     return total
 
 
 def _kernels_from_masses(plan: BicausalPlan):
+    """Kernels of a plan from its cylinder masses: per level, the mass of every
+    node pair summed over the leaf pairs below it in listing order, and each
+    reachable pair's children block divided by that pair's mass."""
     x, y = plan.x, plan.y
-    cyl: dict[tuple[int, int], float] = {}
-    for (k, l), m in plan.pair_masses.items():
-        vk, vl = k, l
-        for t in range(x.depth, -1, -1):
-            cyl[(vk, vl)] = cyl.get((vk, vl), 0.0) + m
-            if t == 0:
-                break
-            vk = x.node(vk).parent
-            vl = y.node(vl).parent
+    i, j, m = _pair_arrays(x, y, plan.pair_masses)
+    cyl = []
+    for t in range(x.depth + 1):
+        nx, ny = len(x.level(t)), len(y.level(t))
+        cell = x.leaf_ancestors[t][i] * ny + y.leaf_ancestors[t][j]
+        cyl.append(np.bincount(cell, weights=m, minlength=nx * ny).reshape(nx, ny))
     kernels = {}
     for t in range(x.depth):
-        for vx in x.level(t):
-            for vy in y.level(t):
-                q = cyl.get((vx, vy), 0.0)
-                if q <= 0.0:
-                    continue
-                cx, cy = x.children(vx), y.children(vy)
-                mat = np.zeros((len(cx), len(cy)))
-                for i, a in enumerate(cx):
-                    for j, b in enumerate(cy):
-                        mat[i, j] = cyl.get((a, b), 0.0) / q
-                kernels[(vx, vy)] = (cx, cy, mat)
+        ids_x, ids_y = x.level(t), y.level(t)
+        bx, by = x.layout[t].bounds, y.layout[t].bounds
+        for a, b in zip(*np.nonzero(cyl[t] > 0.0)):
+            vx, vy = ids_x[a], ids_y[b]
+            block = cyl[t + 1][bx[a]:bx[a + 1], by[b]:by[b + 1]] / cyl[t][a, b]
+            kernels[(vx, vy)] = (x.children(vx), y.children(vy), block)
     return kernels
-
-
-def _level_layout(proc: TreeProcess):
-    """Nodes of every level with each parent's children contiguous.
-
-    Returns, per level t, the node ids in that order and, for t < T, the
-    bounds of every node's children within level t + 1.
-    """
-    order = [(proc.root_id,)]
-    bounds = []
-    for t in range(proc.depth):
-        kids = [proc.children(v) for v in order[t]]
-        bounds.append(np.cumsum([0] + [len(k) for k in kids]))
-        order.append(tuple(c for k in kids for c in k))
-    return order, bounds
 
 
 def _value_order(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -272,14 +254,15 @@ class _LevelKernels(Mapping):
     pass, is built on first access.
     """
 
-    def __init__(self, x: TreeProcess, y: TreeProcess, order_x, order_y, levels):
-        self._args = (x, y, order_x, order_y, levels)
+    def __init__(self, x: TreeProcess, y: TreeProcess, levels):
+        self._args = (x, y, levels)
 
     @functools.cached_property
     def _kernels(self) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
-        x, y, order_x, order_y, levels = self._args
+        x, y, levels = self._args
         out = {}
-        for ids_x, ids_y, (px, py, cells, flat) in zip(order_x, order_y, levels):
+        for t, (px, py, cells, flat) in enumerate(levels):
+            ids_x, ids_y = x.level(t), y.level(t)
             ends = cells.cumsum()
             for a, b, lo, hi in zip(px.tolist(), py.tolist(), (ends - cells).tolist(), ends.tolist()):
                 vx, vy = ids_x[a], ids_y[b]
@@ -315,22 +298,16 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
     if p < 1.0:
         raise ValueError(f"order p must be >= 1, got {p}")
     T = x.depth
-    order_x, bounds_x = _level_layout(x)
-    order_y, bounds_y = _level_layout(y)
+    lx, ly = x.layout, y.layout
     plans: list[np.ndarray | None] = [None] * T
     values = None
     for t in range(T - 1, -1, -1):
-        kids_x = [x.node(c) for c in order_x[t + 1]]
-        kids_y = [y.node(c) for c in order_y[t + 1]]
-        vx = np.array([n.value for n in kids_x])
-        vy = np.array([n.value for n in kids_y])
-        cost = _step_costs(vx[:, None], vy[None], p)
+        kx, ky = lx[t + 1], ly[t + 1]
+        cost = _step_costs(kx.values[:, None], ky.values[None], p)
         if values is not None:
             cost += values
-        values, plans[t] = _solve_level(
-            np.array([n.prob for n in kids_x]), np.array([n.prob for n in kids_y]),
-            bounds_x[t], bounds_y[t], cost, vx, vy,
-        )
+        values, plans[t] = _solve_level(kx.prob, ky.prob, lx[t].bounds, ly[t].bounds,
+                                        cost, kx.values, ky.values)
 
     total = float(values[0, 0])
     # top-down pass: per level the reachable pairs as positions (px, py), their
@@ -339,7 +316,7 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
     mass = np.ones(1)
     levels = []
     for t in range(T):
-        bx, by = bounds_x[t], bounds_y[t]
+        bx, by = lx[t].bounds, ly[t].bounds
         start_x, start_y = bx[px], by[py]
         ky = by[py + 1] - start_y
         cells = (bx[px + 1] - start_x) * ky
@@ -351,77 +328,46 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
         levels.append((px, py, cells, flat))
         reached = flat > 0.0
         px, py, mass = cx[reached], cy[reached], mass[k[reached]] * flat[reached]
-    leaves_x, leaves_y = order_x[T], order_y[T]
+    leaves_x, leaves_y = x.leaves, y.leaves
     masses = dict(zip(((leaves_x[a], leaves_y[b]) for a, b in zip(px.tolist(), py.tolist())),
                       mass.tolist()))
     value = total ** (1.0 / p)
-    kernels = _LevelKernels(x, y, order_x, order_y, levels)
+    kernels = _LevelKernels(x, y, levels)
     plan = BicausalPlan(x=x, y=y, p=p, pair_masses=masses, value=value, kernels=kernels)
     return value, plan
 
 
+def _causality_rows(own: np.ndarray, partner: np.ndarray, reach: float,
+                    leaf_mass: np.ndarray, n_own: int, n_partner: int) -> np.ndarray:
+    """Causality rows of one own cylinder (leaf positions ``own``, mass
+    ``reach``) against one partner cylinder, over (own leaf, partner leaf)
+    cells: for each own leaf k but the last, reach times the mass of
+    (k, partner) minus the mass of k times the mass of (own, partner)."""
+    k = own[:-1]
+    rows = np.zeros((k.size, n_own, n_partner))
+    rows[np.arange(k.size)[:, None], k[:, None], partner] = reach
+    rows[:, own[:, None], partner] -= leaf_mass[k][:, None, None]
+    return rows
+
+
 def _lp_rows(x: TreeProcess, y: TreeProcess):
     """Marginal plus linear causality rows for the path-pair LP."""
-    lx, ly = x.leaves, y.leaves
-    nx, ny = len(lx), len(ly)
-    xi = {k: i for i, k in enumerate(lx)}
-    yi = {l: j for j, l in enumerate(ly)}
-    mu, nu = x.reach_prob, y.reach_prob
-
-    under_x = {v: [k for k in lx if x.ancestor_at(k, t) == v]
-               for t in range(1, x.depth) for v in x.level(t)}
-    under_y = {w: [l for l in ly if y.ancestor_at(l, t) == w]
-               for t in range(1, y.depth) for w in y.level(t)}
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    for k in lx:
-        row = np.zeros(nx * ny)
-        row[xi[k] * ny:(xi[k] + 1) * ny] = 1.0
-        rows.append(row)
-        rhs.append(mu[k])
-    for l in ly:
-        row = np.zeros(nx * ny)
-        row[yi[l]::ny] = 1.0
-        rows.append(row)
-        rhs.append(nu[l])
-
-    T = x.depth
-    for t in range(1, T):
+    nx, ny = len(x.leaves), len(y.leaves)
+    mu, nu = x.layout[-1].reach, y.layout[-1].reach
+    rows = [np.repeat(np.eye(nx), ny, axis=1), np.tile(np.eye(ny), nx)]
+    for t in range(1, x.depth):
+        under_x = [np.flatnonzero(x.leaf_ancestors[t] == a) for a in range(len(x.level(t)))]
+        under_y = [np.flatnonzero(y.leaf_ancestors[t] == b) for b in range(len(y.level(t)))]
         # causal: the partner's past may not reveal this side's future
-        wlist = y.level(t)
-        for v in x.level(t):
-            kx = under_x[v]
-            for w in wlist[:-1]:
-                cols_w = [yi[l] for l in under_y[w]]
-                for k in kx[:-1]:
-                    row = np.zeros(nx * ny)
-                    for j in cols_w:
-                        row[xi[k] * ny + j] += mu[v]
-                    for k2 in kx:
-                        base = xi[k2] * ny
-                        for j in cols_w:
-                            row[base + j] -= mu[k]
-                    rows.append(row)
-                    rhs.append(0.0)
-        # anticausal: the mirror family
-        vlist = x.level(t)
-        for w in y.level(t):
-            ky = under_y[w]
-            for v in vlist[:-1]:
-                rows_v = [xi[k] for k in under_x[v]]
-                for l in ky[:-1]:
-                    row = np.zeros(nx * ny)
-                    for i in rows_v:
-                        row[i * ny + yi[l]] += nu[w]
-                    for l2 in ky:
-                        col = yi[l2]
-                        for i in rows_v:
-                            row[i * ny + col] -= nu[l]
-                    rows.append(row)
-                    rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+        for kx, reach in zip(under_x, x.layout[t].reach.tolist()):
+            rows += [_causality_rows(kx, ly, reach, mu, nx, ny).reshape(-1, nx * ny)
+                     for ly in under_y[:-1]]
+        # anticausal: the mirror family, built over (y leaf, x leaf) cells
+        for ky, reach in zip(under_y, y.layout[t].reach.tolist()):
+            rows += [_causality_rows(ky, lx, reach, nu, ny, nx).transpose(0, 2, 1).reshape(-1, nx * ny)
+                     for lx in under_x[:-1]]
+    a = np.vstack(rows)
+    return a, np.concatenate([mu, nu, np.zeros(len(a) - nx - ny)])
 
 
 def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, BicausalPlan]:
@@ -445,24 +391,13 @@ def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bic
     return value, plan
 
 
-def _group_matrices(proc: TreeProcess, t: int):
-    """Leaf indices, ancestor index per leaf, and reach probabilities at level t."""
-    nodes = proc.level(t)
-    anc = proc.leaf_ancestors[t]
-    indicator = np.zeros((len(nodes), len(proc.leaves)))
-    indicator[anc, np.arange(len(proc.leaves))] = 1.0
-    reach = np.array([proc.reach_prob[v] for v in nodes])
-    return indicator, anc, reach
-
-
 def check_bicausal(plan: BicausalPlan, tol: float = CAUSALITY_TOL) -> bool:
     """Verify marginal and two-sided causality identities of a plan."""
     x, y = plan.x, plan.y
     pi = plan.matrix()
     if not np.isfinite(pi).all():  # every comparison below is false for NaN
         return False
-    mu = np.array([x.reach_prob[k] for k in x.leaves])
-    nu = np.array([y.reach_prob[l] for l in y.leaves])
+    mu, nu = x.layout[-1].reach, y.layout[-1].reach
     if np.abs(pi.sum(axis=1) - mu).max() > MARGINAL_TOL:
         return False
     if np.abs(pi.sum(axis=0) - nu).max() > MARGINAL_TOL:
@@ -470,8 +405,10 @@ def check_bicausal(plan: BicausalPlan, tol: float = CAUSALITY_TOL) -> bool:
     if pi.min() < -MARGINAL_TOL:
         return False
     for t in range(1, x.depth):
-        gx, anc_x, reach_x = _group_matrices(x, t)
-        gy, anc_y, reach_y = _group_matrices(y, t)
+        anc_x, anc_y = x.leaf_ancestors[t], y.leaf_ancestors[t]
+        reach_x, reach_y = x.layout[t].reach, y.layout[t].reach
+        # 0/1 matrices: level-t cylinder against leaf
+        gx, gy = np.eye(reach_x.size)[:, anc_x], np.eye(reach_y.size)[:, anc_y]
         pi_kw = pi @ gy.T                      # leaf of x versus level-t cylinder of y
         pi_vw = gx @ pi_kw                     # cylinder against cylinder
         causal = reach_x[anc_x][:, None] * pi_kw - mu[:, None] * pi_vw[anc_x, :]
@@ -505,12 +442,6 @@ class MulticausalCoupling:
         for tup, m in self.masses.items():
             key = (tup[i], tup[i + 1])
             out[key] = out.get(key, 0.0) + m
-        return out
-
-    def factor_marginal(self, i: int) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for tup, m in self.masses.items():
-            out[tup[i]] = out.get(tup[i], 0.0) + m
         return out
 
 
@@ -588,8 +519,8 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
         frontier = new_frontier
 
     product = TreeProcess(depth=T, value_dims=dims, nodes=tuple(nodes))
-    reach = product.reach_prob
-    masses = {node_tuple[pid]: reach[pid] for pid in frontier}
+    # the product's leaves are the last frontier, in its order
+    masses = dict(zip(map(node_tuple.__getitem__, product.leaves), product.layout[-1].reach.tolist()))
     return MulticausalCoupling(
         processes=tuple(chain),
         masses=masses,
@@ -603,41 +534,32 @@ def check_multicausal(coupling: MulticausalCoupling, tol: float = CAUSALITY_TOL)
     """Verify factor marginals and every multicausal product identity."""
     procs = coupling.processes
     n = len(procs)
-    T = procs[0].depth
-    items = list(coupling.masses.items())
+    m = np.fromiter(coupling.masses.values(), float, len(coupling.masses))
+    # per factor, the leaf position of every mass
+    leaf = [np.array([proc.leaf_index[tup[i]] for tup in coupling.masses], dtype=np.intp)
+            for i, proc in enumerate(procs)]
 
     for i, proc in enumerate(procs):
-        marg = coupling.factor_marginal(i)
-        for leaf in proc.leaves:
-            if abs(marg.get(leaf, 0.0) - proc.reach_prob[leaf]) > MARGINAL_TOL:
-                return False
+        marg = np.bincount(leaf[i], weights=m, minlength=len(proc.leaves))
+        if np.abs(marg - proc.layout[-1].reach).max() > MARGINAL_TOL:
+            return False
 
-    for i in range(n):
-        proc = procs[i]
-        for t in range(1, T):
-            # gamma(cylinder tuple) indexed by (other-coordinate ancestors)
-            joint_full: dict[tuple, float] = {}
-            joint_cyl: dict[tuple, float] = {}
-            for tup, m in items:
-                others = tuple(
-                    procs[j].ancestor_at(tup[j], t) for j in range(n) if j != i
-                )
-                key_full = (tup[i],) + others
-                joint_full[key_full] = joint_full.get(key_full, 0.0) + m
-                key_cyl = (proc.ancestor_at(tup[i], t),) + others
-                joint_cyl[key_cyl] = joint_cyl.get(key_cyl, 0.0) + m
-            # cylinder keys dominate full keys, so iterating them covers all
-            # identities with a nonzero side
-            for key_cyl, g_cyl in joint_cyl.items():
-                v, others = key_cyl[0], key_cyl[1:]
-                for leaf in proc.leaves:
-                    if proc.ancestor_at(leaf, t) != v:
-                        continue
-                    g_full = joint_full.get((leaf,) + others, 0.0)
-                    lhs = g_full * proc.reach_prob[v]
-                    rhs = g_cyl * proc.reach_prob[leaf]
-                    if abs(lhs - rhs) > tol:
-                        return False
+    for i, proc in enumerate(procs):
+        for t in range(1, proc.depth):
+            # gamma(leaf or level-t cylinder of factor i, level-t cylinders of
+            # the others), the others' cylinder tuples numbered as they come
+            others = zip(*(procs[j].leaf_ancestors[t][leaf[j]].tolist() for j in range(n) if j != i))
+            ids: dict[tuple, int] = {}
+            group = np.array([ids.setdefault(o, len(ids)) for o in others], dtype=np.intp)
+            anc = proc.leaf_ancestors[t]
+            full = np.bincount(leaf[i] * len(ids) + group, weights=m,
+                               minlength=len(proc.leaves) * len(ids)).reshape(-1, len(ids))
+            cyl = np.bincount(anc[leaf[i]] * len(ids) + group, weights=m,
+                              minlength=len(proc.level(t)) * len(ids)).reshape(-1, len(ids))
+            lhs = full * proc.layout[t].reach[anc][:, None]
+            rhs = cyl[anc] * proc.layout[-1].reach[:, None]
+            if np.abs(lhs - rhs).max() > tol:
+                return False
     return True
 
 

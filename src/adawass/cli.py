@@ -42,6 +42,9 @@ from .discrete_ot import InfeasibleError, SolverError, UnboundedError
 from .trees import (  # noqa: F401  (tree_to_dict: perfbench/tracer.py wraps it here)
     ShapeMismatchError,
     TreeProcess,
+    _float_field,
+    _float_fields,
+    _int_fields,
     quantize_paths,
     tree_from_dict,
     tree_to_dict,
@@ -184,8 +187,11 @@ def _plan_from_dict(data: dict, x: TreeProcess, y: TreeProcess) -> BicausalPlan:
     """The plan of a plan document; a bad ``p``, a non-finite mass or a pair
     listed twice is an input error."""
     try:
-        p = float(data["p"])
-        pairs = [((int(e["leaf_x"]), int(e["leaf_y"])), float(e["mass"])) for e in data["pairs"]]
+        p = _float_field(data["p"])
+        rows = data["pairs"]
+        pairs = list(zip(zip(_int_fields([e["leaf_x"] for e in rows]),
+                             _int_fields([e["leaf_y"] for e in rows])),
+                         _float_fields([e["mass"] for e in rows])))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed plan document: {exc}") from exc
     if not 1.0 <= p < math.inf:
@@ -207,8 +213,8 @@ def _plan_from_dict(data: dict, x: TreeProcess, y: TreeProcess) -> BicausalPlan:
 
 def _curve_from_dict(data: dict) -> GridCurve:
     try:
-        grid = tuple(float(u) for u in data["grid"])
-        p = float(data.get("p", 2.0))
+        grid = tuple(_float_field(u) for u in data["grid"])
+        p = _float_field(data.get("p", 2.0))
         procs = tuple(tree_from_dict(t) for t in data["processes"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed curve document: {exc}") from exc
@@ -381,8 +387,8 @@ def cmd_equiv(args) -> int:
 def cmd_quantize(args) -> int:
     data = _load_json(args.samples)
     try:
-        samples = [[list(map(float, step)) if isinstance(step, list) else [float(step)]
-                    for step in path] for path in data["samples"]]
+        samples = [[list(map(_float_field, step)) if isinstance(step, list)
+                     else [_float_field(step)] for step in path] for path in data["samples"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed samples document: {exc}") from exc
     try:

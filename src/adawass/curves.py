@@ -220,8 +220,7 @@ def _particle_terms(flow: CommonSpaceFlow, p: float, weights) -> np.ndarray:
     label paths.  Each entry is formed in the per-leaf loop's order of
     operations.
     """
-    reach = flow.base.reach_prob
-    mass = np.array([reach[leaf] for leaf in flow.base.leaves])
+    mass = flow.base.layout[-1].reach
     steps = 0.0
     for labels, anc in _particle_levels(flow):
         steps = steps + _step_costs(labels[:-1], labels[1:], p)[:, anc]

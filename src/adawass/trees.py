@@ -6,19 +6,25 @@ dimension ``value_dims[t-1]`` together with the probability of reaching it
 from its parent, and all leaves sit at level T.  The tree structure itself
 plays the role of the filtration: what is known at time t is exactly the
 node reached at level t.
+
+A tree is stored as its node list; every computation reads one per-level
+array layout of it (``TreeProcess.layout``), built on first use.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "TreeNode",
+    "TreeLevel",
     "TreeProcess",
     "PathLaw",
     "ShapeMismatchError",
@@ -49,9 +55,25 @@ class TreeNode:
     prob: float
 
 
+class TreeLevel(NamedTuple):
+    """One level t of a tree's layout: its node ids and read-only arrays over them."""
+
+    ids: tuple[int, ...]
+    parent: np.ndarray  # position of the parent in level t - 1 (-1 at the root)
+    bounds: np.ndarray  # node k's children are positions bounds[k]:bounds[k + 1] of level t + 1
+    prob: np.ndarray    # edge probabilities
+    values: np.ndarray  # one row per node, value_dims[t - 1] columns (none at the root)
+    reach: np.ndarray   # probabilities of reaching the nodes from the root
+
+
 @dataclass(frozen=True)
 class TreeProcess:
-    """Immutable scenario tree; all derived views are cached lazily."""
+    """Immutable scenario tree; all derived views are cached lazily.
+
+    ``node`` and ``children`` read the node list; ``level``, ``leaves``,
+    ``leaf_ancestors``, ``reach_prob`` and ``leaf_paths`` are views of
+    ``layout``, which ``children``-only callers never build.
+    """
 
     depth: int
     value_dims: tuple[int, ...]
@@ -65,7 +87,7 @@ class TreeProcess:
     def children_map(self) -> Mapping[int, tuple[int, ...]]:
         kids: dict[int, list[int]] = {n.id: [] for n in self.nodes}
         for n in self.nodes:
-            if n.parent is not None:
+            if n.parent in kids:
                 kids[n.parent].append(n.id)
         return {k: tuple(v) for k, v in kids.items()}
 
@@ -82,46 +104,63 @@ class TreeProcess:
     def node(self, node_id: int) -> TreeNode:
         return self.by_id[node_id]
 
-    def level(self, t: int) -> tuple[int, ...]:
-        return self._levels[t]
-
     @cached_property
-    def _levels(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.depth + 1)]
-        for n in self.nodes:
-            if 0 <= n.time <= self.depth:
-                buckets[n.time].append(n.id)
-        return tuple(tuple(b) for b in buckets)
+    def layout(self) -> tuple[TreeLevel, ...]:
+        """The per-level arrays of the tree, t = 0..T, built on first use.
+
+        Level t lists its nodes with each parent's children contiguous:
+        parents in level t - 1 order, siblings in node-list order.
+        """
+        nodes, ids = self.nodes, [n.id for n in self.nodes]
+        index = dict(zip(ids, range(len(ids))))
+        # node-list position of every node's parent; the root's -1 reads the
+        # sentinel at the end of ``pos`` below
+        parent = np.array([index.get(n.parent, -1) for n in nodes], dtype=np.intp)
+        prob = np.array([n.prob for n in nodes], dtype=float)
+        members, member_parent, reach = np.array([index[self.root_id]]), np.full(1, -1), np.ones(1)
+        pos = np.full(len(nodes) + 1, -1)   # position in the current level, by node-list position
+        out = []
+        for t in range(self.depth + 1):
+            pos[members] = np.arange(members.size)
+            parent_pos = pos[parent]
+            pos[members] = -1
+            kids = np.flatnonzero(parent_pos >= 0)
+            kids = kids[np.argsort(parent_pos[kids], kind="stable")]
+            at = members.tolist()
+            values = np.fromiter(chain.from_iterable(nodes[k].value for k in at), float) if t else ()
+            level = TreeLevel(tuple(map(ids.__getitem__, at)), member_parent,
+                              np.searchsorted(parent_pos[kids], np.arange(members.size + 1)),
+                              prob[members], np.reshape(values, (len(at), -1)), reach)
+            for arr in level[1:]:
+                arr.flags.writeable = False
+            out.append(level)
+            members, member_parent = kids, parent_pos[kids]
+            reach = reach[member_parent] * prob[kids]
+        return tuple(out)
+
+    def level(self, t: int) -> tuple[int, ...]:
+        return self.layout[t].ids
 
     @cached_property
     def leaves(self) -> tuple[int, ...]:
-        return self._levels[self.depth]
+        return self.layout[-1].ids
+
+    @cached_property
+    def leaf_index(self) -> Mapping[int, int]:
+        """Position of every leaf in ``leaves``."""
+        return {leaf: j for j, leaf in enumerate(self.leaves)}
 
     @cached_property
     def reach_prob(self) -> Mapping[int, float]:
         """Probability of reaching each node from the root."""
-        probs: dict[int, float] = {self.root_id: 1.0}
-        for t in range(1, self.depth + 1):
-            for nid in self.level(t):
-                n = self.node(nid)
-                probs[nid] = probs[n.parent] * n.prob
-        return probs
-
-    def path_values(self, node_id: int) -> tuple[tuple[float, ...], ...]:
-        """Values along the root-to-node path, one vector per level 1..t."""
-        out: list[tuple[float, ...]] = []
-        nid: int | None = node_id
-        while nid is not None:
-            n = self.node(nid)
-            if n.value is not None:
-                out.append(n.value)
-            nid = n.parent
-        out.reverse()
-        return tuple(out)
+        return {i: r for level in self.layout for i, r in zip(level.ids, level.reach.tolist())}
 
     @cached_property
     def leaf_paths(self) -> Mapping[int, tuple[tuple[float, ...], ...]]:
-        return {leaf: self.path_values(leaf) for leaf in self.leaves}
+        """Values along the root-to-leaf path of every leaf, one per level 1..T."""
+        steps = [map(tuple, level.values[anc].tolist())
+                 for level, anc in zip(self.layout[1:], self.leaf_ancestors[1:])]
+        return dict(zip(self.leaves, zip(*steps)))
 
     @cached_property
     def leaf_ancestors(self) -> tuple[np.ndarray, ...]:
@@ -129,9 +168,8 @@ class TreeProcess:
         every leaf, leaves in ``leaves`` order (read-only arrays)."""
         anc = np.arange(len(self.leaves))
         out = [anc]
-        for t in range(self.depth, 0, -1):
-            pos = {nid: k for k, nid in enumerate(self.level(t - 1))}
-            anc = np.array([pos[self.node(nid).parent] for nid in self.level(t)], dtype=np.intp)[anc]
+        for level in self.layout[:0:-1]:
+            anc = level.parent[anc]
             out.append(anc)
         for arr in out:
             arr.flags.writeable = False
@@ -179,7 +217,7 @@ def validate(proc: TreeProcess) -> list[str]:
     if len(set(ids)) != len(ids):
         violations.append("duplicate node ids")
         return violations
-    by_id = {n.id: n for n in proc.nodes}
+    by_id = proc.by_id
 
     for n in proc.nodes:
         if n.parent is None:
@@ -206,17 +244,13 @@ def validate(proc: TreeProcess) -> list[str]:
         elif not all(map(math.isfinite, n.value)):
             violations.append(f"node {n.id} has non-finite value {n.value}")
 
-    kids: dict[int, list[TreeNode]] = {n.id: [] for n in proc.nodes}
-    for n in proc.nodes:
-        if n.parent is not None and n.parent in kids:
-            kids[n.parent].append(n)
-    for nid, ks in kids.items():
+    for nid, ks in proc.children_map.items():
         node = by_id[nid]
         if node.time < proc.depth:
             if not ks:
                 violations.append(f"node {nid} at level {node.time} is a leaf, expected depth {proc.depth}")
             else:
-                s = sum(k.prob for k in ks)
+                s = sum(by_id[k].prob for k in ks)
                 if abs(s - 1.0) > PROB_TOL:
                     violations.append(f"children of node {nid} have probability sum {s!r}")
         elif ks:
@@ -347,6 +381,8 @@ def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
     for s in paths:
         if tuple(len(step) for step in s) != dims:
             raise ShapeMismatchError("sample paths have unequal step dimensions")
+        if not all(np.isfinite(step).all() for step in s):
+            raise ValueError("sample values must be finite")
 
     rng = np.random.default_rng(seed)
     nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
@@ -373,7 +409,11 @@ def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
                                   value=centroid, prob=len(grp) / len(members)))
             split(nid, t + 1, grp)
 
-    split(0, 1, list(range(len(paths))))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            split(0, 1, list(range(len(paths))))
+    except FloatingPointError as exc:
+        raise OverflowError(f"sample values too far apart to cluster: {exc}") from None
     return TreeProcess(depth=depth, value_dims=dims, nodes=tuple(nodes))
 
 
@@ -395,21 +435,48 @@ def tree_to_dict(proc: TreeProcess) -> dict:
     }
 
 
+def _int_field(v) -> int:
+    """A document's integer field: what ``operator.index`` takes, but no bool."""
+    if isinstance(v, bool) or not hasattr(v, "__index__"):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return operator.index(v)
+
+
+def _float_field(v) -> float:
+    """A document's number field as a float: ints and floats, no strings or bools."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _int_fields(items: list, nullable: bool = False) -> list:
+    """``_int_field`` over a list, ``None`` kept where ``nullable``; a list of
+    plain ints comes back as it is."""
+    if set(map(type, items)) <= ({int, type(None)} if nullable else {int}):
+        return items
+    return [v if v is None and nullable else _int_field(v) for v in items]
+
+
+def _float_fields(items: list) -> list:
+    """``_float_field`` over a list; a list of plain floats comes back as it is."""
+    if set(map(type, items)) <= {float}:
+        return items
+    return [_float_field(v) for v in items]
+
+
 def tree_from_dict(data: dict) -> TreeProcess:
-    """Inverse of :func:`tree_to_dict`; raises ValueError on malformed input."""
+    """Inverse of :func:`tree_to_dict`; raises ValueError on malformed input,
+    numbers of the wrong type included."""
     try:
-        depth = int(data["depth"])
-        dims = tuple(int(d) for d in data["value_dims"])
-        nodes = tuple(
-            TreeNode(
-                id=int(n["id"]),
-                parent=None if n["parent"] is None else int(n["parent"]),
-                time=int(n["time"]),
-                value=None if n["value"] is None else tuple(float(v) for v in n["value"]),
-                prob=float(n["prob"]),
-            )
-            for n in data["nodes"]
-        )
+        depth = _int_field(data["depth"])
+        dims = tuple(_int_fields(list(data["value_dims"])))
+        raw = data["nodes"]
+        ids = _int_fields([n["id"] for n in raw])
+        parents = _int_fields([n["parent"] for n in raw], nullable=True)
+        times = _int_fields([n["time"] for n in raw])
+        values = [None if n["value"] is None else tuple(_float_fields(n["value"])) for n in raw]
+        probs = _float_fields([n["prob"] for n in raw])
+        nodes = tuple(map(TreeNode, ids, parents, times, values, probs))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed tree document: {exc}") from exc
     return TreeProcess(depth=depth, value_dims=dims, nodes=nodes)

@@ -27,7 +27,7 @@ from adawass import (
 )
 from adawass import bicausal
 from adawass.bicausal import _solve_level
-from adawass.discrete_ot import solve_transport
+from adawass.discrete_ot import MARGINAL_TOL, solve_transport
 from adawass.trees import step_cost
 
 from conftest import epsilon_x, epsilon_y, random_pair, random_process
@@ -222,6 +222,144 @@ def test_lazy_kernels_equal_the_eager_top_down_pass(rng):
             assert lazy[2].tobytes() == mat.tobytes() and lazy[2].shape == mat.shape
         assert list(plan.pair_masses.items()) == list(masses.items())
         assert len(plan.kernels) == len(kernels)
+
+
+def lp_rows_by_loops(x, y):
+    """The path-pair LP rows as the former per-leaf loops over ``ancestor_at`` built them."""
+    lx, ly = x.leaves, y.leaves
+    nx, ny = len(lx), len(ly)
+    xi = {k: i for i, k in enumerate(lx)}
+    yi = {l: j for j, l in enumerate(ly)}
+    mu, nu = x.reach_prob, y.reach_prob
+    under_x = {v: [k for k in lx if x.ancestor_at(k, t) == v]
+               for t in range(1, x.depth) for v in x.level(t)}
+    under_y = {w: [l for l in ly if y.ancestor_at(l, t) == w]
+               for t in range(1, y.depth) for w in y.level(t)}
+    rows, rhs = [], []
+    for k in lx:
+        row = np.zeros(nx * ny)
+        row[xi[k] * ny:(xi[k] + 1) * ny] = 1.0
+        rows.append(row)
+        rhs.append(mu[k])
+    for l in ly:
+        row = np.zeros(nx * ny)
+        row[yi[l]::ny] = 1.0
+        rows.append(row)
+        rhs.append(nu[l])
+    for t in range(1, x.depth):
+        for v in x.level(t):
+            kx = under_x[v]
+            for w in y.level(t)[:-1]:
+                cols_w = [yi[l] for l in under_y[w]]
+                for k in kx[:-1]:
+                    row = np.zeros(nx * ny)
+                    for j in cols_w:
+                        row[xi[k] * ny + j] += mu[v]
+                    for k2 in kx:
+                        for j in cols_w:
+                            row[xi[k2] * ny + j] -= mu[k]
+                    rows.append(row)
+                    rhs.append(0.0)
+        for w in y.level(t):
+            ky = under_y[w]
+            for v in x.level(t)[:-1]:
+                rows_v = [xi[k] for k in under_x[v]]
+                for l in ky[:-1]:
+                    row = np.zeros(nx * ny)
+                    for i in rows_v:
+                        row[i * ny + yi[l]] += nu[w]
+                    for l2 in ky:
+                        for i in rows_v:
+                            row[i * ny + yi[l2]] -= nu[l]
+                    rows.append(row)
+                    rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def kernels_by_parent_walks(plan):
+    """A plan's kernels from cylinder masses as the former per-mass parent walks built them."""
+    x, y = plan.x, plan.y
+    cyl = {}
+    for (k, l), m in plan.pair_masses.items():
+        vk, vl = k, l
+        for t in range(x.depth, -1, -1):
+            cyl[(vk, vl)] = cyl.get((vk, vl), 0.0) + m
+            if t:
+                vk, vl = x.node(vk).parent, y.node(vl).parent
+    kernels = {}
+    for t in range(x.depth):
+        for vx in x.level(t):
+            for vy in y.level(t):
+                q = cyl.get((vx, vy), 0.0)
+                if q > 0.0:
+                    cx, cy = x.children(vx), y.children(vy)
+                    mat = np.array([[cyl.get((a, b), 0.0) / q for b in cy] for a in cx])
+                    kernels[(vx, vy)] = (cx, cy, mat)
+    return kernels
+
+
+def multicausal_by_loops(coupling, tol):
+    """check_multicausal as the former nested loops over ``ancestor_at`` computed it."""
+    procs = coupling.processes
+    items = list(coupling.masses.items())
+    for i, proc in enumerate(procs):
+        marg = {}
+        for tup, m in items:
+            marg[tup[i]] = marg.get(tup[i], 0.0) + m
+        if any(abs(marg.get(leaf, 0.0) - proc.reach_prob[leaf]) > MARGINAL_TOL for leaf in proc.leaves):
+            return False
+    for i, proc in enumerate(procs):
+        for t in range(1, proc.depth):
+            full, cyl = {}, {}
+            for tup, m in items:
+                others = tuple(procs[j].ancestor_at(tup[j], t) for j in range(len(procs)) if j != i)
+                full[(tup[i],) + others] = full.get((tup[i],) + others, 0.0) + m
+                key = (proc.ancestor_at(tup[i], t),) + others
+                cyl[key] = cyl.get(key, 0.0) + m
+            for (v, *others), g_cyl in cyl.items():
+                for leaf in proc.leaves:
+                    if proc.ancestor_at(leaf, t) == v:
+                        g_full = full.get((leaf, *others), 0.0)
+                        if abs(g_full * proc.reach_prob[v] - g_cyl * proc.reach_prob[leaf]) > tol:
+                            return False
+    return True
+
+
+def swapped(coupling, eps_share):
+    """The two-process coupling with mass moved around a 2x2 rectangle of leaf
+    pairs: both factor marginals stay, the causality identities generally break."""
+    items = list(coupling.masses.items())
+    (a1, b1), m1 = items[0]
+    (a2, b2), m2 = next(((k, m) for k, m in items if k[0] != a1 and k[1] != b1), items[-1])
+    eps = eps_share * min(m1, m2)
+    masses = dict(coupling.masses)
+    for key, sign in (((a1, b1), -1), ((a2, b2), -1), ((a1, b2), 1), ((a2, b1), 1)):
+        masses[key] = masses.get(key, 0.0) + sign * eps
+    return type(coupling)(processes=coupling.processes, masses=masses, plans=coupling.plans,
+                          product=coupling.product, node_tuple=coupling.node_tuple)
+
+
+def test_layout_consumers_match_the_former_node_walks(rng):
+    # the LP rows, kernels recovered from masses and multicausality verdicts
+    # that read the tree layout equal the former per-node loops bit for bit
+    for _ in range(12):
+        x, y = random_pair(rng, depth=3, max_branch=3)
+        z = random_process(rng, 3, x.value_dims, 3)
+        a, b = bicausal._lp_rows(x, y)
+        ra, rb = lp_rows_by_loops(x, y)
+        assert a.shape == ra.shape and a.tobytes() == ra.tobytes() and b.tobytes() == rb.tobytes()
+        plan = aw_distance(x, y, 2.0)[1]
+        raw = BicausalPlan.from_pair_masses(x, y, 2.0, plan.pair_masses)
+        kernels, reference = bicausal._kernels_from_masses(raw), kernels_by_parent_walks(raw)
+        assert list(kernels) == list(reference)
+        for key, (cx, cy, mat) in reference.items():
+            assert kernels[key][:2] == (cx, cy) and kernels[key][2].tobytes() == mat.tobytes()
+        chain = glue([plan, aw_distance(y, z, 1.5)[1]])
+        pair = glue([raw])
+        for coupling in (chain, pair, swapped(pair, 0.5), swapped(pair, 1e-12)):
+            for tol in (1e-9, 1e-15):
+                assert check_multicausal(coupling, tol) == multicausal_by_loops(coupling, tol)
+        assert check_multicausal(chain) and check_multicausal(pair)
 
 
 def test_aw_deterministic_pair(dirac_pair):

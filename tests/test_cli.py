@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,10 +175,30 @@ def test_successive_main_calls_match_fresh_processes(write_tree, capsys, tmp_pat
         assert here.read_bytes() == fresh.read_bytes()
 
 
+def retyped_curve_processes(*edits):
+    """The four tree documents of the curve below, each with its
+    (node, key, value) edits applied."""
+    docs = [tree_to_dict(chain_process([v, v])) for v in (0.0, 1.0, 0.0, 1.0)]
+    for doc in docs:
+        for node, key, value in edits:
+            doc["nodes"][node][key] = value
+    return docs
+
+
 @pytest.mark.parametrize("command", ["curve-energy", "represent"])
 @pytest.mark.parametrize("field,bad", [("grid", [0.0, 0.5, 0.5, 1.0]),
                                        ("grid", [0.0, 0.75, 0.5, 1.0]),
-                                       ("p", 0.5)])
+                                       ("p", 0.5),
+                                       # numbers of the wrong type
+                                       ("grid", [0.0, "0.5", 0.75, 1.0]),
+                                       ("grid", [False, 1 / 3, 2 / 3, True]),
+                                       ("p", "2"),
+                                       ("p", True),
+                                       ("processes", retyped_curve_processes((1, "id", 1.7),
+                                                                             (2, "parent", 1.2))),
+                                       ("processes", retyped_curve_processes((1, "time", True))),
+                                       ("processes", retyped_curve_processes((2, "value", ["2.0"]))),
+                                       ("processes", retyped_curve_processes((1, "prob", "1.0")))])
 def test_bad_curve_document_exit_code(capsys, tmp_path, command, field, bad):
     a, b = chain_process([0.0, 0.0]), chain_process([1.0, 1.0])
     doc = {"grid": [0.0, 1 / 3, 2 / 3, 1.0], "p": 2.0,
@@ -388,6 +409,9 @@ def test_check_plan_flags_bad_plan(write_tree, capsys, tmp_path):
 @pytest.mark.parametrize("edit", [
     "one mass nan", "all masses nan", "mass inf", "mass -inf",
     "p abc", "p nan", "p 0.5", "p inf", "pair twice", "leaf id abc",
+    # numbers of the wrong type, as JSON text
+    "json leaf_x 1.9", 'json leaf_y "2"', "json leaf_x true", 'json mass "0.5"',
+    "json mass false", 'json p "2"', "json p true",
 ])
 def test_check_plan_rejects_malformed_plan_documents(write_tree, capsys, tmp_path, edit):
     # a NaN mass passed as bicausal: every |...| > tol comparison is false for NaN
@@ -410,6 +434,9 @@ def test_check_plan_rejects_malformed_plan_documents(write_tree, capsys, tmp_pat
         doc["p"] = bad if bad == "abc" else float(bad)
     elif field == "pair":
         doc["pairs"].append(dict(doc["pairs"][0]))
+    elif field.startswith("json "):
+        key = field.split()[1]
+        (doc if key == "p" else doc["pairs"][0])[key] = json.loads(bad)
     else:
         doc["pairs"][0]["leaf_x"] = bad
     plan_file.write_text(json.dumps(doc))
@@ -551,6 +578,69 @@ def test_quantize_command(capsys, tmp_path):
     doc = json.loads(out_file.read_text())
     proc = tree_from_dict(doc)
     assert proc.depth == 2
+
+
+def test_quantize_rejects_non_finite_samples(capsys, tmp_path):
+    samples = [[[0.0], [1.0]], [[math.nan], [2.0]], [[1.0], [3.0]]]
+    with pytest.raises(ValueError, match="finite"):
+        quantize_paths(samples, [2, 2])
+    # JSON's NaN and Infinity literals, as Python's json module reads them
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        sfile = tmp_path / "samples.json"
+        sfile.write_text('{"samples": [[[0.0], [1.0]], [[%s], [2.0]], [[1.0], [3.0]]]}' % bad)
+        code, out, err = run(capsys, ["quantize", str(sfile), "--branching", "2,2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_quantize_overflow_is_invalid_input(capsys, tmp_path):
+    samples = [[[1e308], [0.0]], [[-1e308], [1.0]], [[1e308], [2.0]], [[-1e308], [3.0]]]
+    with pytest.raises(OverflowError):
+        quantize_paths(samples, [2, 2])
+    sfile = tmp_path / "samples.json"
+    sfile.write_text(json.dumps({"samples": samples}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # a numpy RuntimeWarning fails the test
+        code, out, err = run(capsys, ["quantize", str(sfile), "--branching", "2,2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_outputs_do_not_depend_on_the_node_listing(capsys, tmp_path):
+    # one pair of trees, each written with its nodes listed depth-first (the
+    # build order), breadth-first and leaves first; siblings keep their order
+    rng = np.random.default_rng(41)
+    trees = [random_process(rng, 3, (1, 2, 1), 3) for _ in range(2)]
+    listings = {
+        "depth-first": lambda nodes: nodes,
+        "breadth-first": lambda nodes: sorted(nodes, key=lambda n: n["time"]),
+        "leaves-first": lambda nodes: sorted(nodes, key=lambda n: -n["time"]),
+    }
+    results = {}
+    for name, order in listings.items():
+        paths = []
+        for k, proc in enumerate(trees):
+            doc = tree_to_dict(proc)
+            doc["nodes"] = order(doc["nodes"])
+            paths.append(tmp_path / f"{name}-{k}.json")
+            paths[-1].write_text(json.dumps(doc))
+        x, y = map(str, paths)
+        out = {f: tmp_path / f"{name}-{f}" for f in ("plan.json", "flow.json", "particles.csv",
+                                                     "canonical.json")}
+        runs = [["dist", x, y, "--plan", str(out["plan.json"])],
+                ["geodesic", x, y, "--dyadic", "1", "--out", str(out["flow.json"]),
+                 "--particles", str(out["particles.csv"])],
+                ["canonical", x, "--out", str(out["canonical.json"])]]
+        stdout = []
+        for argv in runs:
+            code, printed, _ = run(capsys, argv)
+            assert code == 0
+            stdout.append(printed)
+        results[name] = (stdout, {f: path.read_bytes() for f, path in out.items()})
+    assert results["breadth-first"] == results["depth-first"]
+    assert results["leaves-first"] == results["depth-first"]
 
 
 def test_commands_are_byte_deterministic(write_tree, capsys, tmp_path):

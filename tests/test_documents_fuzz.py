@@ -1,4 +1,8 @@
-"""Property tests: malformed tree and plan documents never end in a traceback.
+"""Property tests: malformed documents never end in a traceback.
+
+Tree documents go through ``dist``, plan documents through ``check-plan``,
+curve documents through ``represent`` and ``curve-energy``, and samples
+documents through ``quantize``.
 
 Each example takes a valid document, applies one to three random edits
 (replace any entry by an arbitrary JSON value, NaN and infinities included,
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adawass import aw_distance, build_process, tree_to_dict
+from adawass import aw_distance, build_process, tree_from_dict, tree_to_dict, validate
 from adawass.cli import _plan_json, main
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -35,6 +39,9 @@ Y = build_process([1, 2], [
 ])
 TREE_DOC = tree_to_dict(X)
 PLAN_DOC = json.loads(_plan_json(aw_distance(X, Y, 2.0)[1]))
+CURVE_DOC = {"grid": [0.0, 0.5, 1.0], "p": 2.0, "processes": [TREE_DOC, tree_to_dict(Y), TREE_DOC]}
+SAMPLES_DOC = {"samples": [[0.0, [1.0, 0.0]], [[0.5], [-1.0, 0.5]], [1.5, [0.0, 1.0]],
+                           [[2.0], [1.0, 1.0]], [2.5, [2.0, 0.0]]]}
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -131,3 +138,29 @@ def test_malformed_plan_documents_exit_cleanly(files, doc):
         assert out in ("bicausal\n", "not bicausal\n")
     if non_finite_masses(doc):
         assert code == 2
+
+
+@FUZZ
+@given(doc=edited(CURVE_DOC), represent=st.booleans())
+def test_malformed_curve_documents_exit_cleanly(files, doc, represent):
+    bad = files / "bad-curve.json"
+    bad.write_text(json.dumps(doc))
+    argv = (["represent", str(bad), "--out", str(files / "flow.json")] if represent
+            else ["curve-energy", str(bad)])
+    code, out, err = run_main(argv)
+    assert_clean_exit(code, out, err)
+    if code == 0:
+        assert np.isfinite(float(out))
+
+
+@FUZZ
+@given(doc=edited(SAMPLES_DOC), branching=st.sampled_from(["2,2", "1,3", "3,1"]))
+def test_malformed_samples_documents_exit_cleanly(files, doc, branching):
+    bad = files / "bad-samples.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_main(["quantize", str(bad), "--branching", branching,
+                               "--out", str(files / "quantized.json")])
+    assert_clean_exit(code, out, err)
+    if code == 0:
+        assert out.endswith(" scenarios\n")
+        assert validate(tree_from_dict(json.loads((files / "quantized.json").read_text()))) == []

@@ -1,4 +1,5 @@
-"""The benchmark's pinned dist-bushy values, recomputed by the library.
+"""The benchmark's pinned dist-bushy values, recomputed by the library, and
+the library attributes that the benchmark's tracer wraps.
 
 ``perfbench/reference.json`` pins the seed-0 ``dist`` values that every
 benchmark run checks; a solver change that moved them would make every
@@ -19,9 +20,9 @@ from adawass import aw_distance, check_bicausal
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+def load(filename: str):
+    """Yield a ``perfbench/`` file loaded as a module, then unload it."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + filename[:-3], PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module      # dataclasses resolve their module here
     try:
@@ -29,6 +30,16 @@ def workloads():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from load("workloads.py")
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    yield from load("tracer.py")
 
 
 def test_dist_bushy_pool_matches_pinned_values(workloads):
@@ -43,3 +54,11 @@ def test_dist_bushy_pool_matches_pinned_values(workloads):
         value, plan = aw_distance(x, y, pinned["p"])
         assert workloads.close(value, pinned["values"][i], rel=1e-12), (i, kind, value)
         assert check_bicausal(plan), (i, kind)
+
+
+def test_tracer_targets_exist(tracer):
+    # a traced run wraps these module attributes, and fails if one is gone
+    assert tracer.TARGETS
+    for module_name, attr, _ in tracer.TARGETS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

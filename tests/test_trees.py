@@ -190,3 +190,24 @@ def test_json_round_trip_is_bit_exact():
 def test_tree_from_dict_rejects_malformed():
     with pytest.raises(ValueError):
         tree_from_dict({"depth": 1})
+    # numbers of the wrong type: integer fields take ints only (no floats,
+    # strings or bools), number fields take ints and floats only
+    retyped = [("depth", 2.0), ("depth", True), ("value_dims", ["1", 1]), ("value_dims", [1.0, 1]),
+               (1, "id", 1.7), (2, "parent", 1.2), (2, "parent", "1"), (1, "time", True),
+               (1, "id", "1"), (2, "value", ["2.0"]), (2, "value", [True]), (1, "prob", "0.5"),
+               (1, "prob", False)]
+    for edit in retyped:
+        doc = tree_to_dict(chain_process([0.0, 1.0]))
+        if len(edit) == 2:
+            doc[edit[0]] = edit[1]
+        else:
+            doc["nodes"][edit[0]][edit[1]] = edit[2]
+        with pytest.raises(ValueError, match="expected an? (integer|number)"):
+            tree_from_dict(doc)
+    # ints are numbers too (read as floats), and numpy integers are integers
+    doc = tree_to_dict(chain_process([0.0, 1.0]))
+    doc["nodes"][1]["id"], doc["nodes"][2]["parent"] = np.int64(1), 1
+    doc["nodes"][2]["value"], doc["nodes"][2]["prob"] = [2], 1
+    proc = tree_from_dict(doc)
+    assert proc.node(1).id == 1 and proc.node(2).value == (2.0,) and proc.node(2).prob == 1.0
+    assert type(proc.node(2).prob) is float and type(proc.node(2).value[0]) is float
