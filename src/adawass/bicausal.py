@@ -7,11 +7,12 @@ processes factorize into successive conditional couplings.  It solves a
 tree level at a time; the transportation simplex starts each problem with
 two or more children on each side, other than 2x2, at the north-west
 corner of its children sorted by value, and a top-down pass over index
-arrays of the reachable node pairs forms the path-pair masses, while the
-nodewise kernels of the plan are built only when first read (``glue``
-reads them).  The oracle solves one linear program over path-pair masses
-whose causality conditions enter as linear product identities against the
-fixed marginal laws.
+arrays of the reachable node pairs forms the path-pair masses.  A plan
+keeps its nodewise kernels as one matrix per level over the children of
+both trees (``_LevelKernels``), which ``glue`` reads a level at a time.
+The oracle solves one linear program over path-pair masses whose
+causality conditions enter as linear product identities against the fixed
+marginal laws.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain as concat, repeat
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -90,7 +93,7 @@ class BicausalPlan:
     node pair with positive reachable mass, the joint transition over the
     two children sets.  Plans built from raw masses derive kernels on demand
     through cylinder conditioning, which is meaningful only when the plan is
-    bicausal.
+    bicausal.  Either way the kernels are a ``_LevelKernels``.
     """
 
     x: TreeProcess
@@ -98,7 +101,7 @@ class BicausalPlan:
     p: float
     pair_masses: Mapping[tuple[int, int], float]
     value: float
-    kernels: Mapping[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]] | None = None
+    kernels: _LevelKernels | None = None
 
     @classmethod
     def from_pair_masses(cls, x: TreeProcess, y: TreeProcess, p: float,
@@ -123,11 +126,11 @@ class BicausalPlan:
         m[i, j] = masses
         return m
 
-    def effective_kernels(self):
+    def effective_kernels(self) -> _LevelKernels:
         """Stored kernels, or kernels recovered from cylinder masses."""
         if self.kernels is not None:
             return self.kernels
-        return _kernels_from_masses(self)
+        return _LevelKernels(self.x, self.y, _levels_from_masses(self))
 
 
 def _pair_arrays(x: TreeProcess, y: TreeProcess, masses: Mapping[tuple[int, int], float]):
@@ -161,10 +164,11 @@ def _path_costs(x: TreeProcess, y: TreeProcess, p: float, i: np.ndarray, j: np.n
     return total
 
 
-def _kernels_from_masses(plan: BicausalPlan):
-    """Kernels of a plan from its cylinder masses: per level, the mass of every
-    node pair summed over the leaf pairs below it in listing order, and each
-    reachable pair's children block divided by that pair's mass."""
+def _levels_from_masses(plan: BicausalPlan):
+    """Kernel levels of a plan from its cylinder masses: per level, the mass
+    of every node pair summed over the leaf pairs below it in listing order;
+    the reachable pairs are those of positive mass, row-major, and each child
+    pair's mass is divided by its parent pair's mass."""
     x, y = plan.x, plan.y
     i, j, m = _pair_arrays(x, y, plan.pair_masses)
     cyl = []
@@ -172,15 +176,22 @@ def _kernels_from_masses(plan: BicausalPlan):
         nx, ny = len(x.level(t)), len(y.level(t))
         cell = x.leaf_ancestors[t][i] * ny + y.leaf_ancestors[t][j]
         cyl.append(np.bincount(cell, weights=m, minlength=nx * ny).reshape(nx, ny))
-    kernels = {}
+    levels = []
     for t in range(x.depth):
-        ids_x, ids_y = x.level(t), y.level(t)
-        bx, by = x.layout[t].bounds, y.layout[t].bounds
-        for a, b in zip(*np.nonzero(cyl[t] > 0.0)):
-            vx, vy = ids_x[a], ids_y[b]
-            block = cyl[t + 1][bx[a]:bx[a + 1], by[b]:by[b + 1]] / cyl[t][a, b]
-            kernels[(vx, vy)] = (x.children(vx), y.children(vy), block)
-    return kernels
+        parent = cyl[t][x.layout[t + 1].parent[:, None], y.layout[t + 1].parent]
+        kernel = np.divide(cyl[t + 1], parent, out=np.zeros_like(parent), where=parent > 0.0)
+        levels.append((*np.nonzero(cyl[t] > 0.0), kernel))
+    return levels
+
+
+def _expand(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray):
+    """The cells of the blocks ``[x0[k]:x1[k], y0[k]:y1[k]]``, block after
+    block, each row-major: every cell's block k, row and column."""
+    ky = y1 - y0
+    cells = (x1 - x0) * ky
+    k = np.arange(cells.size).repeat(cells)
+    i, j = np.divmod(np.arange(k.size) - (cells.cumsum() - cells).repeat(cells), ky[k])
+    return k, x0[k] + i, y0[k] + j
 
 
 def _value_order(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -246,28 +257,31 @@ def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
 
 
 class _LevelKernels(Mapping):
-    """The nodewise kernels of an ``aw_distance`` plan, read-only and lazy.
+    """The nodewise kernels of a plan, read-only and lazy.
 
-    Holds, per level, the reachable parent pairs (level positions) and their
-    plan blocks gathered flat in row-major order; the dict of
-    ``(cx, cy, matrix)`` entries, level by level in the order of the top-down
-    pass, is built on first access.
+    ``levels[t]`` is ``(px, py, kernel)``: the level-t positions of the
+    reachable parent pairs, in key order, and a read-only matrix over the
+    children, ``len(x.level(t + 1))`` by ``len(y.level(t + 1))``, in which
+    each reachable pair's children block is its kernel.  The dict of
+    ``(cx, cy, block)`` entries, level by level, is built on first access.
     """
 
     def __init__(self, x: TreeProcess, y: TreeProcess, levels):
-        self._args = (x, y, levels)
+        for _, _, kernel in levels:
+            kernel.flags.writeable = False
+        self._trees = (x, y)
+        self.levels = tuple(levels)
 
     @functools.cached_property
     def _kernels(self) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
-        x, y, levels = self._args
+        x, y = self._trees
         out = {}
-        for t, (px, py, cells, flat) in enumerate(levels):
+        for t, (px, py, kernel) in enumerate(self.levels):
             ids_x, ids_y = x.level(t), y.level(t)
-            ends = cells.cumsum()
-            for a, b, lo, hi in zip(px.tolist(), py.tolist(), (ends - cells).tolist(), ends.tolist()):
-                vx, vy = ids_x[a], ids_y[b]
-                cx, cy = x.children(vx), y.children(vy)
-                out[(vx, vy)] = (cx, cy, flat[lo:hi].reshape(len(cx), len(cy)))
+            bx, by = x.layout[t].bounds.tolist(), y.layout[t].bounds.tolist()
+            for a, b in zip(px.tolist(), py.tolist()):
+                vx, vy, block = ids_x[a], ids_y[b], kernel[bx[a]:bx[a + 1], by[b]:by[b + 1]]
+                out[(vx, vy)] = (x.children(vx), y.children(vy), block)
         return out
 
     def __getitem__(self, key):
@@ -292,7 +306,7 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
     a convex cost that corner is the monotone (quantile) coupling, optimal
     for the step cost alone, so few pivots remain.  A top-down pass then
     carries the pair masses down over the reachable pairs only, as index
-    arrays; the kernels are built from its blocks on first access.
+    arrays; the plan keeps the level plans as its kernels.
     """
     _check_pair(x, y)
     if p < 1.0:
@@ -310,30 +324,22 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
                                         cost, kx.values, ky.values)
 
     total = float(values[0, 0])
-    # top-down pass: per level the reachable pairs as positions (px, py), their
-    # candidate cells flat, and the masses, child = parent mass times plan entry
+    # top-down pass: per level the reachable pairs as positions (px, py), the
+    # cells of their blocks, and the masses, child = parent mass times plan entry
     px = py = np.zeros(1, dtype=np.intp)
     mass = np.ones(1)
     levels = []
     for t in range(T):
         bx, by = lx[t].bounds, ly[t].bounds
-        start_x, start_y = bx[px], by[py]
-        ky = by[py + 1] - start_y
-        cells = (bx[px + 1] - start_x) * ky
-        k = np.arange(px.size).repeat(cells)
-        i, j = np.divmod(np.arange(k.size) - (cells.cumsum() - cells).repeat(cells), ky[k])
-        cx, cy = start_x[k] + i, start_y[k] + j
+        levels.append((px, py, plans[t]))
+        k, cx, cy = _expand(bx[px], bx[px + 1], by[py], by[py + 1])
         flat = plans[t][cx, cy]
-        flat.flags.writeable = False
-        levels.append((px, py, cells, flat))
         reached = flat > 0.0
         px, py, mass = cx[reached], cy[reached], mass[k[reached]] * flat[reached]
-    leaves_x, leaves_y = x.leaves, y.leaves
-    masses = dict(zip(((leaves_x[a], leaves_y[b]) for a, b in zip(px.tolist(), py.tolist())),
-                      mass.tolist()))
+    pairs = zip(map(x.leaves.__getitem__, px.tolist()), map(y.leaves.__getitem__, py.tolist()))
+    masses = dict(zip(pairs, mass.tolist()))
     value = total ** (1.0 / p)
-    kernels = _LevelKernels(x, y, levels)
-    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=masses, value=value, kernels=kernels)
+    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=masses, value=value, kernels=_LevelKernels(x, y, levels))
     return value, plan
 
 
@@ -380,12 +386,10 @@ def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bic
     cost = _path_costs(x, y, p, np.arange(len(lx))[:, None], np.arange(ny)[None, :])
     a, b = _lp_rows(x, y)
     total, sol = lp_solve(cost.ravel(), a, b)
-    masses: dict[tuple[int, int], float] = {}
-    for i, k in enumerate(lx):
-        for j, l in enumerate(ly):
-            m = sol[i * ny + j]
-            if m > _PRUNE:
-                masses[(k, l)] = float(m)
+    kept = np.flatnonzero(sol > _PRUNE)
+    i, j = np.divmod(kept, ny)
+    pairs = zip(map(lx.__getitem__, i.tolist()), map(ly.__getitem__, j.tolist()))
+    masses = dict(zip(pairs, sol[kept].tolist()))
     value = max(total, 0.0) ** (1.0 / p)
     plan = BicausalPlan(x=x, y=y, p=p, pair_masses=masses, value=value)
     return value, plan
@@ -445,13 +449,26 @@ class MulticausalCoupling:
         return out
 
 
+def _row_sums(kernel: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``kernel[rows[e], lo[e]:hi[e]].sum()`` for every e, summed as numpy sums
+    a row of a C-ordered block (pairwise from nine entries on)."""
+    width = hi - lo
+    out = np.empty(rows.size)
+    for m in set(width.tolist()):
+        e = np.flatnonzero(width == m)
+        out[e] = kernel[rows[e, None], lo[e, None] + np.arange(m)].sum(axis=1)
+    return out
+
+
 def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) -> MulticausalCoupling:
     """Concatenate consecutive bicausal plans into one multicausal coupling.
 
     The joint transition at a tuple of nodes composes the nodewise kernels
     Markov-chain style along the chain: the first coordinate moves jointly
     with the second through the first plan's kernel, each later coordinate
-    moves conditionally on its predecessor through the next kernel.
+    moves conditionally on its predecessor through the next kernel.  The
+    product tree is built a level at a time over the factor positions of
+    its nodes, one row per product node, reading the plans' level kernels.
     """
     if not plans:
         raise ValueError("no plans to glue")
@@ -460,74 +477,61 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
         if pl.x is not chain[i] and pl.x != chain[i]:
             raise ValueError(f"plan {i} does not start at process {i} of the chain")
         _check_pair(pl.x, pl.y)
-    kernels = [pl.effective_kernels() for pl in plans]
-    T = chain[0].depth
-    n = len(chain)
-
-    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
-    node_tuple: dict[int, tuple[int, ...]] = {0: tuple(pr.root_id for pr in chain)}
-    counter = [1]
-    frontier = [0]
+    kernels = [[kernel for _, _, kernel in pl.effective_kernels().levels] for pl in plans]
+    T, n = chain[0].depth, len(chain)
     dims = tuple(sum(pr.value_dims[t] for pr in chain) for t in range(T))
 
-    for t in range(1, T + 1):
-        new_frontier: list[int] = []
-        for pid in frontier:
-            tup = node_tuple[pid]
-            # joint children: start from the leading pair kernel, extend by ratios
-            cx0, cy0, mat0 = kernels[0][(tup[0], tup[1])]
-            partial: list[tuple[list[int], float]] = []
-            for i, a in enumerate(cx0):
-                for j, b in enumerate(cy0):
-                    if mat0[i, j] > 0.0:
-                        partial.append(([a, b], float(mat0[i, j])))
-            for k in range(1, n - 1):
-                cxk, cyk, matk = kernels[k][(tup[k], tup[k + 1])]
-                row_pos = {c: i for i, c in enumerate(cxk)}
-                rowsums = matk.sum(axis=1)
-                extended: list[tuple[list[int], float]] = []
-                for prefix, wgt in partial:
-                    r = row_pos[prefix[-1]]
-                    if rowsums[r] <= 0.0:
-                        continue
-                    for j, b in enumerate(cyk):
-                        q = matk[r, j]
-                        if q > 0.0:
-                            extended.append((prefix + [b], wgt * (q / rowsums[r])))
-                partial = extended
-            total = math.fsum(w for _, w in partial)
-            if total <= 0.0:
-                raise RuntimeError(f"degenerate kernel at product node {pid}")
-            # a two-process product keeps the raw kernel masses (exact for
-            # exactly-representable inputs); longer chains normalize away the
-            # common-mode rounding of the ratio products
-            if n == 2:
-                total = 1.0
-            for child_tup, wgt in partial:
-                nid = counter[0]
-                counter[0] += 1
-                value = tuple(
-                    v for proc, cid in zip(chain, child_tup) for v in proc.node(cid).value
-                )
-                nodes.append(TreeNode(id=nid, parent=pid, time=t, value=value, prob=wgt / total))
-                node_tuple[nid] = tuple(child_tup)
-                new_frontier.append(nid)
-            if len(new_frontier) > max_leaves:
-                raise SizeGuardError(
-                    f"product tree exceeds {max_leaves} leaves at level {t}"
-                )
-        frontier = new_frontier
+    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
+    tuples = [tuple(pr.root_id for pr in chain)]
+    node_tuple: dict[int, tuple[int, ...]] = {0: tuples[0]}
+    pos = np.zeros((1, n), dtype=np.intp)   # factor positions of the level's product nodes
+    first = 0                                # id of the level's first product node
+    for t in range(T):
+        bounds = [pr.layout[t].bounds for pr in chain]
+        # joint children: every child of the first factor, extended one
+        # coordinate at a time by the positive entries of its row in the next
+        # kernel, weighted by entry over row sum; the first kernel's blocks
+        # are joint laws, so its entries are the weights themselves
+        a, zero = pos[:, 0], np.zeros(len(pos), dtype=np.intp)
+        k, r, _ = _expand(bounds[0][a], bounds[0][a + 1], zero, zero + 1)
+        child, w = r[:, None], np.ones(k.size)
+        for f in range(n - 1):
+            kernel, b = kernels[f][t], pos[k, f + 1]
+            lo, hi = bounds[f + 1][b], bounds[f + 1][b + 1]
+            rowsum = _row_sums(kernel, child[:, f], lo, hi) if f else np.ones(k.size)
+            e, r, c = _expand(child[:, f], child[:, f] + 1, lo, hi)
+            q = kernel[r, c]
+            live = (rowsum[e] > 0.0) & (q > 0.0)
+            e, c, q = e[live], c[live], q[live]
+            k, w, child = k[e], w[e] * (q / rowsum[e]), np.column_stack([child[e], c])
+        ends = np.bincount(k, minlength=len(pos)).cumsum()
+        total = np.array([math.fsum(part) for part in np.split(w, ends[:-1])])
+        if (total <= 0.0).any():
+            raise RuntimeError(f"degenerate kernel at product node {first + np.argmax(total <= 0.0)}")
+        if k.size > max_leaves:
+            raise SizeGuardError(
+                f"product tree exceeds {max_leaves} leaves: level {t + 1} has {k.size} nodes")
+        # a two-process product keeps the raw kernel masses (exact for
+        # exactly-representable inputs); longer chains normalize away the
+        # common-mode rounding of the ratio products
+        if n > 2:
+            w = w / total[k]
+        # values concatenate the factors' value tuples
+        cols = [col.tolist() for col in child.T]
+        values = zip(*(map([pr.by_id[v].value for v in pr.level(t + 1)].__getitem__, col)
+                       for pr, col in zip(chain, cols)))
+        ids = range(len(nodes), len(nodes) + k.size)
+        nodes.extend(map(TreeNode, ids, (first + k).tolist(), repeat(t + 1),
+                         map(tuple, map(concat.from_iterable, values)), w.tolist()))
+        tuples = list(zip(*(map(pr.level(t + 1).__getitem__, col) for pr, col in zip(chain, cols))))
+        node_tuple.update(zip(ids, tuples))
+        first, pos = ids.start, child
 
     product = TreeProcess(depth=T, value_dims=dims, nodes=tuple(nodes))
-    # the product's leaves are the last frontier, in its order
-    masses = dict(zip(map(node_tuple.__getitem__, product.leaves), product.layout[-1].reach.tolist()))
-    return MulticausalCoupling(
-        processes=tuple(chain),
-        masses=masses,
-        plans=tuple(plans),
-        product=product,
-        node_tuple=node_tuple,
-    )
+    # the product's leaves are the last level, in its order
+    masses = dict(zip(tuples, product.layout[-1].reach.tolist()))
+    return MulticausalCoupling(processes=tuple(chain), masses=masses, plans=tuple(plans),
+                               product=product, node_tuple=node_tuple)
 
 
 def check_multicausal(coupling: MulticausalCoupling, tol: float = CAUSALITY_TOL) -> bool:
@@ -563,22 +567,24 @@ def check_multicausal(coupling: MulticausalCoupling, tol: float = CAUSALITY_TOL)
     return True
 
 
+def _factor_labels(coupling: MulticausalCoupling, i: int) -> dict[int, tuple[float, ...]]:
+    """Every product node but the root, with its i-th factor node's value tuple."""
+    by_id, tuples = coupling.processes[i].by_id, coupling.node_tuple
+    labels = dict(zip(tuples, map(attrgetter("value"),
+                                  map(by_id.__getitem__, map(itemgetter(i), tuples.values())))))
+    del labels[coupling.product.root_id]
+    return labels
+
+
 def factor_plan(coupling: MulticausalCoupling, i: int, p: float) -> BicausalPlan:
     """Coupling of factor i with the common-space process carrying its labels.
 
     Pairs every product leaf with its i-th coordinate leaf; the partner
     process is the product tree relabelled with the factor's values.
     """
-    proc = coupling.processes[i]
-    labels = {
-        pid: proc.node(coupling.node_tuple[pid][i]).value
-        for pid in coupling.node_tuple
-        if coupling.product.node(pid).parent is not None
-    }
-    lifted = process_with_values(coupling.product, labels, value_dims=proc.value_dims)
-    masses: dict[tuple[int, int], float] = {}
-    reach = coupling.product.reach_prob
-    for pid in coupling.product.leaves:
-        key = (coupling.node_tuple[pid][i], pid)
-        masses[key] = masses.get(key, 0.0) + reach[pid]
+    proc, product = coupling.processes[i], coupling.product
+    lifted = process_with_values(product, _factor_labels(coupling, i), value_dims=proc.value_dims)
+    leaves = product.leaves
+    factor_leaves = map(itemgetter(i), map(coupling.node_tuple.__getitem__, leaves))
+    masses = dict(zip(zip(factor_leaves, leaves), product.layout[-1].reach.tolist()))
     return BicausalPlan.from_pair_masses(proc, lifted, p, masses)

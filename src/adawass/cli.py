@@ -233,9 +233,9 @@ def _curve_from_dict(data: dict) -> GridCurve:
 
 
 def _check_options(args) -> None:
-    """Reject a bad ``--p``, ``--grid``, ``--dyadic``, ``--tol-equiv``,
-    ``--tol-check``, ``--weights`` or ``--branching`` before any command runs;
-    parses the grid, the weights and the branching factors."""
+    """Reject a bad ``--p``, ``--grid``, ``--dyadic``, ``--max-leaves``,
+    ``--tol-equiv``, ``--tol-check``, ``--weights`` or ``--branching`` before
+    any command runs; parses the grid, the weights and the branching factors."""
     p = getattr(args, "p", None)
     if p is not None and not 1.0 <= p < math.inf:
         raise InputError(f"--p must be a finite order >= 1, got {p}")
@@ -244,9 +244,10 @@ def _check_options(args) -> None:
         if tol is not None and not 0.0 <= tol < math.inf:
             name = "--" + option.replace("_", "-")
             raise InputError(f"{name} must be a finite tolerance >= 0, got {tol}")
-    dyadic = getattr(args, "dyadic", None)
-    if dyadic is not None and dyadic < 0:
-        raise InputError(f"--dyadic must be a level >= 0, got {dyadic}")
+    for option, least in (("dyadic", 0), ("max_leaves", 1)):
+        value = getattr(args, option, None)
+        if value is not None and value < least:
+            raise InputError(f"--{option.replace('_', '-')} must be an integer >= {least}, got {value}")
     if getattr(args, "grid", None) is not None:
         try:
             args.grid = _check_grid([float(u) for u in args.grid.split(",")])

@@ -20,6 +20,7 @@ from .bicausal import (
     BicausalPlan,
     MulticausalCoupling,
     SizeGuardError,
+    _factor_labels,
     _step_costs,
     aw_distance,
     glue,
@@ -162,19 +163,17 @@ def geodesic(x: TreeProcess, y: TreeProcess, p: float, grid: Sequence[float],
     g = _check_grid(grid)
     _, plan = aw_distance(x, y, p)
     coupling = glue([plan], max_leaves=max_leaves)
+    # a product node's value is its x-value followed by its y-value
+    levels = list(zip(coupling.product.layout[1:], x.value_dims))
     labels = []
     for u in g:
         lab = {}
-        for pid, tup in coupling.node_tuple.items():
-            if coupling.product.node(pid).parent is None:
-                continue
-            vx = x.node(tup[0]).value
-            vy = y.node(tup[1]).value
-            lab[pid] = tuple((1.0 - u) * a + u * b for a, b in zip(vx, vy))
+        for level, d in levels:
+            v = level.values
+            lab.update(zip(level.ids, map(tuple, ((1.0 - u) * v[:, :d] + u * v[:, d:]).tolist())))
         labels.append(lab)
-    targets: list[TreeProcess | None] = [None] * len(g)
-    targets[0], targets[-1] = x, y
-    return _make_flow(coupling.product, g, labels, p, targets=tuple(targets), coupling=coupling)
+    targets = (x,) + (None,) * (len(g) - 2) + (y,)
+    return _make_flow(coupling.product, g, labels, p, targets=targets, coupling=coupling)
 
 
 def metric_derivative(curve: GridCurve) -> list[tuple[tuple[float, float], float]]:
@@ -275,25 +274,12 @@ def represent_curve(curve: GridCurve, interpolation: str = "linear",
     """
     if len(curve.grid) < 2:
         raise ValueError("need at least two grid points")
-    if curve.plans is not None:
-        plans = list(curve.plans)
-    else:
-        plans = [
-            aw_distance(curve.processes[i], curve.processes[i + 1], curve.p)[1]
-            for i in range(len(curve.grid) - 1)
-        ]
+    procs = curve.processes
+    plans = curve.plans or [aw_distance(a, b, curve.p)[1] for a, b in zip(procs, procs[1:])]
     coupling = glue(plans, max_leaves=max_leaves)
-    labels = []
-    for i in range(len(curve.grid)):
-        proc = curve.processes[i]
-        lab = {
-            pid: proc.node(tup[i]).value
-            for pid, tup in coupling.node_tuple.items()
-            if coupling.product.node(pid).parent is not None
-        }
-        labels.append(lab)
+    labels = [_factor_labels(coupling, i) for i in range(len(curve.grid))]
     return _make_flow(coupling.product, curve.grid, labels, curve.p,
-                      interpolation=interpolation, targets=curve.processes,
+                      interpolation=interpolation, targets=procs,
                       coupling=coupling)
 
 

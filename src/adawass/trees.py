@@ -212,6 +212,9 @@ def validate(proc: TreeProcess) -> list[str]:
         return violations
     if proc.depth < 1:
         violations.append(f"depth {proc.depth} < 1")
+    if any(d < 1 for d in proc.value_dims):
+        violations.append(f"value_dims {list(proc.value_dims)} has an entry below 1")
+        return violations
 
     ids = [n.id for n in proc.nodes]
     if len(set(ids)) != len(ids):
@@ -378,6 +381,8 @@ def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
             raise ShapeMismatchError("sample paths have unequal depth")
         paths.append([np.atleast_1d(np.asarray(step, dtype=float)) for step in s])
     dims = tuple(len(step) for step in paths[0])
+    if 0 in dims:
+        raise ValueError("sample steps must hold at least one value")
     for s in paths:
         if tuple(len(step) for step in s) != dims:
             raise ShapeMismatchError("sample paths have unequal step dimensions")

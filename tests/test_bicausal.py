@@ -9,6 +9,8 @@ from adawass import (
     GridCurve,
     ShapeMismatchError,
     SizeGuardError,
+    TreeNode,
+    TreeProcess,
     aw_distance,
     aw_distance_lp,
     build_process,
@@ -350,7 +352,7 @@ def test_layout_consumers_match_the_former_node_walks(rng):
         assert a.shape == ra.shape and a.tobytes() == ra.tobytes() and b.tobytes() == rb.tobytes()
         plan = aw_distance(x, y, 2.0)[1]
         raw = BicausalPlan.from_pair_masses(x, y, 2.0, plan.pair_masses)
-        kernels, reference = bicausal._kernels_from_masses(raw), kernels_by_parent_walks(raw)
+        kernels, reference = raw.effective_kernels(), kernels_by_parent_walks(raw)
         assert list(kernels) == list(reference)
         for key, (cx, cy, mat) in reference.items():
             assert kernels[key][:2] == (cx, cy) and kernels[key][2].tobytes() == mat.tobytes()
@@ -588,6 +590,102 @@ def test_glue_size_guard():
     plans = [aw_distance(procs[i], procs[i + 1], 2.0)[1] for i in range(2)]
     with pytest.raises(SizeGuardError):
         glue(plans, max_leaves=1)
+    # the leaf level is the largest; a limit of exactly its size passes
+    product = glue(plans).product
+    size = len(product.leaves)
+    assert size > len(product.level(1)) and size > 1
+    assert len(glue(plans, max_leaves=size).product.leaves) == size
+    with pytest.raises(SizeGuardError, match=f"exceeds {size - 1} leaves: level 2 has {size} nodes"):
+        glue(plans, max_leaves=size - 1)
+
+
+def glue_by_nodes(plans):
+    """The product tree, node tuples and masses as the former per-node glue
+    built them: kernel dicts walked per product node, children appended one
+    at a time."""
+    chain = [plans[0].x] + [pl.y for pl in plans]
+    kernels = [pl.effective_kernels() for pl in plans]
+    n = len(chain)
+    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
+    node_tuple = {0: tuple(pr.root_id for pr in chain)}
+    frontier = [0]
+    for t in range(1, chain[0].depth + 1):
+        new_frontier = []
+        for pid in frontier:
+            tup = node_tuple[pid]
+            cx0, cy0, mat0 = kernels[0][(tup[0], tup[1])]
+            partial = [([a, b], float(mat0[i, j])) for i, a in enumerate(cx0)
+                       for j, b in enumerate(cy0) if mat0[i, j] > 0.0]
+            for k in range(1, n - 1):
+                cxk, cyk, matk = kernels[k][(tup[k], tup[k + 1])]
+                rowsums = matk.sum(axis=1)
+                extended = []
+                for prefix, wgt in partial:
+                    r = cxk.index(prefix[-1])
+                    if rowsums[r] <= 0.0:
+                        continue
+                    for j, b in enumerate(cyk):
+                        q = matk[r, j]
+                        if q > 0.0:
+                            extended.append((prefix + [b], wgt * (q / rowsums[r])))
+                partial = extended
+            total = math.fsum(w for _, w in partial) if n > 2 else 1.0
+            for child_tup, wgt in partial:
+                nid = len(nodes)
+                value = tuple(v for proc, cid in zip(chain, child_tup) for v in proc.node(cid).value)
+                nodes.append(TreeNode(id=nid, parent=pid, time=t, value=value, prob=wgt / total))
+                node_tuple[nid] = tuple(child_tup)
+                new_frontier.append(nid)
+        frontier = new_frontier
+    product = TreeProcess(depth=chain[0].depth, value_dims=tuple(map(sum, zip(*(pr.value_dims for pr in chain)))),
+                          nodes=tuple(nodes))
+    reach = product.reach_prob
+    return nodes, node_tuple, {node_tuple[leaf]: reach[leaf] for leaf in product.leaves}
+
+
+def node_bits(node):
+    """A product node with its floats as hex strings, so == compares bits."""
+    value = None if node.value is None else tuple(float(v).hex() for v in node.value)
+    return node.id, node.parent, node.time, value, float(node.prob).hex()
+
+
+def wide_process(rng, dims, width):
+    """Depth-2 process whose root has ``width`` children, each with 1..3 children."""
+    def branch(k, dim, kids):
+        probs = rng.uniform(0.1, 1.0, size=k)
+        return [(float(q), tuple(rng.normal(size=dim).tolist()), kids()) for q in probs / probs.sum()]
+    return build_process(list(dims), branch(width, dims[0], lambda: branch(int(rng.integers(1, 4)), dims[1], list)))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_glue_matches_the_per_node_glue(rng, p):
+    # chains of 2..4 processes with multi-dimensional values, each plan a
+    # solver plan, a plan rebuilt from its masses or the product plan; in
+    # the wide chains a root has 9..12 children, so the ratio extension sums
+    # kernel rows of 9 or more entries, where numpy sums pairwise
+    kinds = ("solver", "masses", "product")
+    for case in range(12):
+        n = 2 + case % 3
+        dims = (1, 2) if case % 2 else (2, 3)
+        if case >= 9:
+            procs = [wide_process(rng, dims, int(rng.integers(9, 13))) for _ in range(n)]
+        else:
+            procs = [random_process(rng, 2 + case % 2, dims + (1,) * (case % 2), 3) for _ in range(n)]
+        plans = []
+        for i in range(n - 1):
+            kind = kinds[(case + i) % 3]
+            x, y = procs[i], procs[i + 1]
+            if kind == "product":
+                plans.append(BicausalPlan.product(x, y, p))
+            else:
+                plan = aw_distance(x, y, p)[1]
+                plans.append(plan if kind == "solver" else BicausalPlan.from_pair_masses(x, y, p, plan.pair_masses))
+        coupling = glue(plans)
+        nodes, node_tuple, masses = glue_by_nodes(plans)
+        assert list(map(node_bits, coupling.product.nodes)) == list(map(node_bits, nodes))
+        assert list(coupling.node_tuple.items()) == list(node_tuple.items())
+        assert list(coupling.masses) == list(masses)
+        assert [m.hex() for m in coupling.masses.values()] == [m.hex() for m in masses.values()]
 
 
 def test_multicausal_check_rejects_shuffled_masses():

@@ -86,6 +86,13 @@ def test_exit_codes(write_tree, capsys, tmp_path):
     invalid = build_process([1], [(0.5, 0.0, []), (0.6, 1.0, [])])
     f = write_tree("invalid.json", invalid)
     assert run(capsys, ["dist", a, f])[0] == 2
+    # zero-dimensional values, as a quantize of empty sample steps wrote them
+    flat = write_tree("flat.json", TreeProcess(depth=2, value_dims=(0, 0), nodes=(
+        TreeNode(0, None, 0, None, 1.0), TreeNode(1, 0, 1, (), 1.0), TreeNode(2, 1, 2, (), 1.0))))
+    for argv in (["dist", flat, flat], ["geodesic", flat, flat]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "value_dims [0, 0] has an entry below 1" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -118,6 +125,7 @@ def test_bad_option_exit_code(write_tree, capsys, option):
     ["canonical", "{a}", "--tol-equiv", "inf"],
     ["equiv", "{a}", "{a}", "--tol-equiv=-1e-9"],
     ["geodesic", "{a}", "{a}", "--dyadic", "-1"],
+    ["geodesic", "{a}", "{a}", "--max-leaves", "0"],
 ])
 def test_bad_tolerance_or_dyadic_exit_code(write_tree, capsys, argv):
     a = write_tree("a.json", build_process([1], [(0.5, 0.0, []), (0.5, 5.0, [])]))
@@ -584,10 +592,13 @@ def test_quantize_rejects_non_finite_samples(capsys, tmp_path):
     samples = [[[0.0], [1.0]], [[math.nan], [2.0]], [[1.0], [3.0]]]
     with pytest.raises(ValueError, match="finite"):
         quantize_paths(samples, [2, 2])
-    # JSON's NaN and Infinity literals, as Python's json module reads them
-    for bad in ("NaN", "Infinity", "-Infinity"):
+    # JSON's NaN and Infinity literals, as Python's json module reads them,
+    # and steps without values
+    docs = ['{"samples": [[[0.0], [1.0]], [[%s], [2.0]], [[1.0], [3.0]]]}' % bad
+            for bad in ("NaN", "Infinity", "-Infinity")]
+    for doc in docs + ['{"samples": [[[], []], [[], []]]}']:
         sfile = tmp_path / "samples.json"
-        sfile.write_text('{"samples": [[[0.0], [1.0]], [[%s], [2.0]], [[1.0], [3.0]]]}' % bad)
+        sfile.write_text(doc)
         code, out, err = run(capsys, ["quantize", str(sfile), "--branching", "2,2"])
         assert code == 2
         assert out == ""

@@ -58,6 +58,15 @@ def test_validate_flags_non_finite_value(bad):
     assert "non-finite value" in problems[0]
 
 
+@pytest.mark.parametrize("dims", [(0, 0), (-1,), (1, 0)])
+def test_validate_flags_value_dims_below_one(dims):
+    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
+    nodes += [TreeNode(id=t, parent=t - 1, time=t, value=(0.0,) * max(d, 0), prob=1.0)
+              for t, d in enumerate(dims, start=1)]
+    problems = validate(TreeProcess(depth=len(dims), value_dims=dims, nodes=tuple(nodes)))
+    assert problems == [f"value_dims {list(dims)} has an entry below 1"]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_validate_flags_non_finite_probability(bad):
     proc = build_process([1], [(bad, 0.0, []), (1.0, 1.0, [])])
@@ -178,6 +187,8 @@ def test_quantize_rejects_bad_input():
         quantize_paths([], [2])
     with pytest.raises(ValueError):
         quantize_paths([[(1.0,)]], [0])
+    with pytest.raises(ValueError, match="at least one value"):
+        quantize_paths([[[], []], [[], []]], [2, 2])
 
 
 def test_json_round_trip_is_bit_exact():
