@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain as concat, repeat
-from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -432,6 +431,9 @@ class MulticausalCoupling:
     ``product`` is the common filtered space: one tree whose nodes are the
     reachable tuples of factor nodes and whose values concatenate the factor
     values; ``node_tuple`` maps each product node to its factor nodes.
+    ``positions[t]``, filled by ``glue`` for t = 0..T, is a read-only array
+    with one row per node of ``product.level(t)`` whose column i is the
+    position of its i-th factor node in ``processes[i].level(t)``.
     """
 
     processes: tuple[TreeProcess, ...]
@@ -439,6 +441,13 @@ class MulticausalCoupling:
     plans: tuple[BicausalPlan, ...]
     product: TreeProcess
     node_tuple: Mapping[int, tuple[int, ...]]
+    positions: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
+
+    def factor_values(self, i: int) -> list[np.ndarray]:
+        """Per level t = 1..T, the value of every product node's i-th factor
+        node, rows in ``product.level(t)`` order."""
+        return [level.values[pos[:, i]]
+                for level, pos in zip(self.processes[i].layout[1:], self.positions[1:])]
 
     def pair_marginal(self, i: int) -> dict[tuple[int, int], float]:
         """Marginal of coordinates (i, i+1) on leaf pairs."""
@@ -485,6 +494,7 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
     tuples = [tuple(pr.root_id for pr in chain)]
     node_tuple: dict[int, tuple[int, ...]] = {0: tuples[0]}
     pos = np.zeros((1, n), dtype=np.intp)   # factor positions of the level's product nodes
+    positions = [pos]
     first = 0                                # id of the level's first product node
     for t in range(T):
         bounds = [pr.layout[t].bounds for pr in chain]
@@ -526,12 +536,15 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
         tuples = list(zip(*(map(pr.level(t + 1).__getitem__, col) for pr, col in zip(chain, cols))))
         node_tuple.update(zip(ids, tuples))
         first, pos = ids.start, child
+        positions.append(pos)
 
     product = TreeProcess(depth=T, value_dims=dims, nodes=tuple(nodes))
     # the product's leaves are the last level, in its order
     masses = dict(zip(tuples, product.layout[-1].reach.tolist()))
+    for arr in positions:
+        arr.flags.writeable = False
     return MulticausalCoupling(processes=tuple(chain), masses=masses, plans=tuple(plans),
-                               product=product, node_tuple=node_tuple)
+                               product=product, node_tuple=node_tuple, positions=tuple(positions))
 
 
 def check_multicausal(coupling: MulticausalCoupling, tol: float = CAUSALITY_TOL) -> bool:
@@ -567,15 +580,6 @@ def check_multicausal(coupling: MulticausalCoupling, tol: float = CAUSALITY_TOL)
     return True
 
 
-def _factor_labels(coupling: MulticausalCoupling, i: int) -> dict[int, tuple[float, ...]]:
-    """Every product node but the root, with its i-th factor node's value tuple."""
-    by_id, tuples = coupling.processes[i].by_id, coupling.node_tuple
-    labels = dict(zip(tuples, map(attrgetter("value"),
-                                  map(by_id.__getitem__, map(itemgetter(i), tuples.values())))))
-    del labels[coupling.product.root_id]
-    return labels
-
-
 def factor_plan(coupling: MulticausalCoupling, i: int, p: float) -> BicausalPlan:
     """Coupling of factor i with the common-space process carrying its labels.
 
@@ -583,8 +587,7 @@ def factor_plan(coupling: MulticausalCoupling, i: int, p: float) -> BicausalPlan
     process is the product tree relabelled with the factor's values.
     """
     proc, product = coupling.processes[i], coupling.product
-    lifted = process_with_values(product, _factor_labels(coupling, i), value_dims=proc.value_dims)
-    leaves = product.leaves
-    factor_leaves = map(itemgetter(i), map(coupling.node_tuple.__getitem__, leaves))
-    masses = dict(zip(zip(factor_leaves, leaves), product.layout[-1].reach.tolist()))
+    lifted = process_with_values(product, coupling.factor_values(i))
+    factor_leaves = map(proc.leaves.__getitem__, coupling.positions[-1][:, i].tolist())
+    masses = dict(zip(zip(factor_leaves, product.leaves), product.layout[-1].reach.tolist()))
     return BicausalPlan.from_pair_masses(proc, lifted, p, masses)

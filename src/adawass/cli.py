@@ -13,8 +13,12 @@ import csv
 import functools
 import json
 import math
+import operator
 import sys
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .bicausal import (
     CAUSALITY_TOL,
@@ -95,10 +99,11 @@ def _fmt(value: float) -> str:
 # Every document is written from templates, byte for byte what
 # ``json.dumps(..., indent=2)`` writes: with ``indent`` set, ``json`` falls
 # back to its pure-Python encoder, which costs more than building a flow or
-# solving a plan of a few thousand pairs.
+# solving a plan of a few thousand pairs.  A section with one row per node
+# joins the rows' cached templates and fills them with one ``%``.
 
 
-def _numbers(values: list) -> list[str]:
+def _encode(values: list) -> list[str]:
     """The JSON text of every number, from one pass of ``json``'s C encoder
     (one number per line, since no number contains a newline).
 
@@ -111,6 +116,29 @@ def _numbers(values: list) -> list[str]:
     return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
 
 
+def _reprs(values: list) -> list[str]:
+    """``repr`` of every float, as the particles CSV writes numbers."""
+    return list(map(repr, values))
+
+
+def _float_texts(values: np.ndarray, encode=_encode) -> np.ndarray:
+    """``encode`` of every entry of a float array, as an object array of the
+    same shape: each distinct bit pattern is formatted once (the int64 view
+    keeps -0.0 apart from 0.0)."""
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(encode(distinct.view(float).tolist()), dtype=object)
+    return texts[inverse.reshape(-1)].reshape(np.shape(values))
+
+
+def _numbers(values: list) -> list[str]:
+    """``_encode`` of a list of numbers: a list of plain floats through
+    ``_float_texts``, anything else (ints, ``None``) through ``json``."""
+    if set(map(type, values)) <= {float}:
+        return _float_texts(np.array(values, dtype=float)).tolist()
+    return _encode(values)
+
+
 def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
     """Encoded items as a JSON list (or object) opening on a line indented by
     ``indent`` spaces, laid out as ``indent=2`` lays it out."""
@@ -120,54 +148,59 @@ def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
 
 
-_NODE_ROW = ('{\n      "id": %s,\n      "parent": %s,\n      "time": %s,\n'
-             '      "value": %s,\n      "prob": %s\n    }')
+@functools.cache
+def _node_row(dim: int) -> str:
+    """Template of one entry of a tree's "nodes" whose value has ``dim``
+    numbers (-1: no value): id, parent, time, the numbers, prob."""
+    value = "null" if dim < 0 else _block(["%s"] * dim, 6)
+    return ('{\n      "id": %s,\n      "parent": %s,\n      "time": %s,\n'
+            f'      "value": {value},\n      "prob": %s\n    }}')
 
 
 def _tree_json(proc: TreeProcess) -> str:
     """The tree document of ``tree_to_dict``: {"depth", "value_dims", "nodes"}."""
-    nodes = proc.nodes
-    head = _numbers([x for n in nodes for x in (n.id, n.parent, n.time, n.prob)])
-    flat = iter(_numbers([v for n in nodes if n.value is not None for v in n.value]))
-    rows = [
-        _NODE_ROW % (nid, parent, time,
-                     "null" if n.value is None else _block([next(flat) for _ in n.value], 6),
-                     prob)
-        for n, nid, parent, time, prob in zip(nodes, head[0::4], head[1::4], head[2::4], head[3::4])
-    ]
+    get = operator.attrgetter("id", "parent", "time", "value", "prob")
+    ids, parents, times, values, probs = zip(*map(get, proc.nodes))
+    dims = [-1 if v is None else len(v) for v in values]
+    # one row of cells per node: id, parent, time, up to the largest number of
+    # values, then prob; the cells used, row after row, are the % arguments
+    width = np.maximum(dims, 0)
+    cells = np.empty((len(dims), width.max() + 4), dtype=object)
+    used = np.arange(cells.shape[1]) < width[:, None] + 3
+    used[:, -1] = True
+    cells[:, :3] = np.array(_encode(list(ids + parents + times)), dtype=object).reshape(3, -1).T
+    cells[:, -1] = _numbers(list(probs))
+    cells[:, 3:-1][used[:, 3:-1]] = _numbers(list(chain.from_iterable(filter(None, values))))
+    rows = _block(list(map(_node_row, dims)), 2) % tuple(cells[used].tolist())
     return ('{\n  "depth": %s,\n  "value_dims": %s,\n  "nodes": %s\n}'
-            % (json.dumps(proc.depth), _block(_numbers(list(proc.value_dims)), 2), _block(rows, 2)))
+            % (json.dumps(proc.depth), _block(_encode(list(proc.value_dims)), 2), rows))
 
 
-def _labels_row(dims: tuple[int, ...]) -> str:
+@functools.cache
+def _labels_row(grid: int, dim: int) -> str:
     """Template of one node's entry in a flow's "labels": its key, then one
-    list per grid index with ``dims[i]`` numbers."""
-    per_u = ",\n".join(f'      "{i}": ' + _block(["%s"] * d, 6) for i, d in enumerate(dims))
+    list of ``dim`` numbers per grid index."""
+    per_u = ",\n".join(f'      "{i}": ' + _block(["%s"] * dim, 6) for i in range(grid))
     return '"%s": {\n' + per_u + "\n    }"
 
 
 def _flow_json(flow: CommonSpaceFlow) -> str:
     """The flow document {"base", "grid", "p", "interpolation", "labels"}.
 
-    "labels" maps every non-root node, in ``flow.labels[0]`` order, to its
-    label at each grid index.
+    "labels" maps every non-root node, in ``flow.labels[0]`` order (the
+    base tree's layout), to its label at each grid index.
     """
-    grid = range(len(flow.grid))
-    per_node = [[flow.labels[i][nid] for i in grid] for nid in flow.labels[0]]
-    flat = _numbers([v for vecs in per_node for vec in vecs for v in vec])
-    templates: dict[tuple[int, ...], str] = {}
-    rows, pos = [], 0
-    for nid, vecs in zip(flow.labels[0], per_node):
-        dims = tuple(map(len, vecs))
-        if dims not in templates:
-            templates[dims] = _labels_row(dims)
-        end = pos + sum(dims)
-        rows.append(templates[dims] % (nid, *flat[pos:end]))
-        pos = end
+    templates, args = [], []
+    for ids, per_u in zip(flow.labels[0].ids, zip(*(lab.levels for lab in flow.labels))):
+        # one row per node of the level: its id, then its labels at every grid index
+        texts = _float_texts(np.stack(per_u, axis=1).reshape(len(ids), -1))
+        args += np.column_stack([np.array(ids, dtype=object), texts]).reshape(-1).tolist()
+        templates += [_labels_row(len(per_u), per_u[0].shape[1])] * len(ids)
+    labels = _block(templates, 2, "{}") % tuple(args)
     return ('{\n  "base": %s,\n  "grid": %s,\n  "p": %s,\n  "interpolation": %s,\n'
             '  "labels": %s\n}'
             % (_tree_json(flow.base).replace("\n", "\n  "), _block(_numbers(list(flow.grid)), 2),
-               json.dumps(flow.p), json.dumps(flow.interpolation), _block(rows, 2, "{}")))
+               json.dumps(flow.p), json.dumps(flow.interpolation), labels))
 
 
 _PAIR_ROW = '{\n      "leaf_x": %d,\n      "leaf_y": %d,\n      "mass": %s\n    }'
@@ -271,18 +304,30 @@ def _write_derivative_csv(path: str, rows) -> None:
 
 
 def _write_particles_csv(path: str, flow: CommonSpaceFlow) -> None:
-    """One row per grid point, particle (leaf) and time: the particle's label."""
+    """One row per grid point, particle (leaf) and time: the particle's label.
+
+    Written as ``csv.writer`` writes these rows (no number needs quoting),
+    numbers as ``repr`` gives them, from one row template per grid point.
+    """
     levels = _particle_levels(flow)
+    dims = [labels.shape[2] for labels, _ in levels]
     leaves = flow.base.leaves
+    # per grid point, one row of cells per particle: u, particle, time and
+    # the label for every time in turn
+    cells = np.empty((len(flow.grid), len(leaves), sum(dims) + 3 * len(dims)), dtype=object)
+    grid = np.array(_reprs(list(flow.grid)), dtype=object)[:, None]
+    col = 0
+    for t, (labels, anc) in enumerate(levels, start=1):
+        cells[:, :, col] = grid
+        cells[:, :, col + 1] = leaves
+        cells[:, :, col + 2] = t
+        cells[:, :, col + 3:col + 3 + labels.shape[2]] = _float_texts(labels, _reprs)[:, anc]
+        col += 3 + labels.shape[2]
+    rows = "".join(",".join(["%s"] * (3 + d)) + "\r\n" for d in dims) * len(leaves)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        dim = max(len(v) for v in flow.labels[0].values())
-        writer.writerow(["u", "particle", "time", *[f"x{i}" for i in range(dim)]])
-        for i, u in enumerate(flow.grid):
-            steps = [[list(map(repr, vec)) for vec in labels[i][anc].tolist()]
-                     for labels, anc in levels]
-            writer.writerows([repr(u), leaf, t, *steps[t - 1][j]]
-                             for j, leaf in enumerate(leaves) for t in range(1, len(levels) + 1))
+        fh.write(",".join(["u", "particle", "time", *[f"x{i}" for i in range(max(dims))]]) + "\r\n")
+        for per_u in cells:
+            fh.write(rows % tuple(per_u.reshape(-1).tolist()))
 
 
 def cmd_dist(args) -> int:

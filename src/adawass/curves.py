@@ -9,6 +9,7 @@ the value space between grid points.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -20,12 +21,11 @@ from .bicausal import (
     BicausalPlan,
     MulticausalCoupling,
     SizeGuardError,
-    _factor_labels,
     _step_costs,
     aw_distance,
     glue,
 )
-from .trees import ShapeMismatchError, TreeProcess, process_with_values
+from .trees import ShapeMismatchError, TreeProcess, _LevelValues, process_with_values
 
 __all__ = [
     "GridCurve",
@@ -91,7 +91,14 @@ class GridCurve:
 
 @dataclass(frozen=True)
 class CommonSpaceFlow:
-    """A product tree with one adapted value labelling per grid point."""
+    """A product tree with one adapted value labelling per grid point.
+
+    Each labelling is kept as one float array per level of ``base``
+    (``labels[i].levels[t - 1]``, a row per node of ``base.level(t)``) and
+    reads as a Mapping from node id to label tuple, keys in layout order.
+    Labellings given as Mappings are gathered into that form; every one
+    must label each non-root node with the value dims of ``base``.
+    """
 
     base: TreeProcess
     grid: tuple[float, ...]
@@ -101,6 +108,16 @@ class CommonSpaceFlow:
     targets: tuple[TreeProcess | None, ...] | None = None
     coupling: MulticausalCoupling | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        if len(self.labels) != len(self.grid):
+            raise ValueError(f"{len(self.labels)} labellings for a grid of {len(self.grid)} points")
+        labels = tuple(_labelling(self.base, lab, i) for i, lab in enumerate(self.labels))
+        for i, lab in enumerate(labels):
+            dims = tuple(arr.shape[1] for arr in lab.levels)
+            if dims != self.base.value_dims:
+                raise ValueError(f"labelling {i} has value dims {dims}, the base tree {self.base.value_dims}")
+        object.__setattr__(self, "labels", labels)
+
     def process_at(self, i: int) -> TreeProcess:
         """The filtered process read off the labels at grid index i."""
         if i == 0:
@@ -109,46 +126,49 @@ class CommonSpaceFlow:
 
     def label_path(self, leaf: int, i: int) -> tuple[tuple[float, ...], ...]:
         """Particle position of scenario ``leaf`` at grid index i."""
-        out = []
-        nid = leaf
-        while self.base.node(nid).parent is not None:
-            out.append(self.labels[i][nid])
-            nid = self.base.node(nid).parent
-        out.reverse()
-        return tuple(out)
+        base = self.base
+        if leaf not in base.leaf_index:
+            raise ValueError(f"node {leaf!r} is not a leaf of the base tree")
+        j = base.leaf_index[leaf]
+        return tuple(tuple(arr[anc[j]].tolist())
+                     for arr, anc in zip(self.labels[i].levels, base.leaf_ancestors[1:]))
 
     def labels_at(self, u: float) -> dict[int, tuple[float, ...]]:
-        """Labels at an arbitrary parameter, following the interpolation rule."""
+        """Labels at an arbitrary parameter, following the interpolation rule;
+        parameters outside the grid take the nearest end's labels."""
+        if math.isnan(u):
+            raise ValueError(f"u must be a number, got {u}")
         g = self.grid
-        if u <= g[0]:
-            return dict(self.labels[0])
-        if u >= g[-1]:
-            return dict(self.labels[-1])
-        k = max(i for i in range(len(g)) if g[i] <= u)
-        if self.interpolation == "constant" or g[k] == u:
-            return dict(self.labels[k])
+        k = bisect.bisect_right(g, u) - 1
+        if k < 0 or k == len(g) - 1 or g[k] == u or self.interpolation == "constant":
+            return dict(self.labels[max(k, 0)])
         w = (u - g[k]) / (g[k + 1] - g[k])
-        return {
-            nid: tuple((1.0 - w) * a + w * b for a, b in zip(lab, self.labels[k + 1][nid]))
-            for nid, lab in self.labels[k].items()
-        }
+        levels = zip(self.labels[k].levels, self.labels[k + 1].levels)
+        return dict(_LevelValues(self.base, [(1.0 - w) * a + w * b for a, b in levels]))
 
     def with_labels(self, index: int, new_labels: Mapping[int, tuple[float, ...]]) -> "CommonSpaceFlow":
         """Copy of the flow with the labelling at one grid index replaced."""
         labels = list(self.labels)
-        labels[index] = dict(new_labels)
-        return _make_flow(self.base, self.grid, tuple(labels), self.p,
+        labels[index] = new_labels
+        return _make_flow(self.base, self.grid, labels, self.p,
                           interpolation=self.interpolation, targets=self.targets,
                           coupling=self.coupling)
 
 
+def _labelling(tree: TreeProcess, labels, i: int) -> _LevelValues:
+    try:
+        return _LevelValues(tree, labels)
+    except ValueError as exc:
+        raise ValueError(f"labelling {i}: {exc}") from None
+
+
 def _make_flow(shape_tree: TreeProcess, grid, labels, p, interpolation="linear",
                targets=None, coupling=None) -> CommonSpaceFlow:
-    dims = tuple(
-        len(labels[0][shape_tree.level(s)[0]]) for s in range(1, shape_tree.depth + 1)
-    )
-    base = process_with_values(shape_tree, labels[0], value_dims=dims)
-    return CommonSpaceFlow(base=base, grid=tuple(grid), labels=tuple(dict(l) for l in labels),
+    """The flow on ``shape_tree`` relabelled with ``labels[0]``; each labelling
+    is a Mapping or one array per level over ``shape_tree``'s layout."""
+    labels = [_labelling(shape_tree, lab, i) for i, lab in enumerate(labels)]
+    base = process_with_values(shape_tree, labels[0])
+    return CommonSpaceFlow(base=base, grid=tuple(grid), labels=tuple(labels),
                            p=p, interpolation=interpolation, targets=targets, coupling=coupling)
 
 
@@ -164,14 +184,8 @@ def geodesic(x: TreeProcess, y: TreeProcess, p: float, grid: Sequence[float],
     _, plan = aw_distance(x, y, p)
     coupling = glue([plan], max_leaves=max_leaves)
     # a product node's value is its x-value followed by its y-value
-    levels = list(zip(coupling.product.layout[1:], x.value_dims))
-    labels = []
-    for u in g:
-        lab = {}
-        for level, d in levels:
-            v = level.values
-            lab.update(zip(level.ids, map(tuple, ((1.0 - u) * v[:, :d] + u * v[:, d:]).tolist())))
-        labels.append(lab)
+    levels = [(level.values, d) for level, d in zip(coupling.product.layout[1:], x.value_dims)]
+    labels = [[(1.0 - u) * v[:, :d] + u * v[:, d:] for v, d in levels] for u in g]
     targets = (x,) + (None,) * (len(g) - 2) + (y,)
     return _make_flow(coupling.product, g, labels, p, targets=targets, coupling=coupling)
 
@@ -203,12 +217,8 @@ def _particle_levels(flow: CommonSpaceFlow) -> list[tuple[np.ndarray, np.ndarray
     ``label_path(base.leaves[j], i)``.  Levels stay apart because value dims
     can differ between levels.
     """
-    base = flow.base
-    return [
-        (np.array([[lab[nid] for nid in base.level(t)] for lab in flow.labels], dtype=float),
-         base.leaf_ancestors[t])
-        for t in range(1, base.depth + 1)
-    ]
+    return [(np.stack([lab.levels[t - 1] for lab in flow.labels]), flow.base.leaf_ancestors[t])
+            for t in range(1, flow.base.depth + 1)]
 
 
 def _particle_terms(flow: CommonSpaceFlow, p: float, weights) -> np.ndarray:
@@ -277,7 +287,7 @@ def represent_curve(curve: GridCurve, interpolation: str = "linear",
     procs = curve.processes
     plans = curve.plans or [aw_distance(a, b, curve.p)[1] for a, b in zip(procs, procs[1:])]
     coupling = glue(plans, max_leaves=max_leaves)
-    labels = [_factor_labels(coupling, i) for i in range(len(curve.grid))]
+    labels = [coupling.factor_values(i) for i in range(len(curve.grid))]
     return _make_flow(coupling.product, curve.grid, labels, curve.p,
                       interpolation=interpolation, targets=procs,
                       coupling=coupling)

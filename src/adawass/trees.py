@@ -319,18 +319,73 @@ def build_process(value_dims: Sequence[int], branches) -> TreeProcess:
     return TreeProcess(depth=len(value_dims), value_dims=tuple(value_dims), nodes=tuple(nodes))
 
 
-def process_with_values(proc: TreeProcess, values: Mapping[int, Sequence[float]],
-                        value_dims: Sequence[int] | None = None) -> TreeProcess:
-    """Same tree and probabilities, a new value labelling."""
-    dims = tuple(value_dims) if value_dims is not None else proc.value_dims
-    nodes = []
-    for n in proc.nodes:
-        if n.parent is None:
-            nodes.append(n)
-        else:
-            nodes.append(TreeNode(id=n.id, parent=n.parent, time=n.time,
-                                  value=tuple(float(v) for v in values[n.id]), prob=n.prob))
-    return TreeProcess(depth=proc.depth, value_dims=dims, nodes=tuple(nodes))
+class _LevelValues(Mapping):
+    """Values on the non-root nodes of a tree, kept one array per level.
+
+    ``levels[t - 1]`` is a read-only float array with one row per node of
+    ``proc.level(t)``, t = 1..T.  ``values`` is such a sequence of arrays,
+    a ``_LevelValues`` over the same layout (shared, not copied), or a
+    Mapping from node id to value.  As a Mapping it maps node ids to value
+    tuples, keys in layout order; that dict is built on first access.
+    """
+
+    def __init__(self, proc: TreeProcess, values):
+        self.ids = tuple(level.ids for level in proc.layout[1:])
+        if isinstance(values, _LevelValues) and values.ids == self.ids:
+            self.levels = values.levels
+            return
+        if isinstance(values, Mapping):
+            try:
+                values = [list(map(values.__getitem__, ids)) for ids in self.ids]
+            except KeyError as exc:
+                raise ValueError(f"no value for node {exc.args[0]!r}") from None
+        if len(values) != len(self.ids):
+            raise ValueError(f"{len(values)} value levels for a tree of depth {len(self.ids)}")
+        levels = []
+        for t, (ids, rows) in enumerate(zip(self.ids, values), start=1):
+            arr = np.array(rows, dtype=float)
+            if arr.ndim != 2 or len(arr) != len(ids):
+                raise ValueError(f"level {t} values have shape {arr.shape}, "
+                                 f"expected one row per each of its {len(ids)} nodes")
+            arr.flags.writeable = False
+            levels.append(arr)
+        self.levels = tuple(levels)
+
+    @cached_property
+    def _by_id(self) -> dict[int, tuple[float, ...]]:
+        rows = chain.from_iterable(map(tuple, arr.tolist()) for arr in self.levels)
+        return dict(zip(chain.from_iterable(self.ids), rows))
+
+    def __getitem__(self, node_id: int) -> tuple[float, ...]:
+        return self._by_id[node_id]
+
+    def __iter__(self):
+        return iter(self._by_id)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.ids))
+
+
+def process_with_values(proc: TreeProcess, values) -> TreeProcess:
+    """Same tree and probabilities, a new value labelling.
+
+    ``values`` maps every non-root node id to its value, or holds one array
+    per level t = 1..T with a row per node of ``proc.level(t)`` (see
+    ``_LevelValues``); the value dims are those of the new values.  The new
+    tree keeps the node order, ids, parents and probabilities, and takes
+    over ``proc``'s layout with the value arrays swapped in.
+    """
+    new = _LevelValues(proc, values)
+    layout = proc.layout
+    value = dict(zip(chain.from_iterable(level.ids for level in layout),
+                     chain([None], *(map(tuple, arr.tolist()) for arr in new.levels))))
+    ids, parents, times, probs = zip(*map(operator.attrgetter("id", "parent", "time", "prob"), proc.nodes))
+    out = TreeProcess(depth=proc.depth, value_dims=tuple(arr.shape[1] for arr in new.levels),
+                      nodes=tuple(map(TreeNode, ids, parents, times, map(value.__getitem__, ids), probs)))
+    # a cached_property lives in the instance dict
+    vars(out)["layout"] = layout[:1] + tuple(
+        level._replace(values=arr) for level, arr in zip(layout[1:], new.levels))
+    return out
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""Shared builders for the test suite."""
+"""Shared builders and document references for the test suite."""
+
+import csv
+import json
 
 import numpy as np
 import pytest
 
-from adawass import build_process, chain_process
+from adawass import build_process, chain_process, tree_to_dict
 
 
 def epsilon_x():
@@ -62,3 +65,31 @@ def rng():
 @pytest.fixture
 def dirac_pair():
     return chain_process([1.0, 2.0]), chain_process([3.0, 5.0])
+
+
+# -- document references: what the template writers must reproduce -------------
+
+def flow_to_dict(flow):
+    """The flow document as data; the reference for the template writer."""
+    labels = {
+        str(nid): {str(i): list(flow.labels[i][nid]) for i in range(len(flow.grid))}
+        for nid in flow.labels[0]
+    }
+    return {"base": tree_to_dict(flow.base), "grid": list(flow.grid), "p": flow.p,
+            "interpolation": flow.interpolation, "labels": labels}
+
+
+def encoded(doc) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def write_particles_by_label_path(path, flow):
+    """The particles CSV leaf by leaf through label_path; the reference for the array writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        dim = max(len(v) for v in flow.labels[0].values())
+        writer.writerow(["u", "particle", "time", *[f"x{i}" for i in range(dim)]])
+        for i, u in enumerate(flow.grid):
+            for leaf in flow.base.leaves:
+                for t, vec in enumerate(flow.label_path(leaf, i), start=1):
+                    writer.writerow([repr(u), leaf, t, *[repr(v) for v in vec]])

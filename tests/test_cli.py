@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import os
@@ -32,7 +31,14 @@ from adawass import (
 from adawass.bicausal import BicausalPlan
 from adawass.cli import _flow_json, _plan_json, _tree_json, _write_particles_csv, main
 
-from conftest import epsilon_x, epsilon_y, random_process
+from conftest import (
+    encoded,
+    epsilon_x,
+    epsilon_y,
+    flow_to_dict,
+    random_process,
+    write_particles_by_label_path,
+)
 
 
 @pytest.fixture
@@ -286,32 +292,6 @@ def test_plan_documents_match_the_json_encoder(write_tree, capsys, tmp_path):
         assert code == 0 and out == expected
     empty = BicausalPlan(x=x, y=y, p=2.0, pair_masses={}, value=0.0)
     assert _plan_json(empty) == json.dumps(plan_to_dict(empty), indent=2)
-
-
-def flow_to_dict(flow):
-    """The flow document as data; the reference for the template writer."""
-    labels = {
-        str(nid): {str(i): list(flow.labels[i][nid]) for i in range(len(flow.grid))}
-        for nid in flow.labels[0]
-    }
-    return {"base": tree_to_dict(flow.base), "grid": list(flow.grid), "p": flow.p,
-            "interpolation": flow.interpolation, "labels": labels}
-
-
-def encoded(doc) -> bytes:
-    return (json.dumps(doc, indent=2) + "\n").encode()
-
-
-def write_particles_by_label_path(path, flow):
-    """The particles CSV leaf by leaf through label_path; the reference for the array writer."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        dim = max(len(v) for v in flow.labels[0].values())
-        writer.writerow(["u", "particle", "time", *[f"x{i}" for i in range(dim)]])
-        for i, u in enumerate(flow.grid):
-            for leaf in flow.base.leaves:
-                for t, vec in enumerate(flow.label_path(leaf, i), start=1):
-                    writer.writerow([repr(u), leaf, t, *[repr(v) for v in vec]])
 
 
 def test_flow_and_tree_documents_match_the_json_encoder(write_tree, capsys, tmp_path):

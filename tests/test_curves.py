@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from adawass import (
+    CommonSpaceFlow,
     GridCurve,
     ShapeMismatchError,
+    TreeNode,
+    TreeProcess,
     aw_distance,
     chain_process,
     check_multicausal,
     dyadic_grid,
+    factor_plan,
     flow_energy,
     geodesic,
     metric_derivative,
@@ -344,6 +348,146 @@ def test_represent_piecewise_constant_interpolation_flag():
     assert labels[leaf] == flow.labels[0][leaf]
     linear = represent_curve(curve)
     assert linear.labels_at(0.5)[leaf][0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "constant"])
+def test_labels_at_rejects_nan(interpolation):
+    a, b = chain_process([0.0, 0.0]), chain_process([2.0, 2.0])
+    curve = GridCurve(grid=(0.0, 0.5, 1.0), processes=(a, b, a), p=2.0)
+    flow = represent_curve(curve, interpolation=interpolation)
+    with pytest.raises(ValueError, match="u must be a number, got nan"):
+        flow.labels_at(math.nan)
+
+
+def test_flow_rejects_labels_that_miss_the_grid_or_a_node():
+    # the README pair: two labellings on a three-point grid must not yield a
+    # flow energy (2.0100000000000002 when unchecked)
+    flow = geodesic(epsilon_x(), epsilon_y(0.1), 2.0, (0.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match="2 labellings for a grid of 3 points"):
+        CommonSpaceFlow(base=flow.base, grid=flow.grid, labels=flow.labels[:2], p=2.0)
+    partial = dict(flow.labels[1])
+    missing = flow.base.leaves[-1]
+    del partial[missing]
+    with pytest.raises(ValueError, match=f"labelling 1: no value for node {missing}$"):
+        flow.with_labels(1, partial)
+    with pytest.raises(ValueError, match="labelling 0: no value for node"):
+        flow.with_labels(0, partial)
+    wide = {nid: lab + (0.0,) for nid, lab in flow.labels[2].items()}
+    with pytest.raises(ValueError, match=r"labelling 2 has value dims \(2, 2\), the base tree \(1, 1\)"):
+        flow.with_labels(2, wide)
+    with pytest.raises(ValueError, match="is not a leaf"):
+        flow.label_path(flow.base.root_id, 0)
+
+
+# -- label arrays against the former per-node code ------------------------------
+
+def geodesic_labels_by_node(coupling, u):
+    """Every product node but the root with (1-u) times its x value plus u
+    times its y value, node by node."""
+    x, y = coupling.processes
+    return {nid: tuple((1.0 - u) * a + u * b for a, b in zip(x.node(tx).value, y.node(ty).value))
+            for nid, (tx, ty) in coupling.node_tuple.items() if nid != coupling.product.root_id}
+
+
+def factor_labels_by_node(coupling, i):
+    """Every product node but the root with its i-th factor node's value
+    tuple; the former labelling of represented curves."""
+    proc = coupling.processes[i]
+    return {nid: proc.node(tup[i]).value for nid, tup in coupling.node_tuple.items()
+            if nid != coupling.product.root_id}
+
+
+def relabel_by_node(proc, values, value_dims=None):
+    """The former process_with_values: node by node, values through float()."""
+    dims = tuple(value_dims) if value_dims is not None else proc.value_dims
+    nodes = [n if n.parent is None else
+             TreeNode(id=n.id, parent=n.parent, time=n.time,
+                      value=tuple(float(v) for v in values[n.id]), prob=n.prob)
+             for n in proc.nodes]
+    return TreeProcess(depth=proc.depth, value_dims=dims, nodes=tuple(nodes))
+
+
+def labels_at_by_node(flow, u):
+    """The former labels_at: a linear scan of the grid, a dict per node."""
+    g = flow.grid
+    if u <= g[0]:
+        return dict(flow.labels[0])
+    if u >= g[-1]:
+        return dict(flow.labels[-1])
+    k = max(i for i in range(len(g)) if g[i] <= u)
+    if flow.interpolation == "constant" or g[k] == u:
+        return dict(flow.labels[k])
+    w = (u - g[k]) / (g[k + 1] - g[k])
+    return {nid: tuple((1.0 - w) * a + w * b for a, b in zip(lab, flow.labels[k + 1][nid]))
+            for nid, lab in flow.labels[k].items()}
+
+
+def label_path_by_walk(flow, leaf, i):
+    """The former label_path: up the parents from the leaf."""
+    out, nid = [], leaf
+    while flow.base.node(nid).parent is not None:
+        out.append(flow.labels[i][nid])
+        nid = flow.base.node(nid).parent
+    return tuple(reversed(out))
+
+
+def hex_labels(labels):
+    """A labelling as (node, label) items with floats as hex strings, so ==
+    compares bits and key order."""
+    return [(nid, tuple(float(v).hex() for v in lab)) for nid, lab in labels.items()]
+
+
+def tree_bits(proc):
+    nodes = [(n.id, n.parent, n.time, None if n.value is None else tuple(float(v).hex() for v in n.value),
+              float(n.prob).hex()) for n in proc.nodes]
+    return proc.depth, proc.value_dims, nodes
+
+
+def assert_layout_is_fresh(proc):
+    """The layout a relabelled tree took over equals one built from its nodes."""
+    fresh = TreeProcess(depth=proc.depth, value_dims=proc.value_dims, nodes=proc.nodes).layout
+    assert len(proc.layout) == len(fresh)
+    for level, expected in zip(proc.layout, fresh):
+        assert level.ids == expected.ids
+        for got, want in zip(level[1:], expected[1:]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+
+def test_label_arrays_match_the_per_node_references():
+    rng = np.random.default_rng(271)
+    x, y = random_pair(rng, depth=3, dims=(1, 2, 3), max_branch=3)
+    geo = geodesic(x, y, 1.5, dyadic_grid(2))
+    curve = GridCurve(grid=(0.0, 0.4, 1.0), p=2.0,
+                      processes=tuple(random_process(rng, 2, (2, 1), 3) for _ in range(3)))
+    seq = [random_process(rng, 2, (1, 1), 2) for _ in range(3)]
+    # library-built trees with int values: their labels become floats
+    ints = GridCurve(grid=(0.0, 1.0), p=2.0,
+                     processes=(chain_process([[1], [2, 3]]), chain_process([[4], [-5, 6]])))
+    cases = [(geo, [geodesic_labels_by_node(geo.coupling, u) for u in geo.grid])]
+    for flow in (represent_curve(curve), skorokhod(seq[:2], seq[2], 2.0), represent_curve(ints)):
+        cases.append((flow, [factor_labels_by_node(flow.coupling, i) for i in range(len(flow.grid))]))
+    for flow, reference in cases:
+        product = flow.coupling.product
+        for i, ref in enumerate(reference):
+            assert hex_labels(flow.labels[i]) == hex_labels(ref)
+            tree = flow.process_at(i)
+            assert tree_bits(tree) == tree_bits(relabel_by_node(product, ref, flow.base.value_dims))
+            assert_layout_is_fresh(tree)
+        for u in (-0.5, 0.0, 0.1, 0.25, 0.4, 0.7, 1.0, 2.0):
+            assert hex_labels(flow.labels_at(u)) == hex_labels(labels_at_by_node(flow, u))
+        for i in range(len(flow.grid)):
+            for leaf in flow.base.leaves:
+                assert flow.label_path(leaf, i) == label_path_by_walk(flow, leaf, i)
+        for i, proc in enumerate(flow.coupling.processes):
+            lifted = factor_plan(flow.coupling, i, flow.p)
+            ref = relabel_by_node(product, factor_labels_by_node(flow.coupling, i), proc.value_dims)
+            assert tree_bits(lifted.y) == tree_bits(ref)
+            assert_layout_is_fresh(lifted.y)
+            reach = product.reach_prob
+            masses = {(flow.coupling.node_tuple[leaf][i], leaf): reach[leaf] for leaf in product.leaves}
+            assert list(lifted.pair_masses.items()) == list(masses.items())
 
 
 def test_grid_curve_validation():

@@ -1,4 +1,5 @@
-"""Property tests: malformed documents never end in a traceback.
+"""Property tests: malformed documents never end in a traceback, and the
+template writers write what ``json`` and ``csv`` write.
 
 Tree documents go through ``dist``, plan documents through ``check-plan``,
 curve documents through ``represent`` and ``curve-energy``, and samples
@@ -23,8 +24,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adawass import aw_distance, build_process, tree_from_dict, tree_to_dict, validate
-from adawass.cli import _plan_json, main
+from adawass import (
+    CommonSpaceFlow,
+    TreeNode,
+    TreeProcess,
+    aw_distance,
+    build_process,
+    tree_from_dict,
+    tree_to_dict,
+    validate,
+)
+from adawass.cli import _flow_json, _plan_json, _tree_json, _write_particles_csv, main
+
+from conftest import flow_to_dict, write_particles_by_label_path
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -164,3 +176,67 @@ def test_malformed_samples_documents_exit_cleanly(files, doc, branching):
     if code == 0:
         assert out.endswith(" scenarios\n")
         assert validate(tree_from_dict(json.loads((files / "quantized.json").read_text()))) == []
+
+
+# -- the template writers against json.dumps(indent=2) and csv.writer ----------
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 0.1, -1.5,
+                  1e16, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+
+
+@st.composite
+def number_pools(draw):
+    """A strategy drawing from a few numbers, so values repeat: floats
+    (signed zeros, subnormals, non-finite ones among them) or ints."""
+    if draw(st.booleans()):
+        return st.sampled_from(draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4)))
+    return st.sampled_from(draw(st.lists(floats, min_size=1, max_size=5)))
+
+
+@st.composite
+def trees(draw, values, probs):
+    """A tree listed depth-first (its build order) or breadth-first."""
+    depth = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth)))
+    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
+
+    def grow(pid, t):
+        for _ in range(draw(st.integers(1, 3))):
+            nid = len(nodes)
+            value = tuple(draw(st.lists(values, min_size=dims[t - 1], max_size=dims[t - 1])))
+            nodes.append(TreeNode(id=nid, parent=pid, time=t, value=value, prob=draw(probs)))
+            if t < depth:
+                grow(nid, t + 1)
+
+    grow(0, 1)
+    if draw(st.booleans()):
+        nodes.sort(key=lambda n: n.time)
+    return TreeProcess(depth=depth, value_dims=dims, nodes=tuple(nodes))
+
+
+@FUZZ
+@given(data=st.data())
+def test_tree_documents_match_the_json_encoder(data):
+    pool = data.draw(number_pools())
+    tree = data.draw(trees(pool, data.draw(number_pools())))
+    assert _tree_json(tree) == json.dumps(tree_to_dict(tree), indent=2)
+
+
+@FUZZ
+@given(data=st.data())
+def test_flow_documents_and_particles_match_json_and_csv(files, data):
+    labels = data.draw(number_pools())
+    # finite positive probabilities: the particle paths read the reach probabilities
+    probs = st.sampled_from(data.draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3)))
+    base = data.draw(trees(data.draw(number_pools()), probs))
+    grid = data.draw(st.lists(floats, min_size=2, max_size=4))
+    labellings = [{n.id: tuple(data.draw(st.lists(labels, min_size=len(n.value), max_size=len(n.value))))
+                   for n in base.nodes if n.value is not None} for _ in grid]
+    flow = CommonSpaceFlow(base=base, grid=tuple(grid), labels=tuple(labellings),
+                           p=data.draw(floats), interpolation=data.draw(st.sampled_from(["linear", "constant"])))
+    assert _flow_json(flow) == json.dumps(flow_to_dict(flow), indent=2)
+    got, want = files / "particles.csv", files / "particles-ref.csv"
+    _write_particles_csv(str(got), flow)
+    write_particles_by_label_path(str(want), flow)
+    assert got.read_bytes() == want.read_bytes()

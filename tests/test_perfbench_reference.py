@@ -62,3 +62,13 @@ def test_tracer_targets_exist(tracer):
     for module_name, attr, _ in tracer.TARGETS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_flow_chain_requests_pass_the_benchmark_checks(workloads, tmp_path):
+    # seed-0 flow-chain requests through the workload's own call and check;
+    # the geodesic check rebuilds the flow from the document's plain dicts
+    # (_parse_flow) and computes its energy
+    pool = workloads.build("flow-chain", 0, tmp_path).pool
+    geodesics = [i for i, req in enumerate(pool) if req.kind.startswith("geodesic")]
+    for i in [0, 1] + geodesics[:2]:
+        pool[i].check(pool[i].call(f"r{i}"))
