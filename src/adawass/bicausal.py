@@ -20,7 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain as concat, repeat
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -106,7 +107,7 @@ class BicausalPlan:
     def from_pair_masses(cls, x: TreeProcess, y: TreeProcess, p: float,
                          masses: Mapping[tuple[int, int], float]) -> "BicausalPlan":
         _check_pair(x, y)
-        i, j, m = _pair_arrays(x, y, masses)
+        (i, j), m = _leaf_positions((x, y), masses)
         weighted = m * _path_costs(x, y, p, i, j)
         # summed in listing order, as a running total
         cost = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
@@ -121,7 +122,7 @@ class BicausalPlan:
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((len(self.x.leaves), len(self.y.leaves)))
-        i, j, masses = _pair_arrays(self.x, self.y, self.pair_masses)
+        (i, j), masses = _leaf_positions((self.x, self.y), self.pair_masses)
         m[i, j] = masses
         return m
 
@@ -132,14 +133,16 @@ class BicausalPlan:
         return _LevelKernels(self.x, self.y, _levels_from_masses(self))
 
 
-def _pair_arrays(x: TreeProcess, y: TreeProcess, masses: Mapping[tuple[int, int], float]):
-    """Leaf positions (i, j) and masses of the listed leaf pairs, as arrays."""
+def _leaf_positions(procs: Sequence[TreeProcess], masses: Mapping[tuple[int, ...], float]):
+    """Per process, the leaf position of the matching entry of every listed
+    leaf tuple, and the masses, as arrays."""
+    n = len(masses)
     try:
-        i = np.array([x.leaf_index[k] for k, _ in masses], dtype=np.intp)
-        j = np.array([y.leaf_index[l] for _, l in masses], dtype=np.intp)
+        leaf = [np.fromiter(map(proc.leaf_index.__getitem__, map(itemgetter(f), masses)), np.intp, n)
+                for f, proc in enumerate(procs)]
     except KeyError as exc:
         raise ValueError(f"plan lists a pair with a non-leaf node {exc}") from None
-    return i, j, np.fromiter(masses.values(), float, len(masses))
+    return leaf, np.fromiter(masses.values(), float, n)
 
 
 def _step_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
@@ -169,7 +172,7 @@ def _levels_from_masses(plan: BicausalPlan):
     the reachable pairs are those of positive mass, row-major, and each child
     pair's mass is divided by its parent pair's mass."""
     x, y = plan.x, plan.y
-    i, j, m = _pair_arrays(x, y, plan.pair_masses)
+    (i, j), m = _leaf_positions((x, y), plan.pair_masses)
     cyl = []
     for t in range(x.depth + 1):
         nx, ny = len(x.level(t)), len(y.level(t))
@@ -394,34 +397,52 @@ def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bic
     return value, plan
 
 
+def _residuals(procs: Sequence[TreeProcess], leaf: Sequence[np.ndarray],
+               m: np.ndarray) -> tuple[float, float]:
+    """The worst marginal and the worst causality residual of masses ``m``
+    on leaf tuples, ``leaf[i]`` holding their leaf positions in ``procs[i]``.
+
+    Marginal: a leaf's mass against its path probability, or a negative
+    mass.  Causality: P(v) gamma(k, w) = P(k) gamma(v, w) for a process i,
+    a time t, a leaf k of i below its level-t node v and a tuple w of
+    level-t nodes of the others, gamma a cylinder mass; for two processes
+    i = 0 is causality, i = 1 anticausality.  NaN if a mass is not finite.
+    """
+    if not np.isfinite(m).all():
+        return math.nan, math.nan
+    marginal = -m.min(initial=0.0)
+    for proc, pos in zip(procs, leaf):
+        gaps = np.bincount(pos, weights=m, minlength=len(proc.leaves)) - proc.layout[-1].reach
+        marginal = max(marginal, np.abs(gaps).max())
+    causal = 0.0
+    for t in range(1, procs[0].depth):
+        anc = [proc.leaf_ancestors[t][pos] for proc, pos in zip(procs, leaf)]
+        sizes = [len(proc.level(t)) for proc in procs]
+        for i, proc in enumerate(procs):
+            # w as one group number per mass: for two processes the other's
+            # node position; otherwise the tuples that occur, numbered one
+            # process at a time, so numbers stay below len(m) * sizes[j]
+            others = [j for j in range(len(procs)) if j != i]
+            group, groups = anc[others[0]], sizes[others[0]]
+            for j in others[1:]:
+                seen, group = np.unique(group * sizes[j] + anc[j], return_inverse=True)
+                groups = seen.size
+            n = len(proc.leaves)
+            full = np.bincount(leaf[i] * groups + group, weights=m, minlength=n * groups).reshape(n, groups)
+            cyl = np.bincount(anc[i] * groups + group, weights=m,
+                              minlength=sizes[i] * groups).reshape(sizes[i], groups)
+            up = proc.leaf_ancestors[t]
+            gap = proc.layout[t].reach[up][:, None] * full - proc.layout[-1].reach[:, None] * cyl[up]
+            causal = max(causal, np.abs(gap).max(initial=0.0))
+    return float(marginal), float(causal)
+
+
 def check_bicausal(plan: BicausalPlan, tol: float = CAUSALITY_TOL) -> bool:
-    """Verify marginal and two-sided causality identities of a plan."""
-    x, y = plan.x, plan.y
-    pi = plan.matrix()
-    if not np.isfinite(pi).all():  # every comparison below is false for NaN
-        return False
-    mu, nu = x.layout[-1].reach, y.layout[-1].reach
-    if np.abs(pi.sum(axis=1) - mu).max() > MARGINAL_TOL:
-        return False
-    if np.abs(pi.sum(axis=0) - nu).max() > MARGINAL_TOL:
-        return False
-    if pi.min() < -MARGINAL_TOL:
-        return False
-    for t in range(1, x.depth):
-        anc_x, anc_y = x.leaf_ancestors[t], y.leaf_ancestors[t]
-        reach_x, reach_y = x.layout[t].reach, y.layout[t].reach
-        # 0/1 matrices: level-t cylinder against leaf
-        gx, gy = np.eye(reach_x.size)[:, anc_x], np.eye(reach_y.size)[:, anc_y]
-        pi_kw = pi @ gy.T                      # leaf of x versus level-t cylinder of y
-        pi_vw = gx @ pi_kw                     # cylinder against cylinder
-        causal = reach_x[anc_x][:, None] * pi_kw - mu[:, None] * pi_vw[anc_x, :]
-        if np.abs(causal).max() > tol:
-            return False
-        pi_vl = gx @ pi
-        anticausal = reach_y[anc_y][None, :] * pi_vl - nu[None, :] * pi_vw[:, anc_y]
-        if np.abs(anticausal).max() > tol:
-            return False
-    return True
+    """Verify marginal and two-sided causality identities of a plan, the
+    two-process case of ``check_multicausal``."""
+    procs = (plan.x, plan.y)
+    marginal, causal = _residuals(procs, *_leaf_positions(procs, plan.pair_masses))
+    return marginal <= MARGINAL_TOL and causal <= tol   # false for NaN
 
 
 @dataclass(frozen=True)
@@ -526,14 +547,13 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
         # common-mode rounding of the ratio products
         if n > 2:
             w = w / total[k]
-        # values concatenate the factors' value tuples
-        cols = [col.tolist() for col in child.T]
-        values = zip(*(map([pr.by_id[v].value for v in pr.level(t + 1)].__getitem__, col)
-                       for pr, col in zip(chain, cols)))
+        # values concatenate the factors' level value arrays
+        values = np.concatenate([pr.layout[t + 1].values[col] for pr, col in zip(chain, child.T)], axis=1)
         ids = range(len(nodes), len(nodes) + k.size)
         nodes.extend(map(TreeNode, ids, (first + k).tolist(), repeat(t + 1),
-                         map(tuple, map(concat.from_iterable, values)), w.tolist()))
-        tuples = list(zip(*(map(pr.level(t + 1).__getitem__, col) for pr, col in zip(chain, cols))))
+                         map(tuple, values.tolist()), w.tolist()))
+        tuples = list(zip(*(map(pr.level(t + 1).__getitem__, col.tolist())
+                            for pr, col in zip(chain, child.T))))
         node_tuple.update(zip(ids, tuples))
         first, pos = ids.start, child
         positions.append(pos)
@@ -550,34 +570,8 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
 def check_multicausal(coupling: MulticausalCoupling, tol: float = CAUSALITY_TOL) -> bool:
     """Verify factor marginals and every multicausal product identity."""
     procs = coupling.processes
-    n = len(procs)
-    m = np.fromiter(coupling.masses.values(), float, len(coupling.masses))
-    # per factor, the leaf position of every mass
-    leaf = [np.array([proc.leaf_index[tup[i]] for tup in coupling.masses], dtype=np.intp)
-            for i, proc in enumerate(procs)]
-
-    for i, proc in enumerate(procs):
-        marg = np.bincount(leaf[i], weights=m, minlength=len(proc.leaves))
-        if np.abs(marg - proc.layout[-1].reach).max() > MARGINAL_TOL:
-            return False
-
-    for i, proc in enumerate(procs):
-        for t in range(1, proc.depth):
-            # gamma(leaf or level-t cylinder of factor i, level-t cylinders of
-            # the others), the others' cylinder tuples numbered as they come
-            others = zip(*(procs[j].leaf_ancestors[t][leaf[j]].tolist() for j in range(n) if j != i))
-            ids: dict[tuple, int] = {}
-            group = np.array([ids.setdefault(o, len(ids)) for o in others], dtype=np.intp)
-            anc = proc.leaf_ancestors[t]
-            full = np.bincount(leaf[i] * len(ids) + group, weights=m,
-                               minlength=len(proc.leaves) * len(ids)).reshape(-1, len(ids))
-            cyl = np.bincount(anc[leaf[i]] * len(ids) + group, weights=m,
-                              minlength=len(proc.level(t)) * len(ids)).reshape(-1, len(ids))
-            lhs = full * proc.layout[t].reach[anc][:, None]
-            rhs = cyl[anc] * proc.layout[-1].reach[:, None]
-            if np.abs(lhs - rhs).max() > tol:
-                return False
-    return True
+    marginal, causal = _residuals(procs, *_leaf_positions(procs, coupling.masses))
+    return marginal <= MARGINAL_TOL and causal <= tol   # false for NaN
 
 
 def factor_plan(coupling: MulticausalCoupling, i: int, p: float) -> BicausalPlan:

@@ -97,7 +97,9 @@ class CommonSpaceFlow:
     (``labels[i].levels[t - 1]``, a row per node of ``base.level(t)``) and
     reads as a Mapping from node id to label tuple, keys in layout order.
     Labellings given as Mappings are gathered into that form; every one
-    must label each non-root node with the value dims of ``base``.
+    must label each non-root node with the value dims of ``base``.  The
+    grid runs strictly increasing from 0 to 1, and ``interpolation``, the
+    rule between grid points, is "linear" or "constant".
     """
 
     base: TreeProcess
@@ -109,6 +111,9 @@ class CommonSpaceFlow:
     coupling: MulticausalCoupling | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", _check_grid(self.grid))
+        if self.interpolation not in ("linear", "constant"):
+            raise ValueError(f"interpolation must be 'linear' or 'constant', got {self.interpolation!r}")
         if len(self.labels) != len(self.grid):
             raise ValueError(f"{len(self.labels)} labellings for a grid of {len(self.grid)} points")
         labels = tuple(_labelling(self.base, lab, i) for i, lab in enumerate(self.labels))
@@ -168,7 +173,7 @@ def _make_flow(shape_tree: TreeProcess, grid, labels, p, interpolation="linear",
     is a Mapping or one array per level over ``shape_tree``'s layout."""
     labels = [_labelling(shape_tree, lab, i) for i, lab in enumerate(labels)]
     base = process_with_values(shape_tree, labels[0])
-    return CommonSpaceFlow(base=base, grid=tuple(grid), labels=tuple(labels),
+    return CommonSpaceFlow(base=base, grid=grid, labels=tuple(labels),
                            p=p, interpolation=interpolation, targets=targets, coupling=coupling)
 
 
@@ -282,8 +287,6 @@ def represent_curve(curve: GridCurve, interpolation: str = "linear",
     process at grid point u_i reproduces the curve's process there, and
     labels interpolate between grid points.
     """
-    if len(curve.grid) < 2:
-        raise ValueError("need at least two grid points")
     procs = curve.processes
     plans = curve.plans or [aw_distance(a, b, curve.p)[1] for a, b in zip(procs, procs[1:])]
     coupling = glue(plans, max_leaves=max_leaves)

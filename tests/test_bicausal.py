@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -337,6 +338,11 @@ def swapped(coupling, eps_share):
     masses = dict(coupling.masses)
     for key, sign in (((a1, b1), -1), ((a2, b2), -1), ((a1, b2), 1), ((a2, b1), 1)):
         masses[key] = masses.get(key, 0.0) + sign * eps
+    return with_masses(coupling, masses)
+
+
+def with_masses(coupling, masses):
+    """The coupling with its masses replaced."""
     return type(coupling)(processes=coupling.processes, masses=masses, plans=coupling.plans,
                           product=coupling.product, node_tuple=coupling.node_tuple)
 
@@ -523,6 +529,57 @@ def test_check_bicausal_catches_marginal_violation():
     assert not check_bicausal(plan)
 
 
+def bicausal_by_matrices(plan, tol):
+    """check_bicausal as the former dense 0/1 cylinder matrices and matrix
+    products over ``plan.matrix()`` computed it."""
+    x, y = plan.x, plan.y
+    pi = plan.matrix()
+    if not np.isfinite(pi).all():
+        return False
+    mu, nu = x.layout[-1].reach, y.layout[-1].reach
+    if np.abs(pi.sum(axis=1) - mu).max() > MARGINAL_TOL:
+        return False
+    if np.abs(pi.sum(axis=0) - nu).max() > MARGINAL_TOL:
+        return False
+    if pi.min() < -MARGINAL_TOL:
+        return False
+    for t in range(1, x.depth):
+        anc_x, anc_y = x.leaf_ancestors[t], y.leaf_ancestors[t]
+        reach_x, reach_y = x.layout[t].reach, y.layout[t].reach
+        # 0/1 matrices: level-t cylinder against leaf
+        gx, gy = np.eye(reach_x.size)[:, anc_x], np.eye(reach_y.size)[:, anc_y]
+        pi_kw = pi @ gy.T                      # leaf of x versus level-t cylinder of y
+        pi_vw = gx @ pi_kw                     # cylinder against cylinder
+        causal = reach_x[anc_x][:, None] * pi_kw - mu[:, None] * pi_vw[anc_x, :]
+        if np.abs(causal).max() > tol:
+            return False
+        pi_vl = gx @ pi
+        anticausal = reach_y[anc_y][None, :] * pi_vl - nu[None, :] * pi_vw[:, anc_y]
+        if np.abs(anticausal).max() > tol:
+            return False
+    return True
+
+
+def test_check_bicausal_matches_the_dense_check(rng):
+    # solver plans, the same with every mass perturbed, and product plans,
+    # at tolerances from rounding level up; both verdicts must occur
+    verdicts = []
+    for case in range(12):
+        x, y = random_pair(rng, depth=2 + case % 2)
+        solver = aw_distance(x, y, 2.0)[1]
+        plans = [solver, BicausalPlan.product(x, y, 2.0)]
+        masses = np.fromiter(solver.pair_masses.values(), float)
+        for noise in (1e-12, 1e-9, 1e-6, 0.05):
+            noisy = masses * (1.0 + noise * rng.uniform(-1.0, 1.0, masses.size))
+            noisy_masses = dict(zip(solver.pair_masses, noisy.tolist()))
+            plans.append(BicausalPlan(x=x, y=y, p=2.0, pair_masses=noisy_masses, value=0.0))
+        for plan in plans:
+            for tol in (1e-15, 1e-12, 1e-9, 1e-6):
+                verdicts.append(check_bicausal(plan, tol))
+                assert verdicts[-1] == bicausal_by_matrices(plan, tol), (case, tol)
+    assert set(verdicts) == {True, False}
+
+
 def test_check_bicausal_rejects_non_finite_masses(rng):
     x, y = random_pair(rng, depth=2)
     _, plan = aw_distance(x, y, 2.0)
@@ -686,6 +743,40 @@ def test_glue_matches_the_per_node_glue(rng, p):
         assert list(coupling.node_tuple.items()) == list(node_tuple.items())
         assert list(coupling.masses) == list(masses)
         assert [m.hex() for m in coupling.masses.values()] == [m.hex() for m in masses.values()]
+
+
+def test_multicausal_check_rejects_non_finite_and_negative_masses(rng):
+    x, y = random_pair(rng, depth=2)
+    pair = glue([aw_distance(x, y, 2.0)[1]])
+    first = next(iter(pair.masses))
+    for bad in (math.nan, math.inf):
+        for keys in ([first], list(pair.masses)):
+            assert not check_multicausal(with_masses(pair, dict(pair.masses) | {k: bad for k in keys}))
+    # a rectangle with negative corners on two fair coins: both marginals
+    # hold and depth 1 has no causality identity, only the signs are wrong
+    coin = build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])])
+    square = glue([BicausalPlan.product(coin, coin, 2.0)])
+    (a, b), (c, d) = coin.leaves, coin.leaves
+    assert check_multicausal(square)
+    rectangle = {(a, c): 0.6, (a, d): -0.1, (b, c): -0.1, (b, d): 0.6}
+    assert not check_multicausal(with_masses(square, rectangle))
+    assert not check_bicausal(BicausalPlan.from_pair_masses(coin, coin, 2.0, rectangle))
+
+
+def test_multicausal_check_conditions_on_all_other_processes():
+    # three fair-coin squares; the first process's second coin is the XOR of
+    # the others' first coins, independent of each of them but not of both:
+    # every pair marginal is bicausal, the coupling is not multicausal
+    coins = [fair_coin_square() for _ in range(3)]
+    leaf = [{tuple(v[0] for v in c.leaf_paths[k]): k for k in c.leaves} for c in coins]
+    masses = {(leaf[0][(a1, float(b1 != c1))], leaf[1][(b1, b2)], leaf[2][(c1, c2)]): 1 / 32
+              for a1, b1, c1, b2, c2 in itertools.product((0.0, 1.0), repeat=5)}
+    xor = with_masses(glue([BicausalPlan.product(a, b, 2.0) for a, b in zip(coins, coins[1:])]), masses)
+    for i in range(2):
+        pair = BicausalPlan.from_pair_masses(coins[i], coins[i + 1], 2.0, xor.pair_marginal(i))
+        assert check_bicausal(pair)
+    assert not multicausal_by_loops(xor, 1e-9)
+    assert not check_multicausal(xor)
 
 
 def test_multicausal_check_rejects_shuffled_masses():

@@ -359,6 +359,18 @@ def test_labels_at_rejects_nan(interpolation):
         flow.labels_at(math.nan)
 
 
+@pytest.mark.parametrize("grid, interpolation, message", [
+    # the README flow: flow_energy -0.5025 when unchecked (2.0100000000000002 on its own grid)
+    ((0.0, 1.0, 0.5), "linear", r"must run from 0 to 1, got \(0.0, 1.0, 0.5\)"),
+    ((0.2, 0.5, 0.9), "linear", "must run from 0 to 1"),
+    ((0.0, 0.5, 1.0), "cubic", "interpolation must be 'linear' or 'constant', got 'cubic'"),
+])
+def test_flow_rejects_a_bad_grid_or_interpolation(grid, interpolation, message):
+    flow = geodesic(epsilon_x(), epsilon_y(0.1), 2.0, (0.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match=message):
+        CommonSpaceFlow(base=flow.base, grid=grid, labels=flow.labels, p=2.0, interpolation=interpolation)
+
+
 def test_flow_rejects_labels_that_miss_the_grid_or_a_node():
     # the README pair: two labellings on a three-point grid must not yield a
     # flow energy (2.0100000000000002 when unchecked)

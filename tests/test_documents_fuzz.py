@@ -230,7 +230,9 @@ def test_flow_documents_and_particles_match_json_and_csv(files, data):
     # finite positive probabilities: the particle paths read the reach probabilities
     probs = st.sampled_from(data.draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3)))
     base = data.draw(trees(data.draw(number_pools()), probs))
-    grid = data.draw(st.lists(floats, min_size=2, max_size=4))
+    # a flow's grid runs strictly increasing from 0 to 1
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    grid = [0.0, *sorted(data.draw(st.lists(inner, max_size=2, unique=True))), 1.0]
     labellings = [{n.id: tuple(data.draw(st.lists(labels, min_size=len(n.value), max_size=len(n.value))))
                    for n in base.nodes if n.value is not None} for _ in grid]
     flow = CommonSpaceFlow(base=base, grid=tuple(grid), labels=tuple(labellings),

@@ -72,3 +72,13 @@ def test_flow_chain_requests_pass_the_benchmark_checks(workloads, tmp_path):
     geodesics = [i for i, req in enumerate(pool) if req.kind.startswith("geodesic")]
     for i in [0, 1] + geodesics[:2]:
         pool[i].check(pool[i].call(f"r{i}"))
+
+
+def test_dist_bushy_requests_pass_the_benchmark_checks(workloads, tmp_path):
+    # seed-0 dist-bushy requests through the workload's own call and check:
+    # dist --plan, then the timed check-plan, which must print "bicausal"
+    pinned = json.loads((PERFBENCH / "reference.json").read_text())["dist-bushy"]
+    pool = workloads.build("dist-bushy", pinned["seed"], tmp_path, references=pinned["values"]).pool
+    for kind in ("3x4", "3x4-2d", "8x2"):
+        i = next(i for i, req in enumerate(pool) if req.kind == f"dist {kind}")
+        pool[i].check(pool[i].call(f"r{i}"))
