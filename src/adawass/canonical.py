@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .trees import ShapeMismatchError, TreeNode, TreeProcess
+from .trees import ShapeMismatchError, TreeProcess, build_process
 
-__all__ = ["InfoState", "information_process", "level_one_law", "canonicalize", "equivalent"]
+__all__ = ["InfoState", "information_process", "canonicalize", "equivalent"]
 
 
 class InfoState(NamedTuple):
@@ -91,25 +91,9 @@ def information_process(proc: TreeProcess) -> dict[int, InfoState]:
     return states
 
 
-def level_one_law(proc: TreeProcess) -> tuple[tuple[InfoState, float], ...]:
-    """The law of the time-1 information state; a complete invariant."""
-    return _law(proc, proc.root_id, 0.0)
-
-
-def _rebuild(depth: int, value_dims: tuple[int, ...],
-             law: tuple[tuple[InfoState, float], ...]) -> TreeProcess:
-    """Materialize the tree whose level-1 information law is ``law``."""
-    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
-
-    def emit(parent_id: int, t: int, entries: tuple[tuple[InfoState, float], ...]) -> None:
-        for state, prob in entries:
-            nid = len(nodes)
-            nodes.append(TreeNode(id=nid, parent=parent_id, time=t, value=state.value, prob=prob))
-            if state.law is not None:
-                emit(nid, t + 1, state.law)
-
-    emit(0, 1, law)
-    return TreeProcess(depth=depth, value_dims=value_dims, nodes=tuple(nodes))
+def _branches(law: tuple[tuple[InfoState, float], ...]) -> list:
+    """The ``build_process`` branches of the tree whose level-1 information law is ``law``."""
+    return [(prob, state.value, _branches(state.law or ())) for state, prob in law]
 
 
 def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
@@ -120,7 +104,7 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     values and probabilities agree componentwise within ``tol``, greedily in
     node-id order with the lowest id winning.
     """
-    return _rebuild(proc.depth, proc.value_dims, _law(proc, proc.root_id, tol))
+    return build_process(proc.value_dims, _branches(_law(proc, proc.root_id, tol)))
 
 
 def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:

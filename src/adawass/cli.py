@@ -1,9 +1,9 @@
 """Command-line surface: file formats, configuration, plot-data emission.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including values so
-far apart that their costs overflow), 3 shape mismatch, 4 size guard
-tripped, 5 internal solver failure.  All commands are deterministic; --seed
-only affects ``quantize``.
+far apart that their costs overflow) or an unwritable output path, 3 shape
+mismatch, 4 size guard tripped, 5 internal solver failure.  All commands
+are deterministic; --seed only affects ``quantize``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import functools
 import json
 import math
-import operator
 import sys
 from itertools import chain
 from pathlib import Path
@@ -159,8 +158,7 @@ def _node_row(dim: int) -> str:
 
 def _tree_json(proc: TreeProcess) -> str:
     """The tree document of ``tree_to_dict``: {"depth", "value_dims", "nodes"}."""
-    get = operator.attrgetter("id", "parent", "time", "value", "prob")
-    ids, parents, times, values, probs = zip(*map(get, proc.nodes))
+    ids, parents, times, values, probs = zip(*proc.nodes)
     dims = [-1 if v is None else len(v) for v in values]
     # one row of cells per node: id, parent, time, up to the largest number of
     # values, then prob; the cells used, row after row, are the % arguments
@@ -334,9 +332,9 @@ def cmd_dist(args) -> int:
     x = _load_tree(args.x)
     y = _load_tree(args.y)
     value, plan = aw_distance(x, y, args.p)
-    print(_fmt(value))
     if args.plan:
         _write_text(args.plan, _plan_json(plan))
+    print(_fmt(value))
     return EXIT_OK
 
 
@@ -379,9 +377,10 @@ def cmd_curve_energy(args) -> int:
     curve = _curve_from_dict(_load_json(args.curve))
     if args.p is not None:
         curve = GridCurve(grid=curve.grid, processes=curve.processes, p=args.p)
-    print(_fmt(p_energy(curve)))
+    energy = p_energy(curve)
     if args.csv:
         _write_derivative_csv(args.csv, metric_derivative(curve))
+    print(_fmt(energy))
     return EXIT_OK
 
 
@@ -536,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_options(args)
         return args.func(args)
-    except (InputError, OverflowError) as exc:
+    except (InputError, OverflowError, OSError) as exc:   # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ShapeMismatchError as exc:

@@ -39,8 +39,16 @@ __all__ = [
     "w_distance",
 ]
 
+# A law's masses may miss a total of one by this much per atom: tree edge
+# probabilities sum to one within PROB_TOL (1e-12) per node, and path masses
+# carry about 1e-16 of rounding per factor.
 MASS_TOL = 1e-12
+# A plan's row and column sums may miss its marginals by this much: the
+# solvers' plans carry rounding near 1e-16 per cell, and pruning (bicausal's
+# _PRUNE, 1e-13 per cell) shifts a row by at most its length times that.
 MARGINAL_TOL = 1e-10
+# Laws reject atoms lighter than this as degenerate: they are rounding residue
+# of a product of probabilities, not mass a caller meant.
 _MIN_ATOM = 1e-14
 # Marginal totals may differ by this much before a problem counts as
 # unbalanced: each side is normalized on its own (trees to within 1e-12).
@@ -59,6 +67,20 @@ _BLAND_AFTER = 1
 # Pivot cap per cell; Bland's rule already rules out cycling, so hitting it
 # means a defect, which the iteration-limit error reports.
 _MAX_PIVOTS_PER_CELL = 50
+# The dense tableau of ``lp_solve`` treats entries at or below this as zero
+# when choosing pivots, and reduced costs at or below it (times max(1, max|c|)
+# in phase two) as optimal: each pivot leaves rounding near 1e-16 per entry, and
+# pivoting on such residue would divide by noise.  The tolerance is absolute,
+# so badly scaled rows can defeat it.
+_PIVOT_TOL = 1e-10
+# Ratios within this relative slack of the smallest count as tied in the
+# lexicographic ratio test, so that rounding cannot break a tie that is exact
+# in exact arithmetic and turn the pivot sequence away from its anti-cycling rule.
+_RATIO_TIE = 1e-12
+# A phase-one objective (the sum of the artificial variables) above this times
+# max(1, max b) means no feasible point; below it is pivoting residue of an
+# exactly feasible system.
+_PHASE_ONE_TOL = 1e-8
 
 
 class InfeasibleError(ValueError):
@@ -86,7 +108,7 @@ class DiscreteLaw:
         if not self.points:
             raise ValueError("empty law")
         if any(m < _MIN_ATOM for m in self.masses):
-            raise ValueError("degenerate atom mass below 1e-14")
+            raise ValueError(f"degenerate atom mass below {_MIN_ATOM!r}")
         if abs(sum(self.masses) - 1.0) > MASS_TOL * max(1.0, len(self.masses)):
             raise ValueError(f"masses sum to {sum(self.masses)!r}, expected 1")
 
@@ -137,12 +159,12 @@ def _leaving_row(tableau: np.ndarray, col: int, m: int, tol: float) -> int:
         raise UnboundedError("objective unbounded along a simplex ray")
     ratios = tableau[pos, -1] / colvals[pos]
     best = ratios.min()
-    active = pos[np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]]
+    active = pos[np.nonzero(ratios <= best + _RATIO_TIE * (1.0 + abs(best)))[0]]
     if active.size > 1:
         for c in range(tableau.shape[1] - 1):
             vals = tableau[active, c] / colvals[active]
             low = vals.min()
-            active = active[np.nonzero(vals <= low + 1e-12 * (1.0 + abs(low)))[0]]
+            active = active[np.nonzero(vals <= low + _RATIO_TIE * (1.0 + abs(low)))[0]]
             if active.size == 1:
                 break
     return int(active[0])
@@ -171,8 +193,7 @@ def _simplex_iterate(tableau: np.ndarray, basis: np.ndarray, allowed: int,
 
 
 def lp_solve(c: Sequence[float], a_mat, b: Sequence[float],
-             equality: Sequence[bool] | None = None,
-             tol: float = 1e-10) -> tuple[float, np.ndarray]:
+             equality: Sequence[bool] | None = None) -> tuple[float, np.ndarray]:
     """Minimize c.x subject to A x (=|<=) b and x >= 0.
 
     ``equality`` flags each row as an equality (default: all rows).  Returns
@@ -214,14 +235,15 @@ def lp_solve(c: Sequence[float], a_mat, b: Sequence[float],
     # phase one: z_j - c_j for the artificial cost is the column sum
     tableau[m, :] = tableau[:m, :].sum(axis=0)
     tableau[m, n + n_slack:total] = 0.0
-    _simplex_iterate(tableau, basis, allowed=n + n_slack, tol=tol, max_iter=200 * (m + total))
-    if tableau[m, -1] > 1e-8 * max(1.0, float(rhs.max()) if m else 1.0):
+    _simplex_iterate(tableau, basis, allowed=n + n_slack, tol=_PIVOT_TOL,
+                     max_iter=200 * (m + total))
+    if tableau[m, -1] > _PHASE_ONE_TOL * max(1.0, float(rhs.max()) if m else 1.0):
         raise InfeasibleError(f"phase-one residual {tableau[m, -1]!r}")
 
     # drive artificial variables out of the basis where possible
     for i in range(m):
         if basis[i] >= n + n_slack:
-            cols = np.nonzero(np.abs(tableau[i, : n + n_slack]) > tol)[0]
+            cols = np.nonzero(np.abs(tableau[i, : n + n_slack]) > _PIVOT_TOL)[0]
             if cols.size:
                 _pivot(tableau, basis, i, int(cols[0]))
 
@@ -231,7 +253,8 @@ def lp_solve(c: Sequence[float], a_mat, b: Sequence[float],
     tableau[m, :] = cost_ext[basis] @ tableau[:m, :]
     tableau[m, :total] -= cost_ext
     scale = max(1.0, float(np.abs(cost).max()) if cost.size else 1.0)
-    _simplex_iterate(tableau, basis, allowed=n + n_slack, tol=tol * scale, max_iter=200 * (m + total))
+    _simplex_iterate(tableau, basis, allowed=n + n_slack, tol=_PIVOT_TOL * scale,
+                     max_iter=200 * (m + total))
 
     x = np.zeros(total)
     x[basis] = tableau[:m, -1]

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +39,9 @@ __all__ = [
     "tree_from_dict",
 ]
 
+# A node's children's edge probabilities must sum to one within this: a float
+# sum of normalized weights misses one by a few 1e-16 per child, far below it,
+# while a probability rounded to fewer than about 12 digits fails.
 PROB_TOL = 1e-12
 
 
@@ -46,8 +49,9 @@ class ShapeMismatchError(ValueError):
     """Raised when two processes or paths disagree in depth or dimensions."""
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
+    """One entry of a tree's node list; ``zip(*proc.nodes)`` gives its five columns."""
+
     id: int
     parent: int | None
     time: int
@@ -71,8 +75,8 @@ class TreeProcess:
     """Immutable scenario tree; all derived views are cached lazily.
 
     ``node`` and ``children`` read the node list; ``level``, ``leaves``,
-    ``leaf_ancestors``, ``reach_prob`` and ``leaf_paths`` are views of
-    ``layout``, which ``children``-only callers never build.
+    ``leaf_ancestors`` and ``reach_prob`` are views of ``layout``, which
+    ``children``-only callers never build.
     """
 
     depth: int
@@ -86,9 +90,9 @@ class TreeProcess:
     @cached_property
     def children_map(self) -> Mapping[int, tuple[int, ...]]:
         kids: dict[int, list[int]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            if n.parent in kids:
-                kids[n.parent].append(n.id)
+        for nid, parent, _, _, _ in self.nodes:
+            if parent in kids:
+                kids[parent].append(nid)
         return {k: tuple(v) for k, v in kids.items()}
 
     @cached_property
@@ -111,14 +115,15 @@ class TreeProcess:
         Level t lists its nodes with each parent's children contiguous:
         parents in level t - 1 order, siblings in node-list order.
         """
-        nodes, ids = self.nodes, [n.id for n in self.nodes]
+        root_id = self.root_id
+        ids, parents, _, values, probs = zip(*self.nodes)
         index = dict(zip(ids, range(len(ids))))
         # node-list position of every node's parent; the root's -1 reads the
         # sentinel at the end of ``pos`` below
-        parent = np.array([index.get(n.parent, -1) for n in nodes], dtype=np.intp)
-        prob = np.array([n.prob for n in nodes], dtype=float)
-        members, member_parent, reach = np.array([index[self.root_id]]), np.full(1, -1), np.ones(1)
-        pos = np.full(len(nodes) + 1, -1)   # position in the current level, by node-list position
+        parent = np.fromiter(map(index.get, parents, repeat(-1)), np.intp, len(ids))
+        prob = np.array(probs, dtype=float)
+        members, member_parent, reach = np.array([index[root_id]]), np.full(1, -1), np.ones(1)
+        pos = np.full(len(ids) + 1, -1)   # position in the current level, by node-list position
         out = []
         for t in range(self.depth + 1):
             pos[members] = np.arange(members.size)
@@ -127,10 +132,10 @@ class TreeProcess:
             kids = np.flatnonzero(parent_pos >= 0)
             kids = kids[np.argsort(parent_pos[kids], kind="stable")]
             at = members.tolist()
-            values = np.fromiter(chain.from_iterable(nodes[k].value for k in at), float) if t else ()
+            vals = np.fromiter(chain.from_iterable(map(values.__getitem__, at)), float) if t else ()
             level = TreeLevel(tuple(map(ids.__getitem__, at)), member_parent,
                               np.searchsorted(parent_pos[kids], np.arange(members.size + 1)),
-                              prob[members], np.reshape(values, (len(at), -1)), reach)
+                              prob[members], np.reshape(vals, (len(at), -1)), reach)
             for arr in level[1:]:
                 arr.flags.writeable = False
             out.append(level)
@@ -156,13 +161,6 @@ class TreeProcess:
         return {i: r for level in self.layout for i, r in zip(level.ids, level.reach.tolist())}
 
     @cached_property
-    def leaf_paths(self) -> Mapping[int, tuple[tuple[float, ...], ...]]:
-        """Values along the root-to-leaf path of every leaf, one per level 1..T."""
-        steps = [map(tuple, level.values[anc].tolist())
-                 for level, anc in zip(self.layout[1:], self.leaf_ancestors[1:])]
-        return dict(zip(self.leaves, zip(*steps)))
-
-    @cached_property
     def leaf_ancestors(self) -> tuple[np.ndarray, ...]:
         """Per level t = 0..T, the position in ``level(t)`` of the ancestor of
         every leaf, leaves in ``leaves`` order (read-only arrays)."""
@@ -174,12 +172,6 @@ class TreeProcess:
         for arr in out:
             arr.flags.writeable = False
         return tuple(reversed(out))
-
-    def ancestor_at(self, node_id: int, t: int) -> int:
-        nid = node_id
-        while self.node(nid).time > t:
-            nid = self.node(nid).parent
-        return nid
 
 
 @dataclass(frozen=True)
@@ -216,42 +208,39 @@ def validate(proc: TreeProcess) -> list[str]:
         violations.append(f"value_dims {list(proc.value_dims)} has an entry below 1")
         return violations
 
-    ids = [n.id for n in proc.nodes]
-    if len(set(ids)) != len(ids):
+    by_id = proc.by_id
+    if len(by_id) != len(proc.nodes):
         violations.append("duplicate node ids")
         return violations
-    by_id = proc.by_id
 
-    for n in proc.nodes:
-        if n.parent is None:
+    for nid, parent, t, value, prob in proc.nodes:
+        if parent is None:
             continue
-        if n.parent not in by_id:
-            violations.append(f"node {n.id} has unknown parent {n.parent}")
+        if parent not in by_id:
+            violations.append(f"node {nid} has unknown parent {parent}")
             continue
-        parent = by_id[n.parent]
-        if n.time != parent.time + 1:
-            violations.append(
-                f"node {n.id} at level {n.time} under parent at level {parent.time}"
-            )
-        if not math.isfinite(n.prob):
-            violations.append(f"node {n.id} has non-finite edge probability {n.prob}")
-        elif not n.prob > 0.0:
-            violations.append(f"node {n.id} has non-positive edge probability {n.prob}")
-        if n.time < 1 or n.time > proc.depth:
-            violations.append(f"node {n.id} at level {n.time} outside 1..{proc.depth}")
+        parent_t = by_id[parent].time
+        if t != parent_t + 1:
+            violations.append(f"node {nid} at level {t} under parent at level {parent_t}")
+        if not math.isfinite(prob):
+            violations.append(f"node {nid} has non-finite edge probability {prob}")
+        elif not prob > 0.0:
+            violations.append(f"node {nid} has non-positive edge probability {prob}")
+        if t < 1 or t > proc.depth:
+            violations.append(f"node {nid} at level {t} outside 1..{proc.depth}")
             continue
-        dim = proc.value_dims[n.time - 1]
-        if n.value is None or len(n.value) != dim:
-            got = "none" if n.value is None else str(len(n.value))
-            violations.append(f"node {n.id} value has dim {got}, expected {dim}")
-        elif not all(map(math.isfinite, n.value)):
-            violations.append(f"node {n.id} has non-finite value {n.value}")
+        dim = proc.value_dims[t - 1]
+        if value is None or len(value) != dim:
+            got = "none" if value is None else str(len(value))
+            violations.append(f"node {nid} value has dim {got}, expected {dim}")
+        elif not all(map(math.isfinite, value)):
+            violations.append(f"node {nid} has non-finite value {value}")
 
     for nid, ks in proc.children_map.items():
-        node = by_id[nid]
-        if node.time < proc.depth:
+        t = by_id[nid].time
+        if t < proc.depth:
             if not ks:
-                violations.append(f"node {nid} at level {node.time} is a leaf, expected depth {proc.depth}")
+                violations.append(f"node {nid} at level {t} is a leaf, expected depth {proc.depth}")
             else:
                 s = sum(by_id[k].prob for k in ks)
                 if abs(s - 1.0) > PROB_TOL:
@@ -282,10 +271,11 @@ def step_cost(a: Sequence[float], b: Sequence[float], p: float) -> float:
 
 
 def path_law(proc: TreeProcess) -> PathLaw:
-    """Forget the filtration: one atom per leaf with the product mass."""
-    reach = proc.reach_prob
-    atoms = tuple((proc.leaf_paths[leaf], reach[leaf]) for leaf in proc.leaves)
-    return PathLaw(atoms=atoms)
+    """Forget the filtration: one atom per leaf, its values along the
+    root-to-leaf path (one per level 1..T) with the product mass."""
+    steps = [map(tuple, level.values[anc].tolist())
+             for level, anc in zip(proc.layout[1:], proc.leaf_ancestors[1:])]
+    return PathLaw(atoms=tuple(zip(zip(*steps), proc.layout[-1].reach.tolist())))
 
 
 def chain_process(values: Sequence[Sequence[float] | float]) -> TreeProcess:
@@ -302,15 +292,14 @@ def build_process(value_dims: Sequence[int], branches) -> TreeProcess:
 
     ``branches`` is a list of ``(prob, value, children)`` triples hanging off
     the root; ``children`` recursively has the same shape and is empty at the
-    terminal level.  Node ids are assigned in depth-first order.
+    terminal level.  Node ids are assigned in depth-first preorder.  The one
+    depth-first builder: canonical and quantized trees are built here too.
     """
     nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
-    counter = [1]
 
     def visit(parent_id: int, t: int, subtrees) -> None:
         for prob, value, kids in subtrees:
-            nid = counter[0]
-            counter[0] += 1
+            nid = len(nodes)
             vec = tuple(value) if isinstance(value, (tuple, list)) else (float(value),)
             nodes.append(TreeNode(id=nid, parent=parent_id, time=t, value=vec, prob=float(prob)))
             visit(nid, t + 1, kids)
@@ -379,7 +368,7 @@ def process_with_values(proc: TreeProcess, values) -> TreeProcess:
     layout = proc.layout
     value = dict(zip(chain.from_iterable(level.ids for level in layout),
                      chain([None], *(map(tuple, arr.tolist()) for arr in new.levels))))
-    ids, parents, times, probs = zip(*map(operator.attrgetter("id", "parent", "time", "prob"), proc.nodes))
+    ids, parents, times, _, probs = zip(*proc.nodes)
     out = TreeProcess(depth=proc.depth, value_dims=tuple(arr.shape[1] for arr in new.levels),
                       nodes=tuple(map(TreeNode, ids, parents, times, map(value.__getitem__, ids), probs)))
     # a cached_property lives in the instance dict
@@ -445,12 +434,11 @@ def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
             raise ValueError("sample values must be finite")
 
     rng = np.random.default_rng(seed)
-    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
-    counter = [1]
 
-    def split(parent_id: int, t: int, members: list[int]) -> None:
+    def split(t: int, members: list[int]) -> list:
+        """The ``build_process`` branches below a node whose samples are ``members``."""
         if t > depth:
-            return
+            return []
         pts = np.array([paths[i][t - 1] for i in members])
         labels = _kmeans(pts, branching[t - 1], rng)
         groups: dict[int, list[int]] = {}
@@ -462,19 +450,14 @@ def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
             centroid = np.array([paths[i][t - 1] for i in grp]).mean(axis=0)
             entries.append((tuple(centroid.tolist()), grp))
         entries.sort(key=lambda e: e[0])
-        for centroid, grp in entries:
-            nid = counter[0]
-            counter[0] += 1
-            nodes.append(TreeNode(id=nid, parent=parent_id, time=t,
-                                  value=centroid, prob=len(grp) / len(members)))
-            split(nid, t + 1, grp)
+        return [(len(grp) / len(members), centroid, split(t + 1, grp)) for centroid, grp in entries]
 
     try:
         with np.errstate(over="raise", invalid="raise"):
-            split(0, 1, list(range(len(paths))))
+            branches = split(1, list(range(len(paths))))
     except FloatingPointError as exc:
         raise OverflowError(f"sample values too far apart to cluster: {exc}") from None
-    return TreeProcess(depth=depth, value_dims=dims, nodes=tuple(nodes))
+    return build_process(dims, branches)
 
 
 def tree_to_dict(proc: TreeProcess) -> dict:

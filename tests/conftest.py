@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from adawass import build_process, chain_process, tree_to_dict
+from adawass import build_process, chain_process, path_law, tree_to_dict
 
 
 def epsilon_x():
@@ -55,6 +55,19 @@ def random_pair(rng, depth=None, dims=None, max_branch=3, **kw):
         dims = tuple(int(rng.integers(1, 3)) for _ in range(depth))
     return (random_process(rng, depth, dims, max_branch, **kw),
             random_process(rng, depth, dims, max_branch, **kw))
+
+
+def ancestor_at(proc, node_id, t):
+    """The ancestor of ``node_id`` at level ``t``, by a walk up the parents."""
+    nid = node_id
+    while proc.node(nid).time > t:
+        nid = proc.node(nid).parent
+    return nid
+
+
+def leaf_paths(proc):
+    """Values along the root-to-leaf path of every leaf, one per level 1..T."""
+    return dict(zip(proc.leaves, (path for path, _ in path_law(proc).atoms)))
 
 
 @pytest.fixture

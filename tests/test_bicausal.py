@@ -33,7 +33,7 @@ from adawass.bicausal import _solve_level
 from adawass.discrete_ot import MARGINAL_TOL, solve_transport
 from adawass.trees import step_cost
 
-from conftest import epsilon_x, epsilon_y, random_pair, random_process
+from conftest import ancestor_at, epsilon_x, epsilon_y, leaf_paths, random_pair, random_process
 
 
 def w_of_path_laws(x, y, p):
@@ -234,9 +234,9 @@ def lp_rows_by_loops(x, y):
     xi = {k: i for i, k in enumerate(lx)}
     yi = {l: j for j, l in enumerate(ly)}
     mu, nu = x.reach_prob, y.reach_prob
-    under_x = {v: [k for k in lx if x.ancestor_at(k, t) == v]
+    under_x = {v: [k for k in lx if ancestor_at(x, k, t) == v]
                for t in range(1, x.depth) for v in x.level(t)}
-    under_y = {w: [l for l in ly if y.ancestor_at(l, t) == w]
+    under_y = {w: [l for l in ly if ancestor_at(y, l, t) == w]
                for t in range(1, y.depth) for w in y.level(t)}
     rows, rhs = [], []
     for k in lx:
@@ -315,13 +315,13 @@ def multicausal_by_loops(coupling, tol):
         for t in range(1, proc.depth):
             full, cyl = {}, {}
             for tup, m in items:
-                others = tuple(procs[j].ancestor_at(tup[j], t) for j in range(len(procs)) if j != i)
+                others = tuple(ancestor_at(procs[j], tup[j], t) for j in range(len(procs)) if j != i)
                 full[(tup[i],) + others] = full.get((tup[i],) + others, 0.0) + m
-                key = (proc.ancestor_at(tup[i], t),) + others
+                key = (ancestor_at(proc, tup[i], t),) + others
                 cyl[key] = cyl.get(key, 0.0) + m
             for (v, *others), g_cyl in cyl.items():
                 for leaf in proc.leaves:
-                    if proc.ancestor_at(leaf, t) == v:
+                    if ancestor_at(proc, leaf, t) == v:
                         g_full = full.get((leaf, *others), 0.0)
                         if abs(g_full * proc.reach_prob[v] - g_cyl * proc.reach_prob[leaf]) > tol:
                             return False
@@ -499,11 +499,11 @@ def test_time_swapped_coupling_violates_causality():
     mirror = fair_coin_square()
     leaf_by_path = {}
     for leaf in mirror.leaves:
-        vals = tuple(v[0] for v in mirror.leaf_paths[leaf])
+        vals = tuple(v[0] for v in leaf_paths(mirror)[leaf])
         leaf_by_path[vals] = leaf
     masses = {}
     for leaf in proc.leaves:
-        a, b = (v[0] for v in proc.leaf_paths[leaf])
+        a, b = (v[0] for v in leaf_paths(proc)[leaf])
         masses[(leaf, leaf_by_path[(b, a)])] = 0.25
     plan = BicausalPlan.from_pair_masses(proc, mirror, 2.0, masses)
     # marginals are perfect, causality is not
@@ -517,9 +517,9 @@ def test_time_swapped_coupling_violates_causality():
     k = proc.children(x1)[0]          # x-path (0, 0)
     w = mirror.level(1)[0]            # cylinder y1 = 0
     pi_kw = sum(m for (kk, ll), m in masses.items()
-                if kk == k and mirror.ancestor_at(ll, 1) == w)
+                if kk == k and ancestor_at(mirror, ll, 1) == w)
     pi_vw = sum(m for (kk, ll), m in masses.items()
-                if proc.ancestor_at(kk, 1) == x1 and mirror.ancestor_at(ll, 1) == w)
+                if ancestor_at(proc, kk, 1) == x1 and ancestor_at(mirror, ll, 1) == w)
     assert abs(mu[x1] * pi_kw - mu[k] * pi_vw) > 0.05
 
 
@@ -768,7 +768,7 @@ def test_multicausal_check_conditions_on_all_other_processes():
     # the others' first coins, independent of each of them but not of both:
     # every pair marginal is bicausal, the coupling is not multicausal
     coins = [fair_coin_square() for _ in range(3)]
-    leaf = [{tuple(v[0] for v in c.leaf_paths[k]): k for k in c.leaves} for c in coins]
+    leaf = [{tuple(v[0] for v in leaf_paths(c)[k]): k for k in c.leaves} for c in coins]
     masses = {(leaf[0][(a1, float(b1 != c1))], leaf[1][(b1, b2)], leaf[2][(c1, c2)]): 1 / 32
               for a1, b1, c1, b2, c2 in itertools.product((0.0, 1.0), repeat=5)}
     xor = with_masses(glue([BicausalPlan.product(a, b, 2.0) for a, b in zip(coins, coins[1:])]), masses)

@@ -5,6 +5,8 @@ import pytest
 
 from adawass import (
     ShapeMismatchError,
+    TreeNode,
+    TreeProcess,
     aw_distance,
     build_process,
     canonicalize,
@@ -13,6 +15,7 @@ from adawass import (
     information_process,
     validate,
 )
+from adawass import canonical
 from adawass.canonical import InfoState
 
 from conftest import epsilon_y, random_process
@@ -166,6 +169,53 @@ def test_canonicalize_collapses_doubled_children_node_for_node():
         for tol in (0.0, 1e-9):
             assert canonicalize(copy, tol) == canonicalize(base, tol)
             assert equivalent(copy, base, tol)
+
+
+def rebuild_by_nodes(depth, value_dims, law):
+    """The tree whose level-1 information law is ``law``, node by node with
+    ids in depth-first preorder: canonicalize's former builder."""
+    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
+
+    def emit(parent_id, t, entries):
+        for state, prob in entries:
+            nid = len(nodes)
+            nodes.append(TreeNode(id=nid, parent=parent_id, time=t, value=state.value, prob=prob))
+            if state.law is not None:
+                emit(nid, t + 1, state.law)
+
+    emit(0, 1, law)
+    return TreeProcess(depth=depth, value_dims=value_dims, nodes=tuple(nodes))
+
+
+def redundant_random_tree(rng, jitter):
+    """Random tree with values in {0, 1} (moved by up to ``jitter``) and
+    probabilities from few weights, so that many siblings share a state."""
+    depth = int(rng.integers(1, 4))
+    dims = [int(rng.integers(1, 3)) for _ in range(depth)]
+
+    def spawn(t):
+        if t > depth:
+            return []
+        weights = rng.choice([1.0, 2.0, 3.0], size=int(rng.integers(1, 5)))
+        shape = (len(weights), dims[t - 1])
+        values = rng.integers(0, 2, shape) + jitter * rng.uniform(-1.0, 1.0, shape)
+        return [(float(q), tuple(v), spawn(t + 1)) for q, v in zip(weights / weights.sum(), values.tolist())]
+
+    return build_process(dims, spawn(1))
+
+
+@pytest.mark.parametrize("tol, jitter", [(0.0, 0.0), (1e-6, 1e-7)])
+def test_canonicalize_matches_the_node_by_node_rebuild(tol, jitter):
+    rng = np.random.default_rng(31)
+    merged = 0
+    for _ in range(60):
+        proc = redundant_random_tree(rng, jitter)
+        ref = rebuild_by_nodes(proc.depth, proc.value_dims, canonical._law(proc, proc.root_id, tol))
+        got = canonicalize(proc, tol)
+        assert (got.depth, got.value_dims) == (ref.depth, ref.value_dims)
+        assert repr(got.nodes) == repr(ref.nodes)
+        merged += len(got.nodes) < len(proc.nodes)
+    assert merged > 30
 
 
 def test_canonicalize_tolerant_chain_merges_greedily_first_wins():

@@ -36,6 +36,7 @@ from conftest import (
     epsilon_x,
     epsilon_y,
     flow_to_dict,
+    leaf_paths,
     random_process,
     write_particles_by_label_path,
 )
@@ -99,6 +100,20 @@ def test_exit_codes(write_tree, capsys, tmp_path):
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "value_dims [0, 0] has an entry below 1" in err and len(err.splitlines()) == 1
+    # unwritable output paths: a missing directory, or a directory in place of a file
+    missing = str(tmp_path / "missing" / "out")
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"grid": [0.0, 1.0],
+                                 "processes": [tree_to_dict(chain_process([1.0, 2.0]))] * 2}))
+    for argv in (["dist", a, a, "--plan", missing], ["plan", a, a, "--out", str(tmp_path)],
+                 ["curve-energy", str(curve), "--csv", missing],
+                 ["canonical", a, "--out", str(tmp_path)],
+                 ["geodesic", a, a, "--csv", missing], ["geodesic", a, a, "--particles", missing],
+                 ["geodesic", a, a, "--out", missing]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -376,9 +391,9 @@ def test_check_plan_flags_bad_plan(write_tree, capsys, tmp_path):
     # anti-adapted pairing: undercuts the distance by using future information
     pairs = []
     for lx in xt.leaves:
-        sx = xt.leaf_paths[lx][1][0]
+        sx = leaf_paths(xt)[lx][1][0]
         for ly in yt.leaves:
-            if yt.leaf_paths[ly][1][0] == sx:
+            if leaf_paths(yt)[ly][1][0] == sx:
                 pairs.append({"leaf_x": lx, "leaf_y": ly, "mass": 0.5})
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps({"pairs": pairs, "value": 0.1, "p": 1.0}))

@@ -1,8 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adawass
 from adawass import DiscreteLaw, InfeasibleError, UnboundedError, lp_solve, w_distance
 from adawass import discrete_ot
 from adawass.discrete_ot import (
@@ -406,7 +409,27 @@ def test_batched_2x2_matches_scalar_closed_form():
 
 
 def test_discrete_law_rejects_degenerate_masses():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"degenerate atom mass below 1e-14$"):
         DiscreteLaw.from_arrays([[0.0], [1.0]], [1.0 - 1e-16, 1e-16])
     with pytest.raises(ValueError):
         DiscreteLaw.from_arrays([[0.0]], [0.9])
+
+
+def small_float_literals(source: str) -> list[tuple[int, float]]:
+    """Line and value of every float literal with 0 < |x| < 1e-6 that is not
+    part of a module-level assignment."""
+    tree = ast.parse(source)
+    named = {id(node) for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             for node in ast.walk(stmt)}
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0.0 < abs(node.value) < 1e-6 and id(node) not in named]
+
+
+def test_small_tolerances_are_named_constants():
+    # every tolerance in the library is a module-level constant with a stated
+    # reason; a bare small literal in an expression or a default is not
+    src = Path(adawass.__file__).parent
+    bare = {f"{path.name}:{line}": value for path in sorted(src.glob("*.py"))
+            for line, value in small_float_literals(path.read_text(encoding="utf-8"))}
+    assert bare == {}

@@ -73,6 +73,35 @@ def test_validate_flags_non_finite_probability(bad):
     assert any("non-finite edge probability" in p for p in validate(proc))
 
 
+def test_validate_reports_every_per_node_violation_in_order():
+    # one tree carrying each per-node violation: the whole report, in order
+    nodes = (
+        TreeNode(id=0, parent=None, time=0, value=None, prob=1.0),
+        TreeNode(id=1, parent=0, time=1, value=(0.0,), prob=0.5),
+        TreeNode(id=2, parent=0, time=1, value=(1.0,), prob=math.nan),   # and an early leaf
+        TreeNode(id=3, parent=0, time=1, value=(2.0,), prob=-0.25),      # and an early leaf
+        TreeNode(id=4, parent=1, time=2, value=(0.0, 1.0), prob=0.5),
+        TreeNode(id=5, parent=1, time=2, value=(math.inf,), prob=0.25),  # node 1's sum 0.75
+        TreeNode(id=6, parent=99, time=2, value=(0.0,), prob=1.0),
+        TreeNode(id=7, parent=4, time=2, value=(0.0,), prob=1.0),
+        TreeNode(id=8, parent=7, time=3, value=(0.0,), prob=1.0),
+    )
+    assert validate(TreeProcess(depth=2, value_dims=(1, 1), nodes=nodes)) == [
+        "node 2 has non-finite edge probability nan",
+        "node 3 has non-positive edge probability -0.25",
+        "node 4 value has dim 2, expected 1",
+        "node 5 has non-finite value (inf,)",
+        "node 6 has unknown parent 99",
+        "node 7 at level 2 under parent at level 2",
+        "node 8 at level 3 outside 1..2",
+        "children of node 1 have probability sum 0.75",
+        "node 2 at level 1 is a leaf, expected depth 2",
+        "node 3 at level 1 is a leaf, expected depth 2",
+        "node 4 at terminal level has children",
+        "node 7 at terminal level has children",
+    ]
+
+
 def test_path_distance_examples():
     assert path_distance([(1.0,), (2.0,)], [(3.0,), (5.0,)], 2.0) == pytest.approx(math.sqrt(13))
     assert path_distance([(1.0,), (2.0,)], [(1.0,), (2.0,)], 2.0) == 0.0
@@ -180,6 +209,38 @@ def test_quantize_iid_samples_against_assignment_oracle():
     # determinism: same seed, same tree
     again = quantize_paths(samples, [2], seed=7)
     assert again == proc
+
+
+QUANTIZE_SAMPLES = [[8, 0], [1, 2], [1, 8], [8, 5], [0, 0], [3, 4], [6, 4], [2, 1], [6, 7],
+                    [0, 1], [4, 3]]
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (0, [(0, None, 0, None, 1.0),
+         (1, 0, 1, (1.5714285714285714,), 0.6363636363636364),
+         (2, 1, 2, (0.0,), 0.14285714285714285),
+         (3, 1, 2, (1.75,), 0.5714285714285714),
+         (4, 1, 2, (6.0,), 0.2857142857142857),
+         (5, 0, 1, (7.0,), 0.36363636363636365),
+         (6, 5, 2, (0.0,), 0.25),
+         (7, 5, 2, (4.5,), 0.5),
+         (8, 5, 2, (7.0,), 0.25)]),
+    (5, [(0, None, 0, None, 1.0),
+         (1, 0, 1, (1.5714285714285714,), 0.6363636363636364),
+         (2, 1, 2, (1.0,), 0.5714285714285714),
+         (3, 1, 2, (3.5,), 0.2857142857142857),
+         (4, 1, 2, (8.0,), 0.14285714285714285),
+         (5, 0, 1, (7.0,), 0.36363636363636365),
+         (6, 5, 2, (0.0,), 0.25),
+         (7, 5, 2, (4.5,), 0.5),
+         (8, 5, 2, (7.0,), 0.25)]),
+])
+def test_quantize_node_list_is_pinned(seed, expected):
+    # both level-1 groups cluster with draws from the one rng, in depth-first
+    # order; drawing for them in another order changes these node lists
+    proc = quantize_paths(QUANTIZE_SAMPLES, [2, 3], seed=seed)
+    assert (proc.depth, proc.value_dims) == (2, (1, 1))
+    assert repr([(n.id, n.parent, n.time, n.value, n.prob) for n in proc.nodes]) == repr(expected)
 
 
 def test_quantize_rejects_bad_input():
