@@ -36,9 +36,10 @@ from .discrete_ot import (  # noqa: F401  (solve_transport: perfbench/tracer.py 
     solve_transport,
 )
 from .trees import (
-    ShapeMismatchError,
     TreeNode,
     TreeProcess,
+    _check_order,
+    _check_shapes,
     process_with_values,
 )
 
@@ -78,13 +79,6 @@ class SizeGuardError(RuntimeError):
     """A product-space construction would exceed the configured size limit."""
 
 
-def _check_pair(x: TreeProcess, y: TreeProcess) -> None:
-    if x.depth != y.depth or x.value_dims != y.value_dims:
-        raise ShapeMismatchError(
-            f"shape mismatch: depth {x.depth}/{y.depth}, dims {x.value_dims}/{y.value_dims}"
-        )
-
-
 @dataclass(frozen=True)
 class BicausalPlan:
     """Coupling of two tree processes, stored as path-pair masses.
@@ -106,7 +100,8 @@ class BicausalPlan:
     @classmethod
     def from_pair_masses(cls, x: TreeProcess, y: TreeProcess, p: float,
                          masses: Mapping[tuple[int, int], float]) -> "BicausalPlan":
-        _check_pair(x, y)
+        _check_order(p)
+        _check_shapes(x, y)
         (i, j), m = _leaf_positions((x, y), masses)
         weighted = m * _path_costs(x, y, p, i, j)
         # summed in listing order, as a running total
@@ -310,9 +305,8 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
     carries the pair masses down over the reachable pairs only, as index
     arrays; the plan keeps the level plans as its kernels.
     """
-    _check_pair(x, y)
-    if p < 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
+    _check_order(p)
+    _check_shapes(x, y)
     T = x.depth
     lx, ly = x.layout, y.layout
     plans: list[np.ndarray | None] = [None] * T
@@ -380,9 +374,8 @@ def _lp_rows(x: TreeProcess, y: TreeProcess):
 
 def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, BicausalPlan]:
     """Independent oracle: one LP over path-pair masses with causality rows."""
-    _check_pair(x, y)
-    if p < 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
+    _check_order(p)
+    _check_shapes(x, y)
     lx, ly = x.leaves, y.leaves
     ny = len(ly)
     cost = _path_costs(x, y, p, np.arange(len(lx))[:, None], np.arange(ny)[None, :])
@@ -470,14 +463,6 @@ class MulticausalCoupling:
         return [level.values[pos[:, i]]
                 for level, pos in zip(self.processes[i].layout[1:], self.positions[1:])]
 
-    def pair_marginal(self, i: int) -> dict[tuple[int, int], float]:
-        """Marginal of coordinates (i, i+1) on leaf pairs."""
-        out: dict[tuple[int, int], float] = {}
-        for tup, m in self.masses.items():
-            key = (tup[i], tup[i + 1])
-            out[key] = out.get(key, 0.0) + m
-        return out
-
 
 def _row_sums(kernel: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``kernel[rows[e], lo[e]:hi[e]].sum()`` for every e, summed as numpy sums
@@ -506,7 +491,7 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
     for i, pl in enumerate(plans):
         if pl.x is not chain[i] and pl.x != chain[i]:
             raise ValueError(f"plan {i} does not start at process {i} of the chain")
-        _check_pair(pl.x, pl.y)
+        _check_shapes(pl.x, pl.y)
     kernels = [[kernel for _, _, kernel in pl.effective_kernels().levels] for pl in plans]
     T, n = chain[0].depth, len(chain)
     dims = tuple(sum(pr.value_dims[t] for pr in chain) for t in range(T))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .trees import ShapeMismatchError, TreeProcess, build_process
+from .trees import TreeProcess, _check_shapes, build_process
 
 __all__ = ["InfoState", "information_process", "canonicalize", "equivalent"]
 
@@ -114,10 +114,7 @@ def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     isomorphism of canonical forms (values and masses within ``tol`` when
     positive).
     """
-    if a.depth != b.depth or a.value_dims != b.value_dims:
-        raise ShapeMismatchError(
-            f"shape mismatch: depth {a.depth}/{b.depth}, dims {a.value_dims}/{b.value_dims}"
-        )
+    _check_shapes(a, b)
     # compare the laws as the laws of two value-less root states
     root_a = InfoState((), _law(a, a.root_id, tol))
     root_b = InfoState((), _law(b, b.root_id, tol))

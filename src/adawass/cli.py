@@ -1,9 +1,10 @@
 """Command-line surface: file formats, configuration, plot-data emission.
 
-Exit codes: 0 success, 2 unreadable or invalid input (including values so
-far apart that their costs overflow) or an unwritable output path, 3 shape
-mismatch, 4 size guard tripped, 5 internal solver failure.  All commands
-are deterministic; --seed only affects ``quantize``.
+Exit codes: 0 success, 2 unreadable or invalid input (any other
+``ValueError``, including values so far apart that their costs overflow)
+or an unwritable output path, 3 shape mismatch, 4 size guard tripped, 5
+internal solver failure.  All commands are deterministic; --seed only
+affects ``quantize``.
 """
 
 from __future__ import annotations
@@ -61,26 +62,19 @@ EXIT_SIZE = 4
 EXIT_SOLVER = 5
 
 
-class InputError(ValueError):
-    pass
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_tree(path: str) -> TreeProcess:
-    try:
-        proc = tree_from_dict(_load_json(path))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    proc = tree_from_dict(_load_json(path))
     problems = validate(proc)
     if problems:
-        raise InputError(f"{path}: invalid tree: " + "; ".join(problems))
+        raise ValueError(f"{path}: invalid tree: " + "; ".join(problems))
     return proc
 
 
@@ -215,8 +209,8 @@ def _plan_json(plan: BicausalPlan) -> str:
 
 
 def _plan_from_dict(data: dict, x: TreeProcess, y: TreeProcess) -> BicausalPlan:
-    """The plan of a plan document; a bad ``p``, a non-finite mass or a pair
-    listed twice is an input error."""
+    """The plan of a plan document; a non-finite mass or a pair listed twice
+    is an input error, and so is a bad ``p`` (``from_pair_masses``)."""
     try:
         p = _float_field(data["p"])
         rows = data["pairs"]
@@ -224,22 +218,15 @@ def _plan_from_dict(data: dict, x: TreeProcess, y: TreeProcess) -> BicausalPlan:
                              _int_fields([e["leaf_y"] for e in rows])),
                          _float_fields([e["mass"] for e in rows])))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed plan document: {exc}") from exc
-    if not 1.0 <= p < math.inf:
-        raise InputError(f"plan p must be a finite order >= 1, got {p}")
+        raise ValueError(f"malformed plan document: {exc}") from exc
     masses: dict[tuple[int, int], float] = {}
     for pair, mass in pairs:
         if not math.isfinite(mass):
-            raise InputError(f"plan lists a non-finite mass {mass} for pair {pair}")
+            raise ValueError(f"plan lists a non-finite mass {mass} for pair {pair}")
         if pair in masses:
-            raise InputError(f"plan lists pair {pair} twice")
+            raise ValueError(f"plan lists pair {pair} twice")
         masses[pair] = mass
-    try:
-        return BicausalPlan.from_pair_masses(x, y, p, masses)
-    except ShapeMismatchError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"malformed plan document: {exc}") from exc
+    return BicausalPlan.from_pair_masses(x, y, p, masses)
 
 
 def _curve_from_dict(data: dict) -> GridCurve:
@@ -248,19 +235,12 @@ def _curve_from_dict(data: dict) -> GridCurve:
         p = _float_field(data.get("p", 2.0))
         procs = tuple(tree_from_dict(t) for t in data["processes"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed curve document: {exc}") from exc
+        raise ValueError(f"malformed curve document: {exc}") from exc
     for i, proc in enumerate(procs):
         problems = validate(proc)
         if problems:
-            raise InputError(f"curve process {i} invalid: " + "; ".join(problems))
-    if not 1.0 <= p < math.inf:
-        raise InputError(f"curve p must be a finite order >= 1, got {p}")
-    try:
-        return GridCurve(grid=grid, processes=procs, p=p)
-    except ShapeMismatchError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"malformed curve document: {exc}") from exc
+            raise ValueError(f"curve process {i} invalid: " + "; ".join(problems))
+    return GridCurve(grid=grid, processes=procs, p=p)
 
 
 def _check_options(args) -> None:
@@ -269,28 +249,28 @@ def _check_options(args) -> None:
     any command runs; parses the grid, the weights and the branching factors."""
     p = getattr(args, "p", None)
     if p is not None and not 1.0 <= p < math.inf:
-        raise InputError(f"--p must be a finite order >= 1, got {p}")
+        raise ValueError(f"--p must be a finite order >= 1, got {p}")
     for option in ("tol_equiv", "tol_check"):
         tol = getattr(args, option, None)
         if tol is not None and not 0.0 <= tol < math.inf:
             name = "--" + option.replace("_", "-")
-            raise InputError(f"{name} must be a finite tolerance >= 0, got {tol}")
+            raise ValueError(f"{name} must be a finite tolerance >= 0, got {tol}")
     for option, least in (("dyadic", 0), ("max_leaves", 1)):
         value = getattr(args, option, None)
         if value is not None and value < least:
-            raise InputError(f"--{option.replace('_', '-')} must be an integer >= {least}, got {value}")
+            raise ValueError(f"--{option.replace('_', '-')} must be an integer >= {least}, got {value}")
     if getattr(args, "grid", None) is not None:
         try:
             args.grid = _check_grid([float(u) for u in args.grid.split(",")])
         except ValueError as exc:
-            raise InputError(f"--grid {args.grid}: {exc}") from exc
+            raise ValueError(f"--grid {args.grid}: {exc}") from exc
     for option, convert in (("weights", float), ("branching", int)):
         text = getattr(args, option, None)
         if text is not None:
             try:
                 setattr(args, option, [convert(v) for v in text.split(",")])
             except ValueError as exc:
-                raise InputError(f"--{option} {text}: {exc}") from exc
+                raise ValueError(f"--{option} {text}: {exc}") from exc
 
 
 def _write_derivative_csv(path: str, rows) -> None:
@@ -395,15 +375,10 @@ def cmd_represent(args) -> int:
 def cmd_skorokhod(args) -> int:
     files = sorted(Path(args.seq_dir).glob("*.json"))
     if not files:
-        raise InputError(f"{args.seq_dir}: no .json process files found")
+        raise ValueError(f"{args.seq_dir}: no .json process files found")
     seq = [_load_tree(str(f)) for f in files]
     limit = _load_tree(args.limit)
-    try:
-        flow = skorokhod(seq, limit, args.p, weights=args.weights, max_leaves=args.max_leaves)
-    except ShapeMismatchError:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    flow = skorokhod(seq, limit, args.p, weights=args.weights, max_leaves=args.max_leaves)
     if args.out:
         _write_text(args.out, _flow_json(flow))
     print("n u_n aw_to_target")
@@ -435,11 +410,8 @@ def cmd_quantize(args) -> int:
         samples = [[list(map(_float_field, step)) if isinstance(step, list)
                      else [_float_field(step)] for step in path] for path in data["samples"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed samples document: {exc}") from exc
-    try:
-        proc = quantize_paths(samples, args.branching, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(f"malformed samples document: {exc}") from exc
+    proc = quantize_paths(samples, args.branching, seed=args.seed)
     _write_text(args.out, _tree_json(proc))
     print(f"{len(proc.leaves)} scenarios")
     return EXIT_OK
@@ -532,12 +504,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # ShapeMismatchError, InfeasibleError and UnboundedError are ValueErrors,
+    # so they are caught before the input errors
     try:
         _check_options(args)
         return args.func(args)
-    except (InputError, OverflowError, OSError) as exc:   # OSError: an unwritable output path
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ShapeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
@@ -547,6 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverError, InfeasibleError, UnboundedError) as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except (ValueError, OverflowError, OSError) as exc:   # OSError: an unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bicausal import (
     MAX_PRODUCT_LEAVES,
-    BicausalPlan,
     MulticausalCoupling,
     SizeGuardError,
     _step_costs,
     aw_distance,
     glue,
 )
-from .trees import ShapeMismatchError, TreeProcess, _LevelValues, process_with_values
+from .trees import ShapeMismatchError, TreeProcess, _LevelValues, _check_order, process_with_values
 
 __all__ = [
     "GridCurve",
@@ -72,21 +71,17 @@ class GridCurve:
     grid: tuple[float, ...]
     processes: tuple[TreeProcess, ...]
     p: float
-    plans: tuple[BicausalPlan, ...] | None = None
 
     def __post_init__(self):
+        _check_order(self.p)
         object.__setattr__(self, "grid", _check_grid(self.grid))
         object.__setattr__(self, "processes", tuple(self.processes))
-        if self.plans is not None:
-            object.__setattr__(self, "plans", tuple(self.plans))
         if len(self.processes) != len(self.grid):
             raise ValueError("one process per grid point required")
         first = self.processes[0]
         for proc in self.processes[1:]:
             if proc.depth != first.depth or proc.value_dims != first.value_dims:
                 raise ShapeMismatchError("curve processes disagree in depth or dims")
-        if self.plans is not None and len(self.plans) != len(self.grid) - 1:
-            raise ValueError("one plan per grid interval required")
 
 
 @dataclass(frozen=True)
@@ -97,9 +92,11 @@ class CommonSpaceFlow:
     (``labels[i].levels[t - 1]``, a row per node of ``base.level(t)``) and
     reads as a Mapping from node id to label tuple, keys in layout order.
     Labellings given as Mappings are gathered into that form; every one
-    must label each non-root node with the value dims of ``base``.  The
-    grid runs strictly increasing from 0 to 1, and ``interpolation``, the
-    rule between grid points, is "linear" or "constant".
+    must label each non-root node, all with the same value dims.  The
+    flow stores ``base`` relabelled with ``labels[0]``, so its process at
+    the first grid point is ``base``.  The grid runs strictly increasing
+    from 0 to 1, and ``interpolation``, the rule between grid points, is
+    "linear" or "constant".
     """
 
     base: TreeProcess
@@ -116,12 +113,19 @@ class CommonSpaceFlow:
             raise ValueError(f"interpolation must be 'linear' or 'constant', got {self.interpolation!r}")
         if len(self.labels) != len(self.grid):
             raise ValueError(f"{len(self.labels)} labellings for a grid of {len(self.grid)} points")
-        labels = tuple(_labelling(self.base, lab, i) for i, lab in enumerate(self.labels))
+        labels = []
+        for i, lab in enumerate(self.labels):
+            try:
+                labels.append(_LevelValues(self.base, lab))
+            except ValueError as exc:
+                raise ValueError(f"labelling {i}: {exc}") from None
+        base = process_with_values(self.base, labels[0])
         for i, lab in enumerate(labels):
             dims = tuple(arr.shape[1] for arr in lab.levels)
-            if dims != self.base.value_dims:
-                raise ValueError(f"labelling {i} has value dims {dims}, the base tree {self.base.value_dims}")
-        object.__setattr__(self, "labels", labels)
+            if dims != base.value_dims:
+                raise ValueError(f"labelling {i} has value dims {dims}, the base tree {base.value_dims}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "labels", tuple(labels))
 
     def process_at(self, i: int) -> TreeProcess:
         """The filtered process read off the labels at grid index i."""
@@ -155,26 +159,7 @@ class CommonSpaceFlow:
         """Copy of the flow with the labelling at one grid index replaced."""
         labels = list(self.labels)
         labels[index] = new_labels
-        return _make_flow(self.base, self.grid, labels, self.p,
-                          interpolation=self.interpolation, targets=self.targets,
-                          coupling=self.coupling)
-
-
-def _labelling(tree: TreeProcess, labels, i: int) -> _LevelValues:
-    try:
-        return _LevelValues(tree, labels)
-    except ValueError as exc:
-        raise ValueError(f"labelling {i}: {exc}") from None
-
-
-def _make_flow(shape_tree: TreeProcess, grid, labels, p, interpolation="linear",
-               targets=None, coupling=None) -> CommonSpaceFlow:
-    """The flow on ``shape_tree`` relabelled with ``labels[0]``; each labelling
-    is a Mapping or one array per level over ``shape_tree``'s layout."""
-    labels = [_labelling(shape_tree, lab, i) for i, lab in enumerate(labels)]
-    base = process_with_values(shape_tree, labels[0])
-    return CommonSpaceFlow(base=base, grid=grid, labels=tuple(labels),
-                           p=p, interpolation=interpolation, targets=targets, coupling=coupling)
+        return replace(self, labels=labels)
 
 
 def geodesic(x: TreeProcess, y: TreeProcess, p: float, grid: Sequence[float],
@@ -192,7 +177,8 @@ def geodesic(x: TreeProcess, y: TreeProcess, p: float, grid: Sequence[float],
     levels = [(level.values, d) for level, d in zip(coupling.product.layout[1:], x.value_dims)]
     labels = [[(1.0 - u) * v[:, :d] + u * v[:, d:] for v, d in levels] for u in g]
     targets = (x,) + (None,) * (len(g) - 2) + (y,)
-    return _make_flow(coupling.product, g, labels, p, targets=targets, coupling=coupling)
+    return CommonSpaceFlow(base=coupling.product, grid=g, labels=labels, p=p,
+                           targets=targets, coupling=coupling)
 
 
 def metric_derivative(curve: GridCurve) -> list[tuple[tuple[float, float], float]]:
@@ -243,6 +229,7 @@ def _particle_terms(flow: CommonSpaceFlow, p: float, weights) -> np.ndarray:
 
 def flow_energy(flow: CommonSpaceFlow, p: float) -> float:
     """Particle-level p-energy, exact for piecewise-linear particle paths."""
+    _check_order(p)
     g = flow.grid
     terms = _particle_terms(flow, p, [(b - a) ** (1.0 - p) for a, b in zip(g, g[1:])])
     # a running total, particle by particle and interval by interval
@@ -288,12 +275,21 @@ def represent_curve(curve: GridCurve, interpolation: str = "linear",
     labels interpolate between grid points.
     """
     procs = curve.processes
-    plans = curve.plans or [aw_distance(a, b, curve.p)[1] for a, b in zip(procs, procs[1:])]
+    plans = [aw_distance(a, b, curve.p)[1] for a, b in zip(procs, procs[1:])]
     coupling = glue(plans, max_leaves=max_leaves)
     labels = [coupling.factor_values(i) for i in range(len(curve.grid))]
-    return _make_flow(coupling.product, curve.grid, labels, curve.p,
-                      interpolation=interpolation, targets=procs,
-                      coupling=coupling)
+    return CommonSpaceFlow(base=coupling.product, grid=curve.grid, labels=labels, p=curve.p,
+                           interpolation=interpolation, targets=procs, coupling=coupling)
+
+
+def _weights(weights: Sequence[float], n: int) -> tuple[float, ...]:
+    """Explicit weights as floats: n of them, each positive and finite."""
+    used = tuple(float(w) for w in weights)
+    if len(used) != n:
+        raise ValueError(f"{n} weights required, got {len(used)}")
+    if not all(0.0 < w < math.inf for w in used):
+        raise ValueError("weights must be positive and finite")
+    return used
 
 
 def weighted_p_variation(seq: Sequence[TreeProcess], p: float,
@@ -314,11 +310,7 @@ def weighted_p_variation(seq: Sequence[TreeProcess], p: float,
             return 0.0, tuple(0.0 for _ in dists)
         used = tuple(d / total_d for d in dists)
     else:
-        used = tuple(float(w) for w in weights)
-        if len(used) != len(dists):
-            raise ValueError(f"{len(dists)} weights required, got {len(used)}")
-        if not all(0.0 < w < math.inf for w in used):
-            raise ValueError("weights must be positive and finite")
+        used = _weights(weights, len(dists))
         if sum(used) > 1.0 + WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {sum(used)!r} > 1")
     total = 0.0
@@ -342,11 +334,7 @@ def skorokhod(seq: Sequence[TreeProcess], limit: TreeProcess, p: float,
         raise ValueError("empty sequence")
     chain = list(seq) + [limit]
     if weights is not None:
-        used = [float(w) for w in weights]
-        if len(used) != len(chain) - 1:
-            raise ValueError(f"{len(chain) - 1} weights required, got {len(used)}")
-        if not all(0.0 < w < math.inf for w in used):
-            raise ValueError("weights must be positive and finite")
+        used = _weights(weights, len(chain) - 1)
         s = sum(used)
         if abs(s - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {s!r}, expected 1")

@@ -250,10 +250,23 @@ def validate(proc: TreeProcess) -> list[str]:
     return violations
 
 
+def _check_order(p: float) -> None:
+    """Reject an order that AW_p does not take: p must be a finite number >= 1."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"order p must be a finite number >= 1, got {p}")
+
+
+def _check_shapes(x: TreeProcess, y: TreeProcess) -> None:
+    """Reject two processes that disagree in depth or value dims."""
+    if x.depth != y.depth or x.value_dims != y.value_dims:
+        raise ShapeMismatchError(
+            f"shape mismatch: depth {x.depth}/{y.depth}, dims {x.value_dims}/{y.value_dims}"
+        )
+
+
 def path_distance(x: Sequence[Sequence[float]], y: Sequence[Sequence[float]], p: float) -> float:
     """p-metric between two paths: (sum_t |x_t - y_t|_2^p)^(1/p)."""
-    if p < 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
+    _check_order(p)
     if len(x) != len(y):
         raise ShapeMismatchError(f"paths have {len(x)} and {len(y)} steps")
     total = 0.0
@@ -280,11 +293,10 @@ def path_law(proc: TreeProcess) -> PathLaw:
 
 def chain_process(values: Sequence[Sequence[float] | float]) -> TreeProcess:
     """Deterministic process following a single path."""
-    vecs = [tuple(v) if isinstance(v, (tuple, list)) else (float(v),) for v in values]
-    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
-    for t, v in enumerate(vecs, start=1):
-        nodes.append(TreeNode(id=t, parent=t - 1, time=t, value=v, prob=1.0))
-    return TreeProcess(depth=len(vecs), value_dims=tuple(len(v) for v in vecs), nodes=tuple(nodes))
+    branches = []
+    for v in reversed(values):
+        branches = [(1.0, v, branches)]
+    return build_process([len(v) if isinstance(v, (tuple, list)) else 1 for v in values], branches)
 
 
 def build_process(value_dims: Sequence[int], branches) -> TreeProcess:
@@ -397,10 +409,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             members = points[labels == j]
             if len(members):
                 centers[j] = members.mean(axis=0)
-    # drop empty clusters and relabel in order of first appearance
-    used = sorted(set(labels.tolist()))
-    remap = {old: new for new, old in enumerate(used)}
-    return np.array([remap[l] for l in labels], dtype=int)
+    return labels
 
 
 def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
@@ -422,14 +431,14 @@ def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
     paths = []
     for s in samples:
         if len(s) != depth:
-            raise ShapeMismatchError("sample paths have unequal depth")
+            raise ValueError("sample paths have unequal depth")
         paths.append([np.atleast_1d(np.asarray(step, dtype=float)) for step in s])
     dims = tuple(len(step) for step in paths[0])
     if 0 in dims:
         raise ValueError("sample steps must hold at least one value")
     for s in paths:
         if tuple(len(step) for step in s) != dims:
-            raise ShapeMismatchError("sample paths have unequal step dimensions")
+            raise ValueError("sample paths have unequal step dimensions")
         if not all(np.isfinite(step).all() for step in s):
             raise ValueError("sample values must be finite")
 

@@ -70,6 +70,15 @@ def leaf_paths(proc):
     return dict(zip(proc.leaves, (path for path, _ in path_law(proc).atoms)))
 
 
+def pair_marginal(coupling, i):
+    """Marginal of coordinates (i, i+1) of a multicausal coupling on leaf pairs."""
+    out = {}
+    for tup, m in coupling.masses.items():
+        key = (tup[i], tup[i + 1])
+        out[key] = out.get(key, 0.0) + m
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -12,8 +12,13 @@ import pytest
 import adawass
 from adawass import (
     GridCurve,
+    InfeasibleError,
+    ShapeMismatchError,
+    SizeGuardError,
+    SolverError,
     TreeNode,
     TreeProcess,
+    UnboundedError,
     aw_distance,
     build_process,
     canonicalize,
@@ -114,6 +119,25 @@ def test_exit_codes(write_tree, capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, expected", [
+    (ShapeMismatchError, 3), (InfeasibleError, 5), (UnboundedError, 5), (SolverError, 5),
+    (SizeGuardError, 4), (ValueError, 2), (OverflowError, 2),
+])
+def test_each_error_maps_to_its_exit_code(write_tree, capsys, monkeypatch, error, expected):
+    # ShapeMismatchError, InfeasibleError and UnboundedError are ValueErrors:
+    # the order of the handlers in main decides their codes
+    a = write_tree("a.json", chain_process([1.0, 2.0]))
+
+    def fail(*args):
+        raise error("raised under the command")
+
+    monkeypatch.setattr("adawass.cli.aw_distance", fail)
+    code, out, err = run(capsys, ["dist", a, a])
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ") and err.endswith("raised under the command\n")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -598,6 +622,17 @@ def test_quantize_rejects_non_finite_samples(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([[0.0, 1.0], [1.0]], "sample paths have unequal depth"),
+    ([[0.0, 1.0], [1.0, [1.0, 2.0]]], "sample paths have unequal step dimensions"),
+])
+def test_quantize_unequal_samples_are_invalid_input(capsys, tmp_path, samples, message):
+    sfile = tmp_path / "samples.json"
+    sfile.write_text(json.dumps({"samples": samples}))
+    code, out, err = run(capsys, ["quantize", str(sfile), "--branching", "2,2"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_quantize_overflow_is_invalid_input(capsys, tmp_path):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from adawass import (
+    BicausalPlan,
     CommonSpaceFlow,
     GridCurve,
     ShapeMismatchError,
     TreeNode,
     TreeProcess,
     aw_distance,
+    aw_distance_lp,
+    build_process,
     chain_process,
     check_multicausal,
     dyadic_grid,
@@ -389,6 +392,45 @@ def test_flow_rejects_labels_that_miss_the_grid_or_a_node():
         flow.with_labels(2, wide)
     with pytest.raises(ValueError, match="is not a leaf"):
         flow.label_path(flow.base.root_id, 0)
+
+
+def order_calls():
+    """Every library function that takes an order p, as a call on p."""
+    x, y = epsilon_x(), epsilon_y(0.1)
+    masses = aw_distance(x, y, 2.0)[1].pair_masses
+    flow = geodesic(x, y, 2.0, (0.0, 0.5, 1.0))
+    return {
+        "path_distance": lambda p: path_distance([(0.0,)], [(1.0,)], p),
+        "aw_distance": lambda p: aw_distance(x, y, p),
+        "aw_distance_lp": lambda p: aw_distance_lp(x, y, p),
+        "from_pair_masses": lambda p: BicausalPlan.from_pair_masses(x, y, p, masses),
+        "GridCurve": lambda p: GridCurve(grid=(0.0, 1.0), processes=(x, y), p=p),
+        "flow_energy": lambda p: flow_energy(flow, p),
+    }
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+@pytest.mark.parametrize("name", sorted(order_calls()))
+def test_orders_must_be_finite_and_at_least_one(name, p):
+    # unchecked, path_distance returned 1.0 for NaN and inf, aw_distance_lp NaN
+    with pytest.raises(ValueError, match=f"^order p must be a finite number >= 1, got {p}$"):
+        order_calls()[name](p)
+
+
+def test_flow_base_is_its_first_labelling():
+    # a base whose values differ from labels[0]: when the flow kept that base,
+    # process_at(0) was (5, 6) against labels (0, 1) and verify_flow_ac read
+    # a slack of -25
+    base = build_process([1], [(0.5, 5.0, []), (0.5, 6.0, [])])
+    labels = ({1: (0.0,), 2: (1.0,)},) * 2
+    flow = CommonSpaceFlow(base=base, grid=(0.0, 1.0), labels=labels, p=2.0)
+    assert [n.value for n in flow.process_at(0).nodes] == [None, (0.0,), (1.0,)]
+    assert dict(flow.labels[0]) == labels[0]
+    assert all(s.slack >= 0.0 for s in verify_flow_ac(flow, 2.0))
+    moved = flow.with_labels(0, {1: (2.0,), 2: (3.0,)})
+    assert [n.value for n in moved.process_at(0).nodes] == [None, (2.0,), (3.0,)]
+    assert moved.base is moved.process_at(0)
+    assert dict(moved.labels[1]) == labels[1]
 
 
 # -- label arrays against the former per-node code ------------------------------

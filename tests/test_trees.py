@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adawass
 from adawass import (
     ShapeMismatchError,
     TreeNode,
@@ -106,6 +109,44 @@ def test_path_distance_examples():
     assert path_distance([(1.0,), (2.0,)], [(3.0,), (5.0,)], 2.0) == pytest.approx(math.sqrt(13))
     assert path_distance([(1.0,), (2.0,)], [(1.0,), (2.0,)], 2.0) == 0.0
     assert path_distance([(0.0,), (0.0,)], [(1.0,), (1.0,)], 1.0) == pytest.approx(2.0)
+
+
+def order_comparisons(source: str) -> set[str]:
+    """The enclosing function (dotted through classes) of every comparison
+    between ``p``, as a name or an attribute, and the number 1."""
+    found, scope = set(), []
+
+    def is_p(node):
+        return (isinstance(node, ast.Name) and node.id == "p") or (
+            isinstance(node, ast.Attribute) and node.attr == "p")
+
+    def is_one(node):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 1
+
+    def visit(node):
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if named:
+            scope.append(node.name)
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_p, operands)) and any(map(is_one, operands)):
+                found.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+        if named:
+            scope.pop()
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_order_checks_stay_in_one_place():
+    # the library checks an order p in trees._check_order; the command line
+    # checks --p before it reads a file
+    src = Path(adawass.__file__).parent
+    sites = {f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
+             for name in order_comparisons(path.read_text(encoding="utf-8"))}
+    assert sites == {"trees._check_order", "cli._check_options"}
 
 
 def test_path_distance_rejects_shape_mismatch():
