@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -36,10 +35,10 @@ from .discrete_ot import (  # noqa: F401  (solve_transport: perfbench/tracer.py 
     solve_transport,
 )
 from .trees import (
-    TreeNode,
     TreeProcess,
     _check_order,
     _check_shapes,
+    _from_levels,
     process_with_values,
 )
 
@@ -496,12 +495,12 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
     T, n = chain[0].depth, len(chain)
     dims = tuple(sum(pr.value_dims[t] for pr in chain) for t in range(T))
 
-    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
     tuples = [tuple(pr.root_id for pr in chain)]
     node_tuple: dict[int, tuple[int, ...]] = {0: tuples[0]}
     pos = np.zeros((1, n), dtype=np.intp)   # factor positions of the level's product nodes
     positions = [pos]
-    first = 0                                # id of the level's first product node
+    parents, probs, values = [], [], []      # the product's level arrays, t = 1..T
+    first = 1                                # id of the next level's first product node
     for t in range(T):
         bounds = [pr.layout[t].bounds for pr in chain]
         # joint children: every child of the first factor, extended one
@@ -523,7 +522,7 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
         ends = np.bincount(k, minlength=len(pos)).cumsum()
         total = np.array([math.fsum(part) for part in np.split(w, ends[:-1])])
         if (total <= 0.0).any():
-            raise RuntimeError(f"degenerate kernel at product node {first + np.argmax(total <= 0.0)}")
+            raise RuntimeError(f"degenerate kernel at product node {first - len(pos) + np.argmax(total <= 0.0)}")
         if k.size > max_leaves:
             raise SizeGuardError(
                 f"product tree exceeds {max_leaves} leaves: level {t + 1} has {k.size} nodes")
@@ -532,18 +531,17 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
         # common-mode rounding of the ratio products
         if n > 2:
             w = w / total[k]
+        parents.append(k)
+        probs.append(w)
         # values concatenate the factors' level value arrays
-        values = np.concatenate([pr.layout[t + 1].values[col] for pr, col in zip(chain, child.T)], axis=1)
-        ids = range(len(nodes), len(nodes) + k.size)
-        nodes.extend(map(TreeNode, ids, (first + k).tolist(), repeat(t + 1),
-                         map(tuple, values.tolist()), w.tolist()))
+        values.append(np.concatenate([pr.layout[t + 1].values[col] for pr, col in zip(chain, child.T)], axis=1))
         tuples = list(zip(*(map(pr.level(t + 1).__getitem__, col.tolist())
                             for pr, col in zip(chain, child.T))))
-        node_tuple.update(zip(ids, tuples))
-        first, pos = ids.start, child
+        node_tuple.update(zip(range(first, first + k.size), tuples))
+        first, pos = first + k.size, child
         positions.append(pos)
 
-    product = TreeProcess(depth=T, value_dims=dims, nodes=tuple(nodes))
+    product = _from_levels(dims, parents, probs, values)
     # the product's leaves are the last level, in its order
     masses = dict(zip(tuples, product.layout[-1].reach.tolist()))
     for arr in positions:

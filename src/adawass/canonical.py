@@ -8,13 +8,17 @@ equal states yields the minimal representative of the equivalence class.
 
 One depth-first builder computes the states, merging siblings as it goes;
 the only thing a tolerance changes is the comparison ``_close`` that
-decides when two states are the same.
+decides when two states are the same.  States nest one level per time
+step, so building and comparing them recurses as deep as the tree; a tree
+too deep for Python's recursion limit trips the size guard.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
+from .bicausal import SizeGuardError
 from .trees import TreeProcess, _check_shapes, build_process
 
 __all__ = ["InfoState", "information_process", "canonicalize", "equivalent"]
@@ -79,6 +83,21 @@ def _law(proc: TreeProcess, nid: int, tol: float,
     return _merge(entries, tol)
 
 
+def _depth_guarded(fn):
+    """``fn`` with the ``RecursionError`` of a tree too deep for the
+    recursive builders and comparisons raised as a ``SizeGuardError`` that
+    names the depth of its first argument."""
+    @functools.wraps(fn)
+    def guarded(proc: TreeProcess, *args, **kwargs):
+        try:
+            return fn(proc, *args, **kwargs)
+        except RecursionError:
+            raise SizeGuardError(f"tree of depth {proc.depth} is too deep for canonical forms "
+                                 "(Python's recursion limit)") from None
+    return guarded
+
+
+@_depth_guarded
 def information_process(proc: TreeProcess) -> dict[int, InfoState]:
     """Information state of every node at level >= 1.
 
@@ -96,6 +115,7 @@ def _branches(law: tuple[tuple[InfoState, float], ...]) -> list:
     return [(prob, state.value, _branches(state.law or ())) for state, prob in law]
 
 
+@_depth_guarded
 def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     """Minimal representative: siblings with equal information states merged.
 
@@ -107,6 +127,7 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     return build_process(proc.value_dims, _branches(_law(proc, proc.root_id, tol)))
 
 
+@_depth_guarded
 def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     """True iff the two processes have adapted distance zero for every order.
 

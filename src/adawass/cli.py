@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 unreadable or invalid input (any other
 ``ValueError``, including values so far apart that their costs overflow)
-or an unwritable output path, 3 shape mismatch, 4 size guard tripped, 5
-internal solver failure.  All commands are deterministic; --seed only
-affects ``quantize``.
+or an unwritable output path, 3 shape mismatch, 4 size guard tripped (a
+product tree over --max-leaves, or a tree too deep for the canonical
+forms of ``canonical`` and ``equiv``), 5 internal solver failure.  All
+commands are deterministic; --seed only affects ``quantize``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -124,12 +124,12 @@ def _float_texts(values: np.ndarray, encode=_encode) -> np.ndarray:
     return texts[inverse.reshape(-1)].reshape(np.shape(values))
 
 
-def _numbers(values: list) -> list[str]:
-    """``_encode`` of a list of numbers: a list of plain floats through
-    ``_float_texts``, anything else (ints, ``None``) through ``json``."""
-    if set(map(type, values)) <= {float}:
-        return _float_texts(np.array(values, dtype=float)).tolist()
-    return _encode(values)
+def _numbers(column: np.ndarray) -> list[str]:
+    """``_encode`` of a column of numbers: a float array through
+    ``_float_texts``, an object array (ints among the numbers) through ``json``."""
+    if column.dtype == object:
+        return _encode(column.tolist())
+    return _float_texts(column).tolist()
 
 
 def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
@@ -151,19 +151,19 @@ def _node_row(dim: int) -> str:
 
 
 def _tree_json(proc: TreeProcess) -> str:
-    """The tree document of ``tree_to_dict``: {"depth", "value_dims", "nodes"}."""
-    ids, parents, times, values, probs = zip(*proc.nodes)
-    dims = [-1 if v is None else len(v) for v in values]
+    """The tree document of ``tree_to_dict``: {"depth", "value_dims", "nodes"},
+    written from the tree's columns."""
+    ids, parents, times, probs, values, sizes = proc.columns
     # one row of cells per node: id, parent, time, up to the largest number of
     # values, then prob; the cells used, row after row, are the % arguments
-    width = np.maximum(dims, 0)
-    cells = np.empty((len(dims), width.max() + 4), dtype=object)
+    width = np.maximum(sizes, 0)
+    cells = np.empty((len(ids), width.max() + 4), dtype=object)
     used = np.arange(cells.shape[1]) < width[:, None] + 3
     used[:, -1] = True
     cells[:, :3] = np.array(_encode(list(ids + parents + times)), dtype=object).reshape(3, -1).T
-    cells[:, -1] = _numbers(list(probs))
-    cells[:, 3:-1][used[:, 3:-1]] = _numbers(list(chain.from_iterable(filter(None, values))))
-    rows = _block(list(map(_node_row, dims)), 2) % tuple(cells[used].tolist())
+    cells[:, -1] = _numbers(probs)
+    cells[:, 3:-1][used[:, 3:-1]] = _numbers(values)
+    rows = _block(list(map(_node_row, sizes.tolist())), 2) % tuple(cells[used].tolist())
     return ('{\n  "depth": %s,\n  "value_dims": %s,\n  "nodes": %s\n}'
             % (json.dumps(proc.depth), _block(_encode(list(proc.value_dims)), 2), rows))
 
@@ -191,7 +191,7 @@ def _flow_json(flow: CommonSpaceFlow) -> str:
     labels = _block(templates, 2, "{}") % tuple(args)
     return ('{\n  "base": %s,\n  "grid": %s,\n  "p": %s,\n  "interpolation": %s,\n'
             '  "labels": %s\n}'
-            % (_tree_json(flow.base).replace("\n", "\n  "), _block(_numbers(list(flow.grid)), 2),
+            % (_tree_json(flow.base).replace("\n", "\n  "), _block(_float_texts(np.array(flow.grid)).tolist(), 2),
                json.dumps(flow.p), json.dumps(flow.interpolation), labels))
 
 
@@ -393,7 +393,7 @@ def cmd_canonical(args) -> int:
     merged = canonicalize(proc, tol=args.tol_equiv)
     if args.out:
         _write_text(args.out, _tree_json(merged))
-    print(f"{len(proc.nodes)} -> {len(merged.nodes)} nodes")
+    print(f"{len(proc.columns.ids)} -> {len(merged.columns.ids)} nodes")
     return EXIT_OK
 
 

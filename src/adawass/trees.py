@@ -7,15 +7,18 @@ from its parent, and all leaves sit at level T.  The tree structure itself
 plays the role of the filtration: what is known at time t is exactly the
 node reached at level t.
 
-A tree is stored as its node list; every computation reads one per-level
-array layout of it (``TreeProcess.layout``), built on first use.
+A tree is stored as the columns of its node list (``TreeProcess.columns``);
+every computation reads one per-level array layout of it
+(``TreeProcess.layout``), built from the columns on first use or handed
+over by the code that built the tree.  ``TreeNode``s are a view, built only
+when something asks for one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Mapping, NamedTuple, Sequence
@@ -25,6 +28,7 @@ import numpy as np
 __all__ = [
     "TreeNode",
     "TreeLevel",
+    "TreeColumns",
     "TreeProcess",
     "PathLaw",
     "ShapeMismatchError",
@@ -50,13 +54,34 @@ class ShapeMismatchError(ValueError):
 
 
 class TreeNode(NamedTuple):
-    """One entry of a tree's node list; ``zip(*proc.nodes)`` gives its five columns."""
+    """One entry of a tree's node list (``TreeProcess.nodes``)."""
 
     id: int
     parent: int | None
     time: int
     value: tuple[float, ...] | None
     prob: float
+
+
+class TreeColumns(NamedTuple):
+    """A tree's node list as columns, in node-list order.
+
+    Ids, parents (``None`` at the root) and times are exact Python ints;
+    numpy arrays hold positions and counts, never ids.  ``probs`` and
+    ``values`` are read-only arrays of the numbers as given: float64 when
+    every number is a float, else an object array of the numbers themselves
+    (a library-built tree may carry ints, which its document writes as
+    ints).  ``values`` concatenates every node's values and ``sizes`` counts
+    them per node, -1 for no value, so a ragged tree is stored as it is and
+    ``validate`` reports it.
+    """
+
+    ids: tuple[int, ...]
+    parents: tuple[int | None, ...]
+    times: tuple[int, ...]
+    probs: np.ndarray
+    values: np.ndarray
+    sizes: np.ndarray
 
 
 class TreeLevel(NamedTuple):
@@ -68,39 +93,125 @@ class TreeLevel(NamedTuple):
     prob: np.ndarray    # edge probabilities
     values: np.ndarray  # one row per node, value_dims[t - 1] columns (none at the root)
     reach: np.ndarray   # probabilities of reaching the nodes from the root
+    index: np.ndarray   # position of the nodes in the node list (the columns)
 
 
-@dataclass(frozen=True)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _number_array(numbers: Sequence) -> np.ndarray:
+    """Numbers as a read-only array: float64 if all are floats, else the
+    numbers themselves in an object array."""
+    floats = set(map(type, numbers)) <= {float}
+    return _read_only(np.array(numbers, dtype=float if floats else object))
+
+
+def _int_array(items: Sequence) -> np.ndarray:
+    """Integers as an int64 array, or as an object array of the items when
+    int64 arithmetic on them could overflow (or they are not all ints)."""
+    arr = np.array(items)
+    if arr.dtype != np.int64 or (arr.size and (arr.min() < -2**62 or arr.max() > 2**62)):
+        arr = np.array(items, dtype=object)
+    return arr
+
+
+def _segments(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Positions ``start[k]:start[k] + size[k]`` for every k, one after another."""
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+def _slices(items: list, size: np.ndarray):
+    """``items`` cut into consecutive slices of ``size[k]`` items each, one
+    at a time (an iterator, so that each slice is freed once used)."""
+    end = np.cumsum(size).tolist()
+    return map(items.__getitem__, map(slice, [0] + end[:-1], end))
+
+
 class TreeProcess:
-    """Immutable scenario tree; all derived views are cached lazily.
+    """Immutable scenario tree stored as columns; all derived views are cached lazily.
 
-    ``node`` and ``children`` read the node list; ``level``, ``leaves``,
-    ``leaf_ancestors`` and ``reach_prob`` are views of ``layout``, which
-    ``children``-only callers never build.
+    ``TreeProcess(depth, value_dims, nodes)`` keeps ``nodes`` as the node
+    view and derives the columns on first use; the library builds trees
+    from columns (and often a layout) instead, and builds their nodes only
+    when asked.  ``nodes``, ``by_id``, ``children_map``, ``node()`` and
+    ``children()`` are such views; ``level``, ``leaves``,
+    ``leaf_ancestors`` and ``reach_prob`` are views of ``layout``.  Two
+    trees are equal when their depth, value dims and columns are.
     """
 
     depth: int
     value_dims: tuple[int, ...]
-    nodes: tuple[TreeNode, ...]
+
+    def __init__(self, depth: int, value_dims: tuple[int, ...], nodes: Sequence[TreeNode]):
+        vars(self).update(depth=depth, value_dims=value_dims, nodes=tuple(nodes))
+
+    @classmethod
+    def _from_columns(cls, depth: int, value_dims: tuple[int, ...], columns: TreeColumns,
+                      layout: tuple[TreeLevel, ...] | None = None) -> "TreeProcess":
+        """The tree of these columns, taking over ``layout`` when given."""
+        proc = cls.__new__(cls)
+        vars(proc).update(depth=depth, value_dims=value_dims, columns=columns)
+        if layout is not None:
+            vars(proc)["layout"] = layout
+        return proc
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, TreeProcess):
+            return NotImplemented
+        if self is other:
+            return True
+        a, b = self.columns, other.columns
+        return (self.depth == other.depth and self.value_dims == other.value_dims
+                and a.ids == b.ids and a.parents == b.parents and a.times == b.times
+                and all(map(np.array_equal, a[3:], b[3:])))
+
+    def __hash__(self):
+        return hash((self.depth, self.value_dims, self.columns.ids))
+
+    def __repr__(self):
+        return f"TreeProcess(depth={self.depth!r}, value_dims={self.value_dims!r}, nodes={self.nodes!r})"
+
+    @cached_property
+    def columns(self) -> TreeColumns:
+        ids, parents, times, values, probs = zip(*self.nodes) if self.nodes else ((),) * 5
+        sizes = np.array([-1 if v is None else len(v) for v in values], dtype=np.intp)
+        return TreeColumns(ids, parents, times, _number_array(probs),
+                           _number_array(list(chain.from_iterable(filter(None, values)))),
+                           _read_only(sizes))
+
+    @cached_property
+    def nodes(self) -> tuple[TreeNode, ...]:
+        ids, parents, times, probs, values, sizes = self.columns
+        vals = list(map(tuple, _slices(values.tolist(), np.maximum(sizes, 0))))
+        for k in np.flatnonzero(sizes < 0).tolist():
+            vals[k] = None
+        # tuple.__new__ skips the Python-level TreeNode.__new__: same nodes, a third of the time
+        return tuple(map(tuple.__new__, repeat(TreeNode), zip(ids, parents, times, vals, probs.tolist())))
 
     @cached_property
     def by_id(self) -> Mapping[int, TreeNode]:
-        return {n.id: n for n in self.nodes}
+        return dict(zip(self.columns.ids, self.nodes))
 
     @cached_property
     def children_map(self) -> Mapping[int, tuple[int, ...]]:
-        kids: dict[int, list[int]] = {n.id: [] for n in self.nodes}
-        for nid, parent, _, _, _ in self.nodes:
-            if parent in kids:
-                kids[parent].append(nid)
-        return {k: tuple(v) for k, v in kids.items()}
+        ids, (kids, bounds) = self.columns.ids, self._children
+        return dict(zip(ids, map(tuple, _slices(list(map(ids.__getitem__, kids.tolist())), np.diff(bounds)))))
 
     @cached_property
     def root_id(self) -> int:
-        roots = [n.id for n in self.nodes if n.parent is None]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root, found {len(roots)}")
-        return roots[0]
+        ids, parents = self.columns[:2]
+        roots = parents.count(None)
+        if roots != 1:
+            raise ValueError(f"expected exactly one root, found {roots}")
+        return ids[parents.index(None)]
 
     def children(self, node_id: int) -> tuple[int, ...]:
         return self.children_map[node_id]
@@ -109,21 +220,46 @@ class TreeProcess:
         return self.by_id[node_id]
 
     @cached_property
+    def _index(self) -> Mapping[int, int]:
+        """Node-list position of every id (the last one, for a repeated id)."""
+        ids = self.columns.ids
+        return dict(zip(ids, range(len(ids))))
+
+    @cached_property
+    def _parent_pos(self) -> np.ndarray:
+        """Node-list position of every node's parent; -1 at the root and for
+        an unknown parent."""
+        index, parents = self._index, self.columns.parents
+        return np.fromiter(map(index.get, parents, repeat(-1)), np.intp, len(parents))
+
+    @cached_property
+    def _children(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node-list positions of all children, grouped by parent in node-list
+        order, siblings in node-list order; node k's children are entries
+        ``bounds[k]:bounds[k + 1]``."""
+        parent = self._parent_pos
+        known = np.flatnonzero(parent >= 0)
+        kids = known[np.argsort(parent[known], kind="stable")]
+        return kids, np.searchsorted(parent[kids], np.arange(len(parent) + 1))
+
+    @cached_property
     def layout(self) -> tuple[TreeLevel, ...]:
         """The per-level arrays of the tree, t = 0..T, built on first use.
 
         Level t lists its nodes with each parent's children contiguous:
         parents in level t - 1 order, siblings in node-list order.
         """
-        root_id = self.root_id
-        ids, parents, _, values, probs = zip(*self.nodes)
-        index = dict(zip(ids, range(len(ids))))
-        # node-list position of every node's parent; the root's -1 reads the
-        # sentinel at the end of ``pos`` below
-        parent = np.fromiter(map(index.get, parents, repeat(-1)), np.intp, len(ids))
-        prob = np.array(probs, dtype=float)
-        members, member_parent, reach = np.array([index[root_id]]), np.full(1, -1), np.ones(1)
-        pos = np.full(len(ids) + 1, -1)   # position in the current level, by node-list position
+        cols = self.columns
+        parent = self._parent_pos
+        prob = np.asarray(cols.probs, dtype=float)
+        values = np.asarray(cols.values, dtype=float)
+        sizes = np.maximum(cols.sizes, 0)
+        start = np.cumsum(sizes) - sizes
+        members = np.array([self._index[self.root_id]])
+        member_parent, reach = np.full(1, -1), np.ones(1)
+        # position in the current level, by node-list position; the -1 of
+        # the root and of unknown parents reads the sentinel at the end
+        pos = np.full(len(parent) + 1, -1)
         out = []
         for t in range(self.depth + 1):
             pos[members] = np.arange(members.size)
@@ -131,11 +267,11 @@ class TreeProcess:
             pos[members] = -1
             kids = np.flatnonzero(parent_pos >= 0)
             kids = kids[np.argsort(parent_pos[kids], kind="stable")]
-            at = members.tolist()
-            vals = np.fromiter(chain.from_iterable(map(values.__getitem__, at)), float) if t else ()
-            level = TreeLevel(tuple(map(ids.__getitem__, at)), member_parent,
+            rows = (values[_segments(start[members], sizes[members])].reshape(members.size, -1)
+                    if t else np.empty((1, 0)))
+            level = TreeLevel(tuple(map(cols.ids.__getitem__, members.tolist())), member_parent,
                               np.searchsorted(parent_pos[kids], np.arange(members.size + 1)),
-                              prob[members], np.reshape(vals, (len(at), -1)), reach)
+                              prob[members], rows, reach, members)
             for arr in level[1:]:
                 arr.flags.writeable = False
             out.append(level)
@@ -174,6 +310,41 @@ class TreeProcess:
         return tuple(reversed(out))
 
 
+def _from_levels(value_dims: tuple[int, ...], parent: Sequence[np.ndarray],
+                 prob: Sequence[np.ndarray], values: Sequence[np.ndarray]) -> TreeProcess:
+    """The tree listed level by level from its level arrays, with its layout.
+
+    For t = 1..T, ``parent[t - 1]`` holds the position in level t - 1 of the
+    parent of every level-t node (non-decreasing, so each parent's children
+    are contiguous), ``prob[t - 1]`` their edge probabilities and
+    ``values[t - 1]`` their value rows.  Ids number the nodes in this
+    order, the root 0; reach probabilities are formed as ``layout`` forms
+    them.
+    """
+    counts = [1] + [len(k) for k in parent]
+    first = np.cumsum([0] + counts).tolist()    # id of every level's first node
+    ids = tuple(range(first[-1]))
+    columns = TreeColumns(
+        ids,
+        tuple(chain([None], *((f + k).tolist() for f, k in zip(first, parent)))),
+        tuple(chain.from_iterable(map(repeat, range(len(counts)), counts))),
+        _read_only(np.concatenate([np.ones(1), *prob])),
+        _read_only(np.concatenate([np.empty(0), *(v.reshape(-1) for v in values)])),
+        _read_only(np.repeat([-1] + [v.shape[1] for v in values], counts)))
+    parents, probs = [np.full(1, -1), *parent], [np.ones(1), *prob]
+    rows, reach, layout = [np.empty((1, 0)), *values], np.ones(1), []
+    for t, n in enumerate(counts):
+        if t:
+            reach = reach[parents[t]] * probs[t]
+        kids = parent[t] if t < len(parent) else np.empty(0, dtype=np.intp)
+        level = TreeLevel(ids[first[t]:first[t + 1]], parents[t], np.searchsorted(kids, np.arange(n + 1)),
+                          probs[t], rows[t], reach, np.arange(first[t], first[t + 1]))
+        for arr in level[1:]:
+            arr.flags.writeable = False
+        layout.append(level)
+    return TreeProcess._from_columns(len(parent), tuple(value_dims), columns, tuple(layout))
+
+
 @dataclass(frozen=True)
 class PathLaw:
     """Finitely supported law on the path space; one atom per scenario."""
@@ -186,63 +357,84 @@ class PathLaw:
 
 
 def validate(proc: TreeProcess) -> list[str]:
-    """Check every structural invariant; returns [] iff the tree is valid."""
-    violations: list[str] = []
-    roots = [n for n in proc.nodes if n.parent is None]
-    if len(roots) != 1:
-        violations.append(f"expected exactly one root, found {len(roots)}")
-        return violations
-    root = roots[0]
-    if root.time != 0:
-        violations.append(f"root node {root.id} is at level {root.time}, expected 0")
-    if root.value is not None:
-        violations.append(f"root node {root.id} carries a value")
-    if len(proc.value_dims) != proc.depth:
-        violations.append(
-            f"value_dims has {len(proc.value_dims)} entries for depth {proc.depth}"
-        )
-        return violations
-    if proc.depth < 1:
-        violations.append(f"depth {proc.depth} < 1")
-    if any(d < 1 for d in proc.value_dims):
-        violations.append(f"value_dims {list(proc.value_dims)} has an entry below 1")
-        return violations
+    """Check every structural invariant; returns [] iff the tree is valid.
 
-    by_id = proc.by_id
-    if len(by_id) != len(proc.nodes):
+    Array code over the columns finds the nodes that break a rule; each
+    such node's messages come from its node view, in node-list order, first
+    those on its parent, level, probability and value, then, in a second
+    pass, those on its children.
+    """
+    ids, parents, times, probs, values, sizes = proc.columns
+    depth, dims = proc.depth, proc.value_dims
+    roots = parents.count(None)
+    if roots != 1:
+        return [f"expected exactly one root, found {roots}"]
+    r = parents.index(None)
+    violations: list[str] = []
+    if times[r] != 0:
+        violations.append(f"root node {ids[r]} is at level {times[r]}, expected 0")
+    if sizes[r] >= 0:
+        violations.append(f"root node {ids[r]} carries a value")
+    if len(dims) != depth:
+        violations.append(f"value_dims has {len(dims)} entries for depth {depth}")
+        return violations
+    if depth < 1:
+        violations.append(f"depth {depth} < 1")
+    if any(d < 1 for d in dims):
+        violations.append(f"value_dims {list(dims)} has an entry below 1")
+        return violations
+    n = len(ids)
+    if len(proc._index) != n:
         violations.append("duplicate node ids")
         return violations
 
-    for nid, parent, t, value, prob in proc.nodes:
-        if parent is None:
-            continue
-        if parent not in by_id:
+    ppos, (kids, bounds) = proc._parent_pos, proc._children
+    time, dim = _int_array(times), _int_array(dims)
+    prob = np.asarray(probs, dtype=float)
+    known = ppos >= 0
+    inside = known & (time >= 1) & (time <= depth)
+    want = np.full(n, -2, dtype=dim.dtype)
+    want[inside] = dim[(time[inside] - 1).astype(np.intp)]
+    finite = np.isfinite(np.asarray(values, dtype=float))
+    bad_value = np.zeros(n, dtype=bool)
+    bad_value[np.repeat(np.arange(n), np.maximum(sizes, 0))[~finite]] = True
+    unknown = ~known
+    unknown[r] = False
+    flagged = unknown | (known & ((time[ppos] + 1 != time) | ~(np.isfinite(prob) & (prob > 0.0))
+                                  | ~inside | (sizes != want) | bad_value))
+    count = np.diff(bounds)
+    sums = np.array(list(map(sum, _slices(prob[kids].tolist(), count))))
+    interior = time < depth
+    family = (interior & ((count == 0) | (np.abs(sums - 1.0) > PROB_TOL))) | (~interior & (count > 0))
+    nodes = proc.nodes if flagged.any() or family.any() else ()
+
+    for nid, parent, t, value, q in map(nodes.__getitem__, np.flatnonzero(flagged).tolist()):
+        if parent not in proc._index:
             violations.append(f"node {nid} has unknown parent {parent}")
             continue
-        parent_t = by_id[parent].time
+        parent_t = times[proc._index[parent]]
         if t != parent_t + 1:
             violations.append(f"node {nid} at level {t} under parent at level {parent_t}")
-        if not math.isfinite(prob):
-            violations.append(f"node {nid} has non-finite edge probability {prob}")
-        elif not prob > 0.0:
-            violations.append(f"node {nid} has non-positive edge probability {prob}")
-        if t < 1 or t > proc.depth:
-            violations.append(f"node {nid} at level {t} outside 1..{proc.depth}")
+        if not math.isfinite(q):
+            violations.append(f"node {nid} has non-finite edge probability {q}")
+        elif not q > 0.0:
+            violations.append(f"node {nid} has non-positive edge probability {q}")
+        if t < 1 or t > depth:
+            violations.append(f"node {nid} at level {t} outside 1..{depth}")
             continue
-        dim = proc.value_dims[t - 1]
-        if value is None or len(value) != dim:
+        if value is None or len(value) != dims[t - 1]:
             got = "none" if value is None else str(len(value))
-            violations.append(f"node {nid} value has dim {got}, expected {dim}")
+            violations.append(f"node {nid} value has dim {got}, expected {dims[t - 1]}")
         elif not all(map(math.isfinite, value)):
             violations.append(f"node {nid} has non-finite value {value}")
 
-    for nid, ks in proc.children_map.items():
-        t = by_id[nid].time
-        if t < proc.depth:
+    for k in np.flatnonzero(family).tolist():
+        nid, t, ks = ids[k], times[k], kids[bounds[k]:bounds[k + 1]].tolist()
+        if t < depth:
             if not ks:
-                violations.append(f"node {nid} at level {t} is a leaf, expected depth {proc.depth}")
+                violations.append(f"node {nid} at level {t} is a leaf, expected depth {depth}")
             else:
-                s = sum(by_id[k].prob for k in ks)
+                s = sum(nodes[c].prob for c in ks)
                 if abs(s - 1.0) > PROB_TOL:
                     violations.append(f"children of node {nid} have probability sum {s!r}")
         elif ks:
@@ -373,20 +565,25 @@ def process_with_values(proc: TreeProcess, values) -> TreeProcess:
     ``values`` maps every non-root node id to its value, or holds one array
     per level t = 1..T with a row per node of ``proc.level(t)`` (see
     ``_LevelValues``); the value dims are those of the new values.  The new
-    tree keeps the node order, ids, parents and probabilities, and takes
-    over ``proc``'s layout with the value arrays swapped in.
+    tree shares ``proc``'s columns but the values (node order, ids, parents,
+    times, probabilities) and takes over its layout, with the new value
+    arrays swapped in.
     """
     new = _LevelValues(proc, values)
-    layout = proc.layout
-    value = dict(zip(chain.from_iterable(level.ids for level in layout),
-                     chain([None], *(map(tuple, arr.tolist()) for arr in new.levels))))
-    ids, parents, times, _, probs = zip(*proc.nodes)
-    out = TreeProcess(depth=proc.depth, value_dims=tuple(arr.shape[1] for arr in new.levels),
-                      nodes=tuple(map(TreeNode, ids, parents, times, map(value.__getitem__, ids), probs)))
-    # a cached_property lives in the instance dict
-    vars(out)["layout"] = layout[:1] + tuple(
-        level._replace(values=arr) for level, arr in zip(layout[1:], new.levels))
-    return out
+    layout, cols = proc.layout, proc.columns
+    index = np.concatenate([level.index for level in layout[1:]])
+    size = np.repeat([arr.shape[1] for arr in new.levels], list(map(len, new.levels)))
+    sizes = np.full(len(cols.ids), -1)
+    sizes[index] = size
+    # every node's first value in the new level arrays, one after another
+    start = np.zeros(len(cols.ids), dtype=np.intp)
+    start[index] = np.cumsum(size) - size
+    flat = np.concatenate([np.empty(0), *(arr.reshape(-1) for arr in new.levels)])
+    columns = cols._replace(values=_read_only(flat[_segments(start, np.maximum(sizes, 0))]),
+                            sizes=_read_only(sizes))
+    return TreeProcess._from_columns(
+        proc.depth, tuple(arr.shape[1] for arr in new.levels), columns,
+        layout[:1] + tuple(level._replace(values=arr) for level, arr in zip(layout[1:], new.levels)))
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -518,17 +715,22 @@ def _float_fields(items: list) -> list:
 
 def tree_from_dict(data: dict) -> TreeProcess:
     """Inverse of :func:`tree_to_dict`; raises ValueError on malformed input,
-    numbers of the wrong type included."""
+    numbers of the wrong type included.  Fills the columns from the
+    document's lists."""
     try:
         depth = _int_field(data["depth"])
         dims = tuple(_int_fields(list(data["value_dims"])))
         raw = data["nodes"]
-        ids = _int_fields([n["id"] for n in raw])
-        parents = _int_fields([n["parent"] for n in raw], nullable=True)
-        times = _int_fields([n["time"] for n in raw])
-        values = [None if n["value"] is None else tuple(_float_fields(n["value"])) for n in raw]
+        ids = tuple(_int_fields([n["id"] for n in raw]))
+        parents = tuple(_int_fields([n["parent"] for n in raw], nullable=True))
+        times = tuple(_int_fields([n["time"] for n in raw]))
+        values = [n["value"] for n in raw]
+        flat = _float_fields(list(chain.from_iterable(v for v in values if v is not None)))
+        sizes = [-1 if v is None else len(v) for v in values]
         probs = _float_fields([n["prob"] for n in raw])
-        nodes = tuple(map(TreeNode, ids, parents, times, values, probs))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed tree document: {exc}") from exc
-    return TreeProcess(depth=depth, value_dims=dims, nodes=nodes)
+    columns = TreeColumns(ids, parents, times, _read_only(np.array(probs, dtype=float)),
+                          _read_only(np.array(flat, dtype=float)),
+                          _read_only(np.array(sizes, dtype=np.intp)))
+    return TreeProcess._from_columns(depth, dims, columns)

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import math
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
 
 from adawass import build_process, chain_process, path_law, tree_to_dict
+from adawass.trees import PROB_TOL
 
 
 def epsilon_x():
@@ -115,3 +118,110 @@ def write_particles_by_label_path(path, flow):
             for leaf in flow.base.leaves:
                 for t, vec in enumerate(flow.label_path(leaf, i), start=1):
                     writer.writerow([repr(u), leaf, t, *[repr(v) for v in vec]])
+
+
+# -- the former per-node tree paths: references for the columnar store ---------
+
+def layout_by_nodes(proc):
+    """The per-level layout as the former builder made it from the node list:
+    one (ids, parent, bounds, prob, values, reach, index) tuple per level."""
+    ids, parents, _, values, probs = zip(*proc.nodes)
+    index = dict(zip(ids, range(len(ids))))
+    parent = np.fromiter(map(index.get, parents, repeat(-1)), np.intp, len(ids))
+    prob = np.array(probs, dtype=float)
+    members, member_parent, reach = np.array([index[proc.root_id]]), np.full(1, -1), np.ones(1)
+    pos = np.full(len(ids) + 1, -1)
+    out = []
+    for t in range(proc.depth + 1):
+        pos[members] = np.arange(members.size)
+        parent_pos = pos[parent]
+        pos[members] = -1
+        kids = np.flatnonzero(parent_pos >= 0)
+        kids = kids[np.argsort(parent_pos[kids], kind="stable")]
+        at = members.tolist()
+        vals = np.fromiter(chain.from_iterable(map(values.__getitem__, at)), float) if t else ()
+        level = (tuple(map(ids.__getitem__, at)), member_parent,
+                 np.searchsorted(parent_pos[kids], np.arange(members.size + 1)),
+                 prob[members], np.reshape(vals, (len(at), -1)), reach, members)
+        for arr in level[1:]:
+            arr.flags.writeable = False
+        out.append(level)
+        members, member_parent = kids, parent_pos[kids]
+        reach = reach[member_parent] * prob[kids]
+    return tuple(out)
+
+
+def assert_same_layout(got, want):
+    """Two layouts agree in ids and in every array's dtype, shape, bytes and
+    read-only flag."""
+    assert len(got) == len(want)
+    for level, expected in zip(got, want):
+        assert level[0] == expected[0]
+        assert len(level) == len(expected)
+        for a, b in zip(level[1:], expected[1:]):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable and not b.flags.writeable
+
+
+def validate_by_nodes(proc):
+    """The former validate: the same checks, node by node over the node list."""
+    violations = []
+    roots = [n for n in proc.nodes if n.parent is None]
+    if len(roots) != 1:
+        violations.append(f"expected exactly one root, found {len(roots)}")
+        return violations
+    root = roots[0]
+    if root.time != 0:
+        violations.append(f"root node {root.id} is at level {root.time}, expected 0")
+    if root.value is not None:
+        violations.append(f"root node {root.id} carries a value")
+    if len(proc.value_dims) != proc.depth:
+        violations.append(f"value_dims has {len(proc.value_dims)} entries for depth {proc.depth}")
+        return violations
+    if proc.depth < 1:
+        violations.append(f"depth {proc.depth} < 1")
+    if any(d < 1 for d in proc.value_dims):
+        violations.append(f"value_dims {list(proc.value_dims)} has an entry below 1")
+        return violations
+    by_id = {n.id: n for n in proc.nodes}
+    if len(by_id) != len(proc.nodes):
+        violations.append("duplicate node ids")
+        return violations
+    for nid, parent, t, value, prob in proc.nodes:
+        if parent is None:
+            continue
+        if parent not in by_id:
+            violations.append(f"node {nid} has unknown parent {parent}")
+            continue
+        parent_t = by_id[parent].time
+        if t != parent_t + 1:
+            violations.append(f"node {nid} at level {t} under parent at level {parent_t}")
+        if not math.isfinite(prob):
+            violations.append(f"node {nid} has non-finite edge probability {prob}")
+        elif not prob > 0.0:
+            violations.append(f"node {nid} has non-positive edge probability {prob}")
+        if t < 1 or t > proc.depth:
+            violations.append(f"node {nid} at level {t} outside 1..{proc.depth}")
+            continue
+        dim = proc.value_dims[t - 1]
+        if value is None or len(value) != dim:
+            got = "none" if value is None else str(len(value))
+            violations.append(f"node {nid} value has dim {got}, expected {dim}")
+        elif not all(map(math.isfinite, value)):
+            violations.append(f"node {nid} has non-finite value {value}")
+    kids = {n.id: [] for n in proc.nodes}
+    for n in proc.nodes:
+        if n.parent in kids:
+            kids[n.parent].append(n.id)
+    for nid, ks in kids.items():
+        t = by_id[nid].time
+        if t < proc.depth:
+            if not ks:
+                violations.append(f"node {nid} at level {t} is a leaf, expected depth {proc.depth}")
+            else:
+                s = sum(by_id[k].prob for k in ks)
+                if abs(s - 1.0) > PROB_TOL:
+                    violations.append(f"children of node {nid} have probability sum {s!r}")
+        elif ks:
+            violations.append(f"node {nid} at terminal level has children")
+    return violations

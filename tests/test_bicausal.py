@@ -35,8 +35,10 @@ from adawass.trees import step_cost
 
 from conftest import (
     ancestor_at,
+    assert_same_layout,
     epsilon_x,
     epsilon_y,
+    layout_by_nodes,
     leaf_paths,
     pair_marginal,
     random_pair,
@@ -747,6 +749,11 @@ def test_glue_matches_the_per_node_glue(rng, p):
                 plans.append(plan if kind == "solver" else BicausalPlan.from_pair_masses(x, y, p, plan.pair_masses))
         coupling = glue(plans)
         nodes, node_tuple, masses = glue_by_nodes(plans)
+        product = coupling.product
+        # the layout glue hands over is the one the former builder makes from the nodes
+        assert "layout" in vars(product)
+        assert_same_layout(product.layout, layout_by_nodes(
+            TreeProcess(depth=product.depth, value_dims=product.value_dims, nodes=tuple(nodes))))
         assert list(map(node_bits, coupling.product.nodes)) == list(map(node_bits, nodes))
         assert list(coupling.node_tuple.items()) == list(node_tuple.items())
         assert list(coupling.masses) == list(masses)

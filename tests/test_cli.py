@@ -726,3 +726,60 @@ def test_flow_round_trip_values(write_tree, capsys, tmp_path):
     for nid, per_u in doc["labels"].items():
         for idx, vec in per_u.items():
             assert tuple(vec) == flow.labels[int(idx)][int(nid)]
+
+
+def chain_document(steps):
+    """A chain of ``steps`` levels as a tree document, written without recursion."""
+    nodes = [{"id": 0, "parent": None, "time": 0, "value": None, "prob": 1.0}]
+    nodes += [{"id": t, "parent": t - 1, "time": t, "value": [float(t)], "prob": 1.0}
+              for t in range(1, steps + 1)]
+    return {"depth": steps, "value_dims": [1] * steps, "nodes": nodes}
+
+
+@pytest.mark.parametrize("argv", [["canonical", "{x}"], ["equiv", "{x}", "{x}"],
+                                  ["equiv", "{x}", "{x}", "--tol-equiv", "1e-9"]])
+def test_trees_too_deep_for_canonical_forms_trip_the_size_guard(capsys, tmp_path, argv):
+    # information states nest one level per step, and building and comparing
+    # them recurses; a 1,200-step chain is past Python's recursion limit
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_document(1200)))
+    code, out, err = run(capsys, [a.format(x=path) for a in argv])
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "depth 1200" in err
+
+
+@pytest.mark.parametrize("ids", [(2**70, 2**70 + 1, -(2**70)), (-1, -2, -3)])
+def test_extreme_ids_and_signed_zeros_survive_loading_solving_and_writing(capsys, tmp_path, ids):
+    # ids stay exact Python ints from the document to every output (arrays
+    # in the tree store hold positions, never ids), and -0.0 is written
+    # apart from 0.0
+    def document(node_ids):
+        root, a, b = node_ids
+        return {"depth": 1, "value_dims": [1], "nodes": [
+            {"id": root, "parent": None, "time": 0, "value": None, "prob": 1.0},
+            {"id": a, "parent": root, "time": 1, "value": [-0.0], "prob": 0.25},
+            {"id": b, "parent": root, "time": 1, "value": [0.5], "prob": 0.75}]}
+
+    signed_zeros = tree_to_dict(build_process([1], [(0.5, 0.0, []), (0.5, -0.0, [])]))
+    assert _tree_json(tree_from_dict(signed_zeros)) == json.dumps(signed_zeros, indent=2)
+    y = tmp_path / "y.json"
+    y.write_text(json.dumps(signed_zeros))
+    outputs = {}
+    for name, node_ids in (("plain", (0, 1, 2)), ("extreme", ids)):
+        doc = document(node_ids)
+        x = tmp_path / f"{name}.json"
+        x.write_text(json.dumps(doc))
+        assert _tree_json(tree_from_dict(doc)) == json.dumps(doc, indent=2)
+        plan, canonical = tmp_path / f"{name}-plan.json", tmp_path / f"{name}-canonical.json"
+        printed = [run(capsys, argv) for argv in (["dist", str(x), str(y), "--plan", str(plan)],
+                                                  ["check-plan", str(plan), str(x), str(y)],
+                                                  ["canonical", str(x), "--out", str(canonical)])]
+        assert [code for code, _, _ in printed] == [0, 0, 0]
+        assert plan.read_bytes() == encoded(json.loads(plan.read_text()))
+        pairs = {(node_ids.index(e["leaf_x"]), e["leaf_y"]): e["mass"]
+                 for e in json.loads(plan.read_text())["pairs"]}
+        outputs[name] = ([out for _, out, _ in printed], canonical.read_bytes(), pairs)
+    assert outputs["extreme"] == outputs["plain"]
+    stdout, canonical, _ = outputs["extreme"]
+    assert stdout[1:] == ["bicausal\n", "3 -> 3 nodes\n"]
+    assert b"-0.0" in canonical

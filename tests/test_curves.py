@@ -22,15 +22,24 @@ from adawass import (
     metric_derivative,
     p_energy,
     path_distance,
+    process_with_values,
     represent_curve,
     skorokhod,
     validate,
     verify_flow_ac,
     weighted_p_variation,
 )
-from adawass.trees import step_cost
+from adawass.cli import _flow_json, _tree_json
+from adawass.trees import step_cost, tree_from_dict, tree_to_dict
 
-from conftest import epsilon_x, epsilon_y, random_pair, random_process
+from conftest import (
+    assert_same_layout,
+    epsilon_x,
+    epsilon_y,
+    layout_by_nodes,
+    random_pair,
+    random_process,
+)
 
 QUARTER_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -497,16 +506,13 @@ def tree_bits(proc):
     return proc.depth, proc.value_dims, nodes
 
 
-def assert_layout_is_fresh(proc):
-    """The layout a relabelled tree took over equals one built from its nodes."""
-    fresh = TreeProcess(depth=proc.depth, value_dims=proc.value_dims, nodes=proc.nodes).layout
-    assert len(proc.layout) == len(fresh)
-    for level, expected in zip(proc.layout, fresh):
-        assert level.ids == expected.ids
-        for got, want in zip(level[1:], expected[1:]):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
+def assert_relabelled(tree, reference):
+    """A relabelled tree equals its node-by-node rebuild: the same nodes, bit
+    for bit, the same document, and a layout equal to the one the former
+    builder makes from the rebuild's nodes."""
+    assert tree_bits(tree) == tree_bits(reference)
+    assert _tree_json(tree) == _tree_json(reference)
+    assert_same_layout(tree.layout, layout_by_nodes(reference))
 
 
 def test_label_arrays_match_the_per_node_references():
@@ -526,9 +532,7 @@ def test_label_arrays_match_the_per_node_references():
         product = flow.coupling.product
         for i, ref in enumerate(reference):
             assert hex_labels(flow.labels[i]) == hex_labels(ref)
-            tree = flow.process_at(i)
-            assert tree_bits(tree) == tree_bits(relabel_by_node(product, ref, flow.base.value_dims))
-            assert_layout_is_fresh(tree)
+            assert_relabelled(flow.process_at(i), relabel_by_node(product, ref, flow.base.value_dims))
         for u in (-0.5, 0.0, 0.1, 0.25, 0.4, 0.7, 1.0, 2.0):
             assert hex_labels(flow.labels_at(u)) == hex_labels(labels_at_by_node(flow, u))
         for i in range(len(flow.grid)):
@@ -536,12 +540,40 @@ def test_label_arrays_match_the_per_node_references():
                 assert flow.label_path(leaf, i) == label_path_by_walk(flow, leaf, i)
         for i, proc in enumerate(flow.coupling.processes):
             lifted = factor_plan(flow.coupling, i, flow.p)
-            ref = relabel_by_node(product, factor_labels_by_node(flow.coupling, i), proc.value_dims)
-            assert tree_bits(lifted.y) == tree_bits(ref)
-            assert_layout_is_fresh(lifted.y)
+            assert_relabelled(lifted.y, relabel_by_node(product, factor_labels_by_node(flow.coupling, i),
+                                                        proc.value_dims))
             reach = product.reach_prob
             masses = {(flow.coupling.node_tuple[leaf][i], leaf): reach[leaf] for leaf in product.leaves}
             assert list(lifted.pair_masses.items()) == list(masses.items())
+
+
+def test_relabelling_keeps_any_node_order():
+    # relabelled trees listed depth-first, breadth-first and leaves first,
+    # so that the node list and the layout order differ; new value dims
+    rng = np.random.default_rng(613)
+    for _ in range(10):
+        proc = random_process(rng, 3, (1, 2, 1), 3)
+        doc = tree_to_dict(proc)
+        for order in (None, lambda n: n["time"], lambda n: -n["time"]):
+            listed = proc if order is None else tree_from_dict(dict(doc, nodes=sorted(doc["nodes"], key=order)))
+            values = {n.id: tuple(rng.normal(size=1 + n.time % 2).tolist())
+                      for n in listed.nodes if n.parent is not None}
+            levels = [np.array([values[i] for i in listed.level(t)]) for t in range(1, listed.depth + 1)]
+            reference = relabel_by_node(listed, values, (2, 1, 2))
+            for given in (values, levels):
+                assert_relabelled(process_with_values(listed, given), reference)
+
+
+def test_the_flow_path_builds_no_nodes():
+    # glue hands the product its level arrays and a flow relabels them: no
+    # per-node view is built on the way to the flow document
+    rng = np.random.default_rng(5)
+    curve = GridCurve(grid=QUARTER_GRID, p=2.0,
+                      processes=tuple(random_process(rng, 3, (1, 1, 1), 2) for _ in QUARTER_GRID))
+    flow = represent_curve(curve)
+    _flow_json(flow)
+    for tree in (flow.coupling.product, flow.base):
+        assert not {"nodes", "by_id", "children_map"} & set(vars(tree))
 
 
 def test_grid_curve_validation():

@@ -35,8 +35,15 @@ from adawass import (
     validate,
 )
 from adawass.cli import _flow_json, _plan_json, _tree_json, _write_particles_csv, main
+from adawass.trees import _float_fields, _int_field, _int_fields
 
-from conftest import flow_to_dict, write_particles_by_label_path
+from conftest import (
+    assert_same_layout,
+    flow_to_dict,
+    layout_by_nodes,
+    validate_by_nodes,
+    write_particles_by_label_path,
+)
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -242,3 +249,78 @@ def test_flow_documents_and_particles_match_json_and_csv(files, data):
     _write_particles_csv(str(got), flow)
     write_particles_by_label_path(str(want), flow)
     assert got.read_bytes() == want.read_bytes()
+
+
+# -- trees built from nodes and from columns -----------------------------------
+
+def tree_from_dict_by_nodes(data):
+    """The former tree_from_dict: one ``TreeNode`` per document entry."""
+    raw = data["nodes"]
+    nodes = tuple(map(TreeNode, _int_fields([n["id"] for n in raw]),
+                      _int_fields([n["parent"] for n in raw], nullable=True),
+                      _int_fields([n["time"] for n in raw]),
+                      [None if n["value"] is None else tuple(_float_fields(n["value"])) for n in raw],
+                      _float_fields([n["prob"] for n in raw])))
+    return TreeProcess(depth=_int_field(data["depth"]), value_dims=tuple(_int_fields(list(data["value_dims"]))),
+                       nodes=nodes)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def built_trees(draw):
+    """A ``build_process`` tree: normalized probabilities, now and then one
+    replaced by any float, and values that may be non-finite."""
+    depth = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
+    values = st.floats(-10.0, 10.0) | st.sampled_from(SPECIAL_FLOATS)
+
+    def branches(t):
+        if t > depth:
+            return []
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3))
+        probs = [w / sum(weights) for w in weights]
+        if draw(st.integers(0, 9)) == 0:
+            probs[draw(st.integers(0, len(probs) - 1))] = draw(floats)
+        return [(q, tuple(draw(st.lists(values, min_size=dims[t - 1], max_size=dims[t - 1]))),
+                 branches(t + 1)) for q in probs]
+
+    return build_process(dims, branches(1))
+
+
+@FUZZ
+@given(data=st.data())
+def test_trees_built_from_nodes_and_from_columns_agree(data):
+    # a node-built tree and the tree tree_from_dict fills from its document:
+    # the same layout as the former builder makes from the nodes, the
+    # former per-node validate report, and the same document text
+    if data.draw(st.booleans()):
+        by_nodes = data.draw(built_trees())
+        doc = tree_to_dict(by_nodes)
+    else:
+        doc = data.draw(edited(TREE_DOC))
+        try:
+            by_nodes = tree_from_dict_by_nodes(doc)
+        except (KeyError, TypeError, OverflowError):
+            with pytest.raises(ValueError, match="malformed tree document"):
+                tree_from_dict(doc)
+            return
+    by_columns = tree_from_dict(doc)
+    report = outcome(validate_by_nodes, by_nodes)
+    assert outcome(validate, by_columns) == outcome(validate, by_nodes) == report
+    if report == []:
+        assert by_columns == by_nodes     # content equality; NaN is unequal to itself
+    assert outcome(_tree_json, by_columns) == outcome(_tree_json, by_nodes)
+    reference = outcome(layout_by_nodes, by_nodes)
+    for tree in (by_columns, by_nodes):
+        layout = outcome(lambda: tree.layout)
+        if isinstance(reference, type):
+            assert layout is reference
+        else:
+            assert_same_layout(layout, reference)

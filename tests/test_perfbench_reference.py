@@ -82,3 +82,13 @@ def test_dist_bushy_requests_pass_the_benchmark_checks(workloads, tmp_path):
     for kind in ("3x4", "3x4-2d", "8x2"):
         i = next(i for i, req in enumerate(pool) if req.kind == f"dist {kind}")
         pool[i].check(pool[i].call(f"r{i}"))
+
+
+def test_canon_equiv_requests_pass_the_benchmark_checks(workloads, tmp_path):
+    # seed-0 canon-equiv requests through the workload's own call and check:
+    # canonical (its line and its written tree), equiv with a tolerance, and
+    # equiv on trees that differ in one leaf
+    pool = workloads.build("canon-equiv", 0, tmp_path).pool
+    for kind in ("canonical", "equiv-tol", "differ"):
+        i = next(i for i, req in enumerate(pool) if req.kind.split()[0] == kind)
+        pool[i].check(pool[i].call(f"r{i}"))
