@@ -273,11 +273,11 @@ class _LevelKernels(Mapping):
         x, y = self._trees
         out = {}
         for t, (px, py, kernel) in enumerate(self.levels):
-            ids_x, ids_y = x.level(t), y.level(t)
+            ids_x, ids_y, kids_x, kids_y = x.level(t), y.level(t), x.level(t + 1), y.level(t + 1)
             bx, by = x.layout[t].bounds.tolist(), y.layout[t].bounds.tolist()
             for a, b in zip(px.tolist(), py.tolist()):
-                vx, vy, block = ids_x[a], ids_y[b], kernel[bx[a]:bx[a + 1], by[b]:by[b + 1]]
-                out[(vx, vy)] = (x.children(vx), y.children(vy), block)
+                sx, sy = slice(bx[a], bx[a + 1]), slice(by[b], by[b + 1])
+                out[(ids_x[a], ids_y[b])] = (kids_x[sx], kids_y[sy], kernel[sx, sy])
         return out
 
     def __getitem__(self, key):

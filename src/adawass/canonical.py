@@ -6,11 +6,11 @@ information state.  Two trees describe the same filtered process exactly
 when their level-1 information laws coincide, and merging siblings with
 equal states yields the minimal representative of the equivalence class.
 
-One depth-first builder computes the states, merging siblings as it goes;
-the only thing a tolerance changes is the comparison ``_close`` that
-decides when two states are the same.  States nest one level per time
-step, so building and comparing them recurses as deep as the tree; a tree
-too deep for Python's recursion limit trips the size guard.
+One builder computes the states a level at a time from the leaves up,
+merging siblings as it goes; the only thing a tolerance changes is the
+comparison ``_close`` that decides when two states are the same.  States
+nest one level per time step, so comparing them and ``_branches`` recurse
+as deep as the tree; a tree too deep for the recursion limit trips the size guard.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 from typing import NamedTuple
 
 from .bicausal import SizeGuardError
-from .trees import TreeProcess, _check_shapes, build_process
+from .trees import TreeProcess, _check_shapes, _check_tolerance, build_process
 
 __all__ = ["InfoState", "information_process", "canonicalize", "equivalent"]
 
@@ -52,7 +52,7 @@ def _close(a: InfoState, b: InfoState, tol: float) -> bool:
 
 
 def _merge(entries: list[tuple[InfoState, float]], tol: float) -> tuple[tuple[InfoState, float], ...]:
-    """Group close states greedily in node-id order; the first state of a group
+    """Group close states greedily in node-list order; the first state of a group
     represents it and the group's masses are summed in sorted order."""
     groups: list[tuple[InfoState, list[float]]] = []
     for state, q in entries:
@@ -69,23 +69,25 @@ def _merge(entries: list[tuple[InfoState, float]], tol: float) -> tuple[tuple[In
     return tuple(merged)
 
 
-def _law(proc: TreeProcess, nid: int, tol: float,
+def _law(proc: TreeProcess, tol: float,
          states: dict[int, InfoState] | None = None) -> tuple[tuple[InfoState, float], ...]:
-    """Merged law of the children's states, built depth-first; records every
-    child's state in ``states`` when given."""
-    entries = []
-    for c in proc.children(nid):
-        node = proc.node(c)
-        state = InfoState(node.value, _law(proc, c, tol, states) if proc.children(c) else None)
+    """Merged law of the root's children's states, built from the layout a level at
+    a time from the leaves up (a node's children: its ``bounds`` slice of the level
+    below); records every node's state in ``states`` when given."""
+    laws = [None] * len(proc.layout[-1].ids)
+    for above, level in zip(proc.layout[-2::-1], proc.layout[:0:-1]):
+        level_states = list(map(InfoState, map(tuple, level.values.tolist()), laws))
         if states is not None:
-            states[c] = state
-        entries.append((state, node.prob))
-    return _merge(entries, tol)
+            states.update(zip(level.ids, level_states))
+        entries = list(zip(level_states, level.prob.tolist()))
+        bounds = above.bounds.tolist()
+        laws = [_merge(entries[a:b], tol) if a < b else None for a, b in zip(bounds, bounds[1:])]
+    return laws[0] or ()
 
 
 def _depth_guarded(fn):
     """``fn`` with the ``RecursionError`` of a tree too deep for the
-    recursive builders and comparisons raised as a ``SizeGuardError`` that
+    recursive comparisons and ``_branches`` raised as a ``SizeGuardError`` that
     names the depth of its first argument."""
     @functools.wraps(fn)
     def guarded(proc: TreeProcess, *args, **kwargs):
@@ -106,7 +108,7 @@ def information_process(proc: TreeProcess) -> dict[int, InfoState]:
     children merged by summing mass.
     """
     states: dict[int, InfoState] = {}
-    _law(proc, proc.root_id, 0.0, states)
+    _law(proc, 0.0, states)
     return states
 
 
@@ -122,9 +124,10 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     With ``tol`` zero the merge uses exact equality of states and the result
     is idempotent node-for-node.  A positive ``tol`` merges states whose
     values and probabilities agree componentwise within ``tol``, greedily in
-    node-id order with the lowest id winning.
+    node-list order with the first node winning.
     """
-    return build_process(proc.value_dims, _branches(_law(proc, proc.root_id, tol)))
+    _check_tolerance(tol)
+    return build_process(proc.value_dims, _branches(_law(proc, tol)))
 
 
 @_depth_guarded
@@ -136,7 +139,8 @@ def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     positive).
     """
     _check_shapes(a, b)
+    _check_tolerance(tol)
     # compare the laws as the laws of two value-less root states
-    root_a = InfoState((), _law(a, a.root_id, tol))
-    root_b = InfoState((), _law(b, b.root_id, tol))
+    root_a = InfoState((), _law(a, tol))
+    root_b = InfoState((), _law(b, tol))
     return _close(root_a, root_b, tol)

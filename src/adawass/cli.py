@@ -46,6 +46,7 @@ from .discrete_ot import InfeasibleError, SolverError, UnboundedError
 from .trees import (  # noqa: F401  (tree_to_dict: perfbench/tracer.py wraps it here)
     ShapeMismatchError,
     TreeProcess,
+    _check_tolerance,
     _float_field,
     _float_fields,
     _int_fields,
@@ -252,9 +253,8 @@ def _check_options(args) -> None:
         raise ValueError(f"--p must be a finite order >= 1, got {p}")
     for option in ("tol_equiv", "tol_check"):
         tol = getattr(args, option, None)
-        if tol is not None and not 0.0 <= tol < math.inf:
-            name = "--" + option.replace("_", "-")
-            raise ValueError(f"{name} must be a finite tolerance >= 0, got {tol}")
+        if tol is not None:
+            _check_tolerance(tol, "--" + option.replace("_", "-"))
     for option, least in (("dyadic", 0), ("max_leaves", 1)):
         value = getattr(args, option, None)
         if value is not None and value < least:

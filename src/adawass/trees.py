@@ -129,6 +129,32 @@ def _slices(items: list, size: np.ndarray):
     return map(items.__getitem__, map(slice, [0] + end[:-1], end))
 
 
+def _columns(rows: Sequence[tuple]) -> TreeColumns:
+    """The columns of a node list whose entries hold the ``TreeNode`` fields in order."""
+    ids, parents, times, values, probs = zip(*rows) if rows else ((),) * 5
+    sizes = np.array([-1 if v is None else len(v) for v in values], dtype=np.intp)
+    return TreeColumns(ids, parents, times, _number_array(probs),
+                       _number_array(list(chain.from_iterable(filter(None, values)))),
+                       _read_only(sizes))
+
+
+def _layout(ids: Sequence[tuple[int, ...]], parent: Sequence[np.ndarray], prob: Sequence[np.ndarray],
+            values: Sequence[np.ndarray], index: Sequence[np.ndarray]) -> tuple[TreeLevel, ...]:
+    """The layout from the ids, parent positions, edge probabilities, value
+    rows and node-list positions of levels t = 0..T (``parent`` also of the
+    nodes below T, none in a valid tree): bounds and reaches formed, arrays read-only."""
+    reach, out = np.ones(1), []
+    for t, n in enumerate(map(len, ids)):
+        if t:
+            reach = reach[parent[t]] * prob[t]
+        level = TreeLevel(ids[t], parent[t], np.searchsorted(parent[t + 1], np.arange(n + 1)),
+                          prob[t], values[t], reach, index[t])
+        for arr in level[1:]:
+            arr.flags.writeable = False
+        out.append(level)
+    return tuple(out)
+
+
 class TreeProcess:
     """Immutable scenario tree stored as columns; all derived views are cached lazily.
 
@@ -181,11 +207,7 @@ class TreeProcess:
 
     @cached_property
     def columns(self) -> TreeColumns:
-        ids, parents, times, values, probs = zip(*self.nodes) if self.nodes else ((),) * 5
-        sizes = np.array([-1 if v is None else len(v) for v in values], dtype=np.intp)
-        return TreeColumns(ids, parents, times, _number_array(probs),
-                           _number_array(list(chain.from_iterable(filter(None, values)))),
-                           _read_only(sizes))
+        return _columns(self.nodes)
 
     @cached_property
     def nodes(self) -> tuple[TreeNode, ...]:
@@ -250,34 +272,19 @@ class TreeProcess:
         parents in level t - 1 order, siblings in node-list order.
         """
         cols = self.columns
-        parent = self._parent_pos
-        prob = np.asarray(cols.probs, dtype=float)
-        values = np.asarray(cols.values, dtype=float)
+        kids, first = self._children
+        prob, values = np.asarray(cols.probs, dtype=float), np.asarray(cols.values, dtype=float)
         sizes = np.maximum(cols.sizes, 0)
         start = np.cumsum(sizes) - sizes
-        members = np.array([self._index[self.root_id]])
-        member_parent, reach = np.full(1, -1), np.ones(1)
-        # position in the current level, by node-list position; the -1 of
-        # the root and of unknown parents reads the sentinel at the end
-        pos = np.full(len(parent) + 1, -1)
-        out = []
-        for t in range(self.depth + 1):
-            pos[members] = np.arange(members.size)
-            parent_pos = pos[parent]
-            pos[members] = -1
-            kids = np.flatnonzero(parent_pos >= 0)
-            kids = kids[np.argsort(parent_pos[kids], kind="stable")]
-            rows = (values[_segments(start[members], sizes[members])].reshape(members.size, -1)
-                    if t else np.empty((1, 0)))
-            level = TreeLevel(tuple(map(cols.ids.__getitem__, members.tolist())), member_parent,
-                              np.searchsorted(parent_pos[kids], np.arange(members.size + 1)),
-                              prob[members], rows, reach, members)
-            for arr in level[1:]:
-                arr.flags.writeable = False
-            out.append(level)
-            members, member_parent = kids, parent_pos[kids]
-            reach = reach[member_parent] * prob[kids]
-        return tuple(out)
+        members, parent = [np.array([self._index[self.root_id]])], [np.full(1, -1)]
+        for _ in range(self.depth + 1):     # the children of levels 0..T; the last bound level T
+            count = first[members[-1] + 1] - first[members[-1]]
+            members.append(kids[_segments(first[members[-1]], count)])
+            parent.append(np.repeat(np.arange(count.size), count))
+        members.pop()
+        rows = [values[_segments(start[m], sizes[m])].reshape(m.size, -1) for m in members[1:]]
+        return _layout([tuple(map(cols.ids.__getitem__, m.tolist())) for m in members], parent,
+                       [prob[m] for m in members], [np.empty((1, 0)), *rows], members)
 
     def level(self, t: int) -> tuple[int, ...]:
         return self.layout[t].ids
@@ -318,8 +325,7 @@ def _from_levels(value_dims: tuple[int, ...], parent: Sequence[np.ndarray],
     parent of every level-t node (non-decreasing, so each parent's children
     are contiguous), ``prob[t - 1]`` their edge probabilities and
     ``values[t - 1]`` their value rows.  Ids number the nodes in this
-    order, the root 0; reach probabilities are formed as ``layout`` forms
-    them.
+    order, the root 0.
     """
     counts = [1] + [len(k) for k in parent]
     first = np.cumsum([0] + counts).tolist()    # id of every level's first node
@@ -331,18 +337,10 @@ def _from_levels(value_dims: tuple[int, ...], parent: Sequence[np.ndarray],
         _read_only(np.concatenate([np.ones(1), *prob])),
         _read_only(np.concatenate([np.empty(0), *(v.reshape(-1) for v in values)])),
         _read_only(np.repeat([-1] + [v.shape[1] for v in values], counts)))
-    parents, probs = [np.full(1, -1), *parent], [np.ones(1), *prob]
-    rows, reach, layout = [np.empty((1, 0)), *values], np.ones(1), []
-    for t, n in enumerate(counts):
-        if t:
-            reach = reach[parents[t]] * probs[t]
-        kids = parent[t] if t < len(parent) else np.empty(0, dtype=np.intp)
-        level = TreeLevel(ids[first[t]:first[t + 1]], parents[t], np.searchsorted(kids, np.arange(n + 1)),
-                          probs[t], rows[t], reach, np.arange(first[t], first[t + 1]))
-        for arr in level[1:]:
-            arr.flags.writeable = False
-        layout.append(level)
-    return TreeProcess._from_columns(len(parent), tuple(value_dims), columns, tuple(layout))
+    layout = _layout([ids[a:b] for a, b in zip(first, first[1:])],
+                     [np.full(1, -1), *parent, np.empty(0, dtype=np.intp)], [np.ones(1), *prob],
+                     [np.empty((1, 0)), *values], list(map(np.arange, first, first[1:])))
+    return TreeProcess._from_columns(len(parent), tuple(value_dims), columns, layout)
 
 
 @dataclass(frozen=True)
@@ -448,6 +446,12 @@ def _check_order(p: float) -> None:
         raise ValueError(f"order p must be a finite number >= 1, got {p}")
 
 
+def _check_tolerance(tol: float, name: str = "tol") -> None:
+    """Reject a tolerance that is not a finite number >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be a finite tolerance >= 0, got {tol}")
+
+
 def _check_shapes(x: TreeProcess, y: TreeProcess) -> None:
     """Reject two processes that disagree in depth or value dims."""
     if x.depth != y.depth or x.value_dims != y.value_dims:
@@ -496,20 +500,17 @@ def build_process(value_dims: Sequence[int], branches) -> TreeProcess:
 
     ``branches`` is a list of ``(prob, value, children)`` triples hanging off
     the root; ``children`` recursively has the same shape and is empty at the
-    terminal level.  Node ids are assigned in depth-first preorder.  The one
-    depth-first builder: canonical and quantized trees are built here too.
+    terminal level.  Node ids are assigned in depth-first preorder, by a walk
+    with an explicit stack that fills the columns of the node list.
     """
-    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
-
-    def visit(parent_id: int, t: int, subtrees) -> None:
-        for prob, value, kids in subtrees:
-            nid = len(nodes)
-            vec = tuple(value) if isinstance(value, (tuple, list)) else (float(value),)
-            nodes.append(TreeNode(id=nid, parent=parent_id, time=t, value=vec, prob=float(prob)))
-            visit(nid, t + 1, kids)
-
-    visit(0, 1, branches)
-    return TreeProcess(depth=len(value_dims), value_dims=tuple(value_dims), nodes=tuple(nodes))
+    rows = [(0, None, 0, None, 1.0)]
+    stack = [(0, 1, branch) for branch in reversed(list(branches))]
+    while stack:
+        parent, t, (prob, value, kids) = stack.pop()
+        vec = tuple(value) if isinstance(value, (tuple, list)) else (float(value),)
+        rows.append((len(rows), parent, t, vec, float(prob)))
+        stack += [(rows[-1][0], t + 1, branch) for branch in reversed(list(kids))]
+    return TreeProcess._from_columns(len(value_dims), tuple(value_dims), _columns(rows))
 
 
 class _LevelValues(Mapping):
@@ -640,27 +641,25 @@ def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
             raise ValueError("sample values must be finite")
 
     rng = np.random.default_rng(seed)
-
-    def split(t: int, members: list[int]) -> list:
-        """The ``build_process`` branches below a node whose samples are ``members``."""
-        if t > depth:
-            return []
-        pts = np.array([paths[i][t - 1] for i in members])
-        labels = _kmeans(pts, branching[t - 1], rng)
-        groups: dict[int, list[int]] = {}
-        for i, lab in zip(members, labels):
-            groups.setdefault(int(lab), []).append(i)
-        # sort children by centroid for a stable layout
-        entries = []
-        for lab, grp in groups.items():
-            centroid = np.array([paths[i][t - 1] for i in grp]).mean(axis=0)
-            entries.append((tuple(centroid.tolist()), grp))
-        entries.sort(key=lambda e: e[0])
-        return [(len(grp) / len(members), centroid, split(t + 1, grp)) for centroid, grp in entries]
-
+    branches: list = []
+    # a depth-first walk: (level t, the samples of a node at level t - 1, its branches to fill)
+    stack = [(1, list(range(len(paths))), branches)]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            branches = split(1, list(range(len(paths))))
+            while stack:
+                t, members, out = stack.pop()
+                labels = _kmeans(np.array([paths[i][t - 1] for i in members]), branching[t - 1], rng)
+                groups: dict[int, list[int]] = {}
+                for i, lab in zip(members, labels):
+                    groups.setdefault(int(lab), []).append(i)
+                # sort children by centroid for a stable layout
+                entries = sorted(((tuple(np.array([paths[i][t - 1] for i in grp]).mean(axis=0).tolist()), grp)
+                                  for grp in groups.values()), key=lambda e: e[0])
+                kids = [(len(grp) / len(members), centroid, []) for centroid, grp in entries]
+                out += kids
+                if t < depth:
+                    # last child pushed first, so the first child's subtree is clustered next
+                    stack += [(t + 1, grp, sub) for (_, grp), (_, _, sub) in zip(entries[::-1], kids[::-1])]
     except FloatingPointError as exc:
         raise OverflowError(f"sample values too far apart to cluster: {exc}") from None
     return build_process(dims, branches)

@@ -8,7 +8,8 @@ from itertools import chain, repeat
 import numpy as np
 import pytest
 
-from adawass import build_process, chain_process, path_law, tree_to_dict
+from adawass import TreeNode, TreeProcess, build_process, canonical, chain_process, path_law, tree_to_dict
+from adawass.canonical import InfoState
 from adawass.trees import PROB_TOL
 
 
@@ -225,3 +226,50 @@ def validate_by_nodes(proc):
         elif ks:
             violations.append(f"node {nid} at terminal level has children")
     return violations
+
+
+# -- the former node-by-node builders: references for the level-wise paths ----
+
+def build_process_by_nodes(value_dims, branches):
+    """The former build_process: one ``TreeNode`` per entry of the nested
+    description, by a recursive walk, ids in depth-first preorder."""
+    nodes = [TreeNode(id=0, parent=None, time=0, value=None, prob=1.0)]
+
+    def visit(parent_id, t, subtrees):
+        for prob, value, kids in subtrees:
+            nid = len(nodes)
+            vec = tuple(value) if isinstance(value, (tuple, list)) else (float(value),)
+            nodes.append(TreeNode(id=nid, parent=parent_id, time=t, value=vec, prob=float(prob)))
+            visit(nid, t + 1, kids)
+
+    visit(0, 1, branches)
+    return TreeProcess(depth=len(value_dims), value_dims=tuple(value_dims), nodes=tuple(nodes))
+
+
+def law_by_nodes(proc, nid, tol, states=None):
+    """The former canonical._law: the merged law of the states of a node's
+    children, depth-first over ``children()`` and ``node()``; records every
+    child's state in ``states`` when given."""
+    entries = []
+    for c in proc.children(nid):
+        node = proc.node(c)
+        state = InfoState(node.value, law_by_nodes(proc, c, tol, states) if proc.children(c) else None)
+        if states is not None:
+            states[c] = state
+        entries.append((state, node.prob))
+    return canonical._merge(entries, tol)
+
+
+def information_process_by_nodes(proc):
+    states = {}
+    law_by_nodes(proc, proc.root_id, 0.0, states)
+    return states
+
+
+def canonicalize_by_nodes(proc, tol):
+    return build_process_by_nodes(proc.value_dims, canonical._branches(law_by_nodes(proc, proc.root_id, tol)))
+
+
+def equivalent_by_nodes(a, b, tol):
+    return canonical._close(InfoState((), law_by_nodes(a, a.root_id, tol)),
+                            InfoState((), law_by_nodes(b, b.root_id, tol)), tol)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from adawass import (
 from adawass import canonical
 from adawass.canonical import InfoState
 
-from conftest import epsilon_y, random_process
+from conftest import (
+    canonicalize_by_nodes,
+    epsilon_y,
+    equivalent_by_nodes,
+    information_process_by_nodes,
+    random_process,
+)
 
 
 def duplicated_branch_tree():
@@ -210,7 +217,7 @@ def test_canonicalize_matches_the_node_by_node_rebuild(tol, jitter):
     merged = 0
     for _ in range(60):
         proc = redundant_random_tree(rng, jitter)
-        ref = rebuild_by_nodes(proc.depth, proc.value_dims, canonical._law(proc, proc.root_id, tol))
+        ref = rebuild_by_nodes(proc.depth, proc.value_dims, canonical._law(proc, tol))
         got = canonicalize(proc, tol)
         assert (got.depth, got.value_dims) == (ref.depth, ref.value_dims)
         assert repr(got.nodes) == repr(ref.nodes)
@@ -224,6 +231,67 @@ def test_canonicalize_tolerant_chain_merges_greedily_first_wins():
     merged = canonicalize(proc, tol=1e-6)
     kids = [merged.node(c) for c in merged.children(merged.root_id)]
     assert [(k.value, k.prob) for k in kids] == [((0.0,), 0.5), ((1.2e-6,), 0.5)]
+
+
+def relisted(proc, order, rng):
+    """The same tree with its node list depth-first (as built), breadth-first,
+    or shuffled with fresh ids."""
+    nodes = list(proc.nodes)
+    if order == "breadth-first":
+        nodes.sort(key=lambda n: n.time)
+    elif order == "shuffled":
+        fresh = dict(zip((n.id for n in nodes), (7 * rng.permutation(len(nodes)) - 3).tolist()))
+        nodes = [TreeNode(fresh[n.id], fresh.get(n.parent), n.time, n.value, n.prob)
+                 for n in map(nodes.__getitem__, rng.permutation(len(nodes)).tolist())]
+    return TreeProcess(proc.depth, proc.value_dims, nodes)
+
+
+def with_leaf_moved(proc, delta):
+    """``proc`` with the value of its last listed leaf moved by ``delta``."""
+    nodes = list(proc.nodes)
+    k = max(i for i, n in enumerate(nodes) if n.time == proc.depth)
+    nodes[k] = nodes[k]._replace(value=tuple(v + delta for v in nodes[k].value))
+    return TreeProcess(proc.depth, proc.value_dims, nodes)
+
+
+@pytest.mark.parametrize("order", ["depth-first", "breadth-first", "shuffled"])
+@pytest.mark.parametrize("tol, jitter", [(0.0, 0.0), (1e-6, 1e-7)])
+def test_canonical_forms_match_the_node_by_node_references(order, tol, jitter):
+    # the states built a level at a time from the layout equal the former
+    # depth-first build over children() and node(), whatever the node order
+    rng = np.random.default_rng(37)
+    verdicts = set()
+    for _ in range(40):
+        proc = relisted(redundant_random_tree(rng, jitter), order, rng)
+        want = information_process_by_nodes(proc)
+        assert {k: repr(v) for k, v in information_process(proc).items()} == {k: repr(v) for k, v in want.items()}
+        got, ref = canonicalize(proc, tol), canonicalize_by_nodes(proc, tol)
+        assert (got.depth, got.value_dims, repr(got.nodes)) == (ref.depth, ref.value_dims, repr(ref.nodes))
+        for other in (relisted(ref, order, rng), with_leaf_moved(proc, 5e-7), with_leaf_moved(proc, 1.0)):
+            verdict = equivalent(proc, other, tol)
+            assert verdict == equivalent_by_nodes(proc, other, tol)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_canonical_forms_reject_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # a NaN or infinite tolerance merges siblings of any values: the 2-node
+    # "canonical form" of this tree is at AW distance 3.54 from it
+    proc = build_process([1], [(0.5, 0.0, []), (0.5, 5.0, [])])
+    with pytest.raises(ValueError, match="finite tolerance >= 0"):
+        canonicalize(proc, tol=tol)
+    with pytest.raises(ValueError, match="finite tolerance >= 0"):
+        equivalent(proc, proc, tol=tol)
+
+
+def test_canonical_forms_of_int_valued_trees_carry_equal_floats():
+    # states read the values from the float layout, so a library tree built
+    # with int values gets the equal float values in its canonical form
+    proc = build_process([2], [(0.5, (1, 2), []), (0.5, (1, 2), [])])
+    merged = canonicalize(proc)
+    assert repr([n.value for n in merged.nodes]) == repr([None, (1.0, 2.0)])
+    assert merged == build_process([2], [(1.0, (1, 2), [])])
 
 
 # -- equivalent ---------------------------------------------------------------

@@ -25,6 +25,7 @@ from adawass import (
     chain_process,
     discrete_ot,
     dyadic_grid,
+    equivalent,
     geodesic,
     process_with_values,
     quantize_paths,
@@ -32,11 +33,13 @@ from adawass import (
     skorokhod,
     tree_from_dict,
     tree_to_dict,
+    validate,
 )
 from adawass.bicausal import BicausalPlan
-from adawass.cli import _flow_json, _plan_json, _tree_json, _write_particles_csv, main
+from adawass.cli import _flow_json, _load_tree, _plan_json, _tree_json, _write_particles_csv, main
 
 from conftest import (
+    canonicalize_by_nodes,
     encoded,
     epsilon_x,
     epsilon_y,
@@ -746,6 +749,38 @@ def test_trees_too_deep_for_canonical_forms_trip_the_size_guard(capsys, tmp_path
     code, out, err = run(capsys, [a.format(x=path) for a in argv])
     assert (code, out) == (4, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "depth 1200" in err
+
+
+def test_deep_chains_and_samples_run_through_dist_and_quantize(capsys, tmp_path, write_tree):
+    # building a chain and clustering samples walk the levels without
+    # recursing, so 1,200 steps, past Python's recursion limit, run through
+    proc = chain_process([float(t) for t in range(1200)])
+    assert validate(proc) == []
+    chain = write_tree("chain.json", proc)
+    assert run(capsys, ["dist", chain, chain]) == (0, "0.000000000000\n", "")
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps({"samples": [[[float(t + s)] for t in range(1200)] for s in range(3)]}))
+    tree = tmp_path / "tree.json"
+    code, out, err = run(capsys, ["quantize", str(samples), "--branching", ",".join(["1"] * 1200),
+                                  "--out", str(tree)])
+    assert (code, out, err) == (0, "1 scenarios\n", "")
+    proc = _load_tree(str(tree))
+    assert proc.depth == 1200 and proc.layout[-1].values.tolist() == [[1200.0]]
+
+
+def test_canonical_and_equiv_build_no_node_views(tmp_path, write_tree):
+    # canonical forms read the layout of the loaded trees and fill the
+    # columns of the result: no per-node view is built on the way
+    doubled = build_process([1, 1], [(0.25, 0.0, [(0.5, -1.0, []), (0.5, 1.0, [])]),
+                                     (0.75, 0.0, [(0.5, -1.0, []), (0.5, 1.0, [])])])
+    base = epsilon_x()
+    x, y = _load_tree(write_tree("x.json", doubled)), _load_tree(write_tree("y.json", base))
+    merged = canonicalize(x)
+    assert equivalent(x, y) and equivalent(x, y, tol=1e-9)
+    text = _tree_json(merged)
+    for tree in (x, y, merged):
+        assert not {"nodes", "by_id", "children_map"} & set(vars(tree))
+    assert text == _tree_json(canonicalize_by_nodes(x, 0.0))
 
 
 @pytest.mark.parametrize("ids", [(2**70, 2**70 + 1, -(2**70)), (-1, -2, -3)])

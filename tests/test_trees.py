@@ -20,7 +20,9 @@ from adawass import (
     validate,
 )
 
-from conftest import random_process
+from adawass.cli import _tree_json
+
+from conftest import assert_same_layout, build_process_by_nodes, layout_by_nodes, random_process
 
 
 def test_validate_single_branch_tree():
@@ -147,6 +149,82 @@ def test_order_checks_stay_in_one_place():
     sites = {f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
              for name in order_comparisons(path.read_text(encoding="utf-8"))}
     assert sites == {"trees._check_order", "cli._check_options"}
+
+
+NODE_VIEWS = {"nodes", "by_id", "children_map"}
+
+
+def node_view_reads(source: str) -> set[str]:
+    """Every ``.nodes``, ``.by_id`` or ``.children_map`` read and every
+    ``.node(...)`` or ``.children(...)`` call in ``source``, by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in NODE_VIEWS:
+            found.add(node.attr)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("node", "children")):
+            found.add(node.func.attr + "()")
+    return found
+
+
+def tree_node_calls(source: str) -> int:
+    """How many times ``source`` calls ``TreeNode(...)``."""
+    return sum(isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TreeNode"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_node_views_stay_in_trees():
+    # computations read a tree's layout and columns; its node views serve
+    # validate's messages, tree_to_dict and repr, all in trees.py, and no
+    # library code builds a TreeNode
+    src = Path(adawass.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))}
+    assert "trees" in sources
+    assert {name: found for name, text in sources.items()
+            if name != "trees" and (found := node_view_reads(text))} == {}
+    assert {name: n for name, text in sources.items() if (n := tree_node_calls(text))} == {}
+    assert node_view_reads("x.nodes; y.by_id; z.children_map; t.node(1); t.children(2)") == {
+        "nodes", "by_id", "children_map", "node()", "children()"}
+    assert tree_node_calls("TreeNode(0, None, 0, None, 1.0); trees.TreeNode(1, 0, 1, (0.0,), 1.0)") == 2
+
+
+def random_description(rng, depth, dims):
+    """Nested ``build_process`` branches whose values are scalars or tuples
+    and lists of ints, floats and numpy floats, and whose probabilities are
+    floats or ints."""
+    def number():
+        return [int(rng.integers(-3, 4)), float(rng.normal()), np.float64(rng.normal())][int(rng.integers(3))]
+
+    def branches(t):
+        if t > depth:
+            return []
+        out = []
+        for _ in range(int(rng.integers(1, 4))):
+            if dims[t - 1] == 1 and rng.random() < 0.5:
+                value = number()
+            else:
+                value = [number() for _ in range(dims[t - 1])]
+                value = tuple(value) if rng.random() < 0.5 else value
+            out.append((float(rng.uniform(0.1, 1.0)) if rng.random() < 0.8 else 1, value, branches(t + 1)))
+        return out
+
+    return branches(1)
+
+
+def test_build_process_matches_the_node_by_node_builder():
+    # the columns filled by an explicit-stack walk: the nodes, layout and
+    # document the former recursive builder gives
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        depth = int(rng.integers(1, 5))
+        dims = [int(rng.integers(1, 3)) for _ in range(depth)]
+        branches = random_description(rng, depth, dims)
+        got, ref = build_process(dims, branches), build_process_by_nodes(dims, branches)
+        assert not NODE_VIEWS & set(vars(got))
+        assert (got.depth, got.value_dims) == (ref.depth, ref.value_dims)
+        assert_same_layout(got.layout, layout_by_nodes(ref))
+        assert _tree_json(got) == _tree_json(ref)
+        assert repr(got.nodes) == repr(ref.nodes)
 
 
 def test_path_distance_rejects_shape_mismatch():
