@@ -78,6 +78,11 @@ class SizeGuardError(RuntimeError):
     """A product-space construction would exceed the configured size limit."""
 
 
+def _pth_root(cost: float, p: float) -> float:
+    """A plan's value from its cost; a negative cost (rounding, negative masses) counts as zero."""
+    return max(cost, 0.0) ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class BicausalPlan:
     """Coupling of two tree processes, stored as path-pair masses.
@@ -105,7 +110,7 @@ class BicausalPlan:
         weighted = m * _path_costs(x, y, p, i, j)
         # summed in listing order, as a running total
         cost = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
-        return cls(x=x, y=y, p=p, pair_masses=dict(masses), value=cost ** (1.0 / p))
+        return cls(x=x, y=y, p=p, pair_masses=dict(masses), value=_pth_root(cost, p))
 
     @classmethod
     def product(cls, x: TreeProcess, y: TreeProcess, p: float) -> "BicausalPlan":
@@ -333,7 +338,7 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
         px, py, mass = cx[reached], cy[reached], mass[k[reached]] * flat[reached]
     pairs = zip(map(x.leaves.__getitem__, px.tolist()), map(y.leaves.__getitem__, py.tolist()))
     masses = dict(zip(pairs, mass.tolist()))
-    value = total ** (1.0 / p)
+    value = _pth_root(total, p)
     plan = BicausalPlan(x=x, y=y, p=p, pair_masses=masses, value=value, kernels=_LevelKernels(x, y, levels))
     return value, plan
 
@@ -384,7 +389,7 @@ def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bic
     i, j = np.divmod(kept, ny)
     pairs = zip(map(lx.__getitem__, i.tolist()), map(ly.__getitem__, j.tolist()))
     masses = dict(zip(pairs, sol[kept].tolist()))
-    value = max(total, 0.0) ** (1.0 / p)
+    value = _pth_root(total, p)
     plan = BicausalPlan(x=x, y=y, p=p, pair_masses=masses, value=value)
     return value, plan
 

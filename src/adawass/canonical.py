@@ -6,19 +6,16 @@ information state.  Two trees describe the same filtered process exactly
 when their level-1 information laws coincide, and merging siblings with
 equal states yields the minimal representative of the equivalence class.
 
-One builder computes the states a level at a time from the leaves up,
-merging siblings as it goes; the only thing a tolerance changes is the
-comparison ``_close`` that decides when two states are the same.  States
-nest one level per time step, so comparing them and ``_branches`` recurse
-as deep as the tree; a tree too deep for the recursion limit trips the size guard.
+One builder computes the states a level at a time from the leaves up, as
+flat records, merging siblings as it goes; the only thing a tolerance
+changes is the comparison ``_close`` that decides when two states are the
+same.  Nothing recurses, so trees of any depth have canonical forms.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
-from .bicausal import SizeGuardError
 from .trees import TreeProcess, _check_shapes, _check_tolerance, build_process
 
 __all__ = ["InfoState", "information_process", "canonicalize", "equivalent"]
@@ -36,70 +33,58 @@ class InfoState(NamedTuple):
     law: tuple[tuple["InfoState", float], ...] | None = None
 
 
-def _close(a: InfoState, b: InfoState, tol: float) -> bool:
-    """Whether two states count as the same: exact equality when ``tol`` <= 0,
-    otherwise values and masses agreeing componentwise within ``tol``."""
-    if tol <= 0.0:
-        return a == b
-    (va, la), (vb, lb) = a, b
-    if len(va) != len(vb) or any(abs(x - y) > tol for x, y in zip(va, vb)):
-        return False
-    if la is None or lb is None:
-        return la is lb
-    return len(la) == len(lb) and all(
-        abs(qa - qb) <= tol and _close(sa, sb, tol) for (sa, qa), (sb, qb) in zip(la, lb)
-    )
+def _close(a: list, b: list, t: int, i: int, j: int, tol: float) -> bool:
+    """Whether state ``i`` of level ``t`` of the records ``a`` and state ``j`` of
+    that level of ``b`` count as the same: values and masses agreeing
+    componentwise within ``tol`` (exact equality at zero), down to the leaves."""
+    stack = [(t, i, j)]
+    while stack:
+        t, i, j = stack.pop()
+        (va, la, _), (vb, lb, _) = a[t], b[t]
+        la, lb = la[i], lb[j]
+        if (len(la) != len(lb) or any(abs(x - y) > tol for x, y in zip(va[i], vb[j]))
+                or any(abs(qa - qb) > tol for (_, qa), (_, qb) in zip(la, lb))):
+            return False
+        stack += [(t + 1, ca, cb) for (ca, _), (cb, _) in zip(la, lb)]
+    return True
 
 
-def _merge(entries: list[tuple[InfoState, float]], tol: float) -> tuple[tuple[InfoState, float], ...]:
-    """Group close states greedily in node-list order; the first state of a group
-    represents it and the group's masses are summed in sorted order."""
-    groups: list[tuple[InfoState, list[float]]] = []
-    for state, q in entries:
-        for rep, qs in groups:
-            if _close(rep, state, tol):
-                qs.append(q)
-                break
-        else:
-            groups.append((state, [q]))
-    merged = [(rep, sum(sorted(qs))) for rep, qs in groups]
-    # siblings share a level and are distinct and finite (validate rejects NaN),
-    # so the tuple order is total here and never compares None with a law
-    merged.sort(key=lambda e: e[0])
-    return tuple(merged)
+def _merge(records: list, t: int, kids: range, prob: list[float], tol: float) -> tuple:
+    """Merged law of the sibling states ``kids`` of level ``t``, grouped greedily
+    in node-list order, the first state of a group representing it: a state
+    equal to an earlier sibling's (the same rank) joins its group, and only
+    with ``tol`` > 0 is a new one compared with the representatives so far."""
+    ranks, rep, masses = records[t][2], {}, {}
+    for c in kids:
+        if ranks[c] not in rep:
+            near = (r for r in (masses if tol > 0.0 else ()) if _close(records, records, t, r, c, tol))
+            rep[ranks[c]] = next(near, c)
+        masses.setdefault(rep[ranks[c]], []).append(prob[c])
+    return tuple(sorted(((r, sum(sorted(qs))) for r, qs in masses.items()), key=lambda e: ranks[e[0]]))
 
 
-def _law(proc: TreeProcess, tol: float,
-         states: dict[int, InfoState] | None = None) -> tuple[tuple[InfoState, float], ...]:
-    """Merged law of the root's children's states, built from the layout a level at
-    a time from the leaves up (a node's children: its ``bounds`` slice of the level
-    below); records every node's state in ``states`` when given."""
-    laws = [None] * len(proc.layout[-1].ids)
-    for above, level in zip(proc.layout[-2::-1], proc.layout[:0:-1]):
-        level_states = list(map(InfoState, map(tuple, level.values.tolist()), laws))
-        if states is not None:
-            states.update(zip(level.ids, level_states))
-        entries = list(zip(level_states, level.prob.tolist()))
-        bounds = above.bounds.tolist()
-        laws = [_merge(entries[a:b], tol) if a < b else None for a, b in zip(bounds, bounds[1:])]
-    return laws[0] or ()
+def _states(proc: TreeProcess, tol: float) -> list:
+    """Every level's states as flat records, built from the layout a level at a
+    time from the leaves up (a node's children: its ``bounds`` slice of the
+    level below).  Level t's record lists per node its value, its merged law
+    as (position of the representative child in level t + 1, mass) pairs in
+    state order, and its rank: equal states share a rank, and sorting by rank
+    sorts the states in ``InfoState`` tuple order."""
+    records: list = [None] * (proc.depth + 1)
+    laws, below = [()] * len(proc.layout[-1].ids), []
+    for t in range(proc.depth, -1, -1):
+        level = proc.layout[t]
+        if t < proc.depth:
+            bounds, prob = level.bounds.tolist(), proc.layout[t + 1].prob.tolist()
+            laws = [_merge(records, t + 1, range(a, b), prob, tol) for a, b in zip(bounds, bounds[1:])]
+            below = records[t + 1][2]
+        values = list(map(tuple, level.values.tolist()))
+        keys = [(v, tuple((below[c], q) for c, q in law)) for v, law in zip(values, laws)]
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        records[t] = (values, laws, list(map(rank.__getitem__, keys)))
+    return records
 
 
-def _depth_guarded(fn):
-    """``fn`` with the ``RecursionError`` of a tree too deep for the
-    recursive comparisons and ``_branches`` raised as a ``SizeGuardError`` that
-    names the depth of its first argument."""
-    @functools.wraps(fn)
-    def guarded(proc: TreeProcess, *args, **kwargs):
-        try:
-            return fn(proc, *args, **kwargs)
-        except RecursionError:
-            raise SizeGuardError(f"tree of depth {proc.depth} is too deep for canonical forms "
-                                 "(Python's recursion limit)") from None
-    return guarded
-
-
-@_depth_guarded
 def information_process(proc: TreeProcess) -> dict[int, InfoState]:
     """Information state of every node at level >= 1.
 
@@ -107,17 +92,15 @@ def information_process(proc: TreeProcess) -> dict[int, InfoState]:
     the edge-probability mixture of its children's states, with identical
     children merged by summing mass.
     """
-    states: dict[int, InfoState] = {}
-    _law(proc, 0.0, states)
-    return states
+    out: dict[int, InfoState] = {}
+    below: list[InfoState] = []
+    for level, (values, laws, _) in zip(proc.layout[:0:-1], _states(proc, 0.0)[:0:-1]):
+        states = [InfoState(v, tuple((below[c], q) for c, q in law) or None) for v, law in zip(values, laws)]
+        out.update(zip(level.ids, states))
+        below = states
+    return out
 
 
-def _branches(law: tuple[tuple[InfoState, float], ...]) -> list:
-    """The ``build_process`` branches of the tree whose level-1 information law is ``law``."""
-    return [(prob, state.value, _branches(state.law or ())) for state, prob in law]
-
-
-@_depth_guarded
 def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     """Minimal representative: siblings with equal information states merged.
 
@@ -127,10 +110,20 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     node-list order with the first node winning.
     """
     _check_tolerance(tol)
-    return build_process(proc.value_dims, _branches(_law(proc, tol)))
+    records = _states(proc, tol)
+    # the build_process branches of the root's merged law, by an explicit-stack walk
+    branches: list = []
+    stack = [(1, records[0][1][0], branches)]
+    while stack:
+        t, law, out = stack.pop()
+        values, laws, _ = records[t]
+        for c, q in law:
+            out.append((q, values[c], kids := []))
+            if laws[c]:
+                stack.append((t + 1, laws[c], kids))
+    return build_process(proc.value_dims, branches)
 
 
-@_depth_guarded
 def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     """True iff the two processes have adapted distance zero for every order.
 
@@ -140,7 +133,5 @@ def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     """
     _check_shapes(a, b)
     _check_tolerance(tol)
-    # compare the laws as the laws of two value-less root states
-    root_a = InfoState((), _law(a, tol))
-    root_b = InfoState((), _law(b, tol))
-    return _close(root_a, root_b, tol)
+    # compare the laws as the laws of the two value-less root states
+    return _close(_states(a, tol), _states(b, tol), 0, 0, 0, tol)

@@ -1,11 +1,11 @@
 """Command-line surface: file formats, configuration, plot-data emission.
 
 Exit codes: 0 success, 2 unreadable or invalid input (any other
-``ValueError``, including values so far apart that their costs overflow)
-or an unwritable output path, 3 shape mismatch, 4 size guard tripped (a
-product tree over --max-leaves, or a tree too deep for the canonical
-forms of ``canonical`` and ``equiv``), 5 internal solver failure.  All
-commands are deterministic; --seed only affects ``quantize``.
+``ValueError``, including values so far apart that their costs overflow,
+and documents nested too deeply to parse) or an unwritable output path,
+3 shape mismatch, 4 size guard tripped (a product tree over --max-leaves),
+5 internal solver failure.  All commands are deterministic; --seed only
+affects ``quantize``.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nested too deeply
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -59,7 +59,7 @@ def _check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     g = tuple(float(u) for u in grid)
     if len(g) < 2 or g[0] != 0.0 or g[-1] != 1.0:
         raise ValueError(f"grid must run from 0 to 1, got {g}")
-    if any(b <= a for a, b in zip(g, g[1:])):
+    if any(not a < b for a, b in zip(g, g[1:])):  # so that a NaN point fails too
         raise ValueError("grid must be strictly increasing")
     return g
 

@@ -8,7 +8,7 @@ from itertools import chain, repeat
 import numpy as np
 import pytest
 
-from adawass import TreeNode, TreeProcess, build_process, canonical, chain_process, path_law, tree_to_dict
+from adawass import TreeNode, TreeProcess, build_process, chain_process, path_law, tree_to_dict
 from adawass.canonical import InfoState
 from adawass.trees import PROB_TOL
 
@@ -246,6 +246,44 @@ def build_process_by_nodes(value_dims, branches):
     return TreeProcess(depth=len(value_dims), value_dims=tuple(value_dims), nodes=tuple(nodes))
 
 
+def close_by_nesting(a, b, tol):
+    """The former canonical._close: whether two nested states count as the same,
+    recursively (exact equality when ``tol`` <= 0)."""
+    if tol <= 0.0:
+        return a == b
+    (va, la), (vb, lb) = a, b
+    if len(va) != len(vb) or any(abs(x - y) > tol for x, y in zip(va, vb)):
+        return False
+    if la is None or lb is None:
+        return la is lb
+    return len(la) == len(lb) and all(
+        abs(qa - qb) <= tol and close_by_nesting(sa, sb, tol) for (sa, qa), (sb, qb) in zip(la, lb)
+    )
+
+
+def merge_by_nesting(entries, tol):
+    """The former canonical._merge: close nested states grouped greedily in
+    node-list order, the first of a group representing it, masses summed in
+    sorted order, groups sorted by state."""
+    groups = []
+    for state, q in entries:
+        for rep, qs in groups:
+            if close_by_nesting(rep, state, tol):
+                qs.append(q)
+                break
+        else:
+            groups.append((state, [q]))
+    merged = [(rep, sum(sorted(qs))) for rep, qs in groups]
+    merged.sort(key=lambda e: e[0])
+    return tuple(merged)
+
+
+def branches_by_nesting(law):
+    """The former canonical._branches: the ``build_process`` branches of the
+    tree whose level-1 information law is ``law``, recursively."""
+    return [(prob, state.value, branches_by_nesting(state.law or ())) for state, prob in law]
+
+
 def law_by_nodes(proc, nid, tol, states=None):
     """The former canonical._law: the merged law of the states of a node's
     children, depth-first over ``children()`` and ``node()``; records every
@@ -257,7 +295,7 @@ def law_by_nodes(proc, nid, tol, states=None):
         if states is not None:
             states[c] = state
         entries.append((state, node.prob))
-    return canonical._merge(entries, tol)
+    return merge_by_nesting(entries, tol)
 
 
 def information_process_by_nodes(proc):
@@ -267,9 +305,9 @@ def information_process_by_nodes(proc):
 
 
 def canonicalize_by_nodes(proc, tol):
-    return build_process_by_nodes(proc.value_dims, canonical._branches(law_by_nodes(proc, proc.root_id, tol)))
+    return build_process_by_nodes(proc.value_dims, branches_by_nesting(law_by_nodes(proc, proc.root_id, tol)))
 
 
 def equivalent_by_nodes(a, b, tol):
-    return canonical._close(InfoState((), law_by_nodes(a, a.root_id, tol)),
+    return close_by_nesting(InfoState((), law_by_nodes(a, a.root_id, tol)),
                             InfoState((), law_by_nodes(b, b.root_id, tol)), tol)

@@ -539,6 +539,14 @@ def test_check_bicausal_catches_marginal_violation():
     assert not check_bicausal(plan)
 
 
+def test_a_plan_of_negative_cost_has_a_float_value():
+    # a negative weighted cost gave the complex value 4.3e-17+0.707j
+    x = build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])])
+    plan = BicausalPlan.from_pair_masses(x, x, 2.0, {(1, 2): -0.5, (2, 1): 0.0})
+    assert type(plan.value) is float and plan.value == 0.0
+    assert not check_bicausal(plan)
+
+
 def bicausal_by_matrices(plan, tol):
     """check_bicausal as the former dense 0/1 cylinder matrices and matrix
     products over ``plan.matrix()`` computed it."""

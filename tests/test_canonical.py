@@ -16,7 +16,6 @@ from adawass import (
     information_process,
     validate,
 )
-from adawass import canonical
 from adawass.canonical import InfoState
 
 from conftest import (
@@ -24,6 +23,7 @@ from conftest import (
     epsilon_y,
     equivalent_by_nodes,
     information_process_by_nodes,
+    law_by_nodes,
     random_process,
 )
 
@@ -217,7 +217,7 @@ def test_canonicalize_matches_the_node_by_node_rebuild(tol, jitter):
     merged = 0
     for _ in range(60):
         proc = redundant_random_tree(rng, jitter)
-        ref = rebuild_by_nodes(proc.depth, proc.value_dims, canonical._law(proc, tol))
+        ref = rebuild_by_nodes(proc.depth, proc.value_dims, law_by_nodes(proc, proc.root_id, tol))
         got = canonicalize(proc, tol)
         assert (got.depth, got.value_dims) == (ref.depth, ref.value_dims)
         assert repr(got.nodes) == repr(ref.nodes)
@@ -365,3 +365,26 @@ def test_aw_distance_to_canonical_form_is_zero():
         merged = canonicalize(proc)
         for p in (1.0, 2.0):
             assert aw_distance(proc, merged, p)[0] <= 1e-9
+
+
+def two_chain_tree(steps, last):
+    """A root with two ``steps``-step chains of values 1..steps below it, the
+    second one ending at ``last``; built without recursion."""
+    first = second = []
+    for t in range(steps, 0, -1):
+        first = [(0.5 if t == 1 else 1.0, float(t), first)]
+        second = [(0.5 if t == 1 else 1.0, last if t == steps else float(t), second)]
+    return build_process([1] * steps, first + second)
+
+
+def test_canonical_forms_of_trees_2001_levels_deep():
+    # past Python's recursion limit: states are built, merged, compared
+    # and written out level by level
+    same, differ = two_chain_tree(2001, 2001.0), two_chain_tree(2001, 2002.0)
+    assert same.depth == 2001 and len(same.nodes) == len(differ.nodes) == 4003
+    assert len(canonicalize(same).nodes) == 2002
+    assert len(canonicalize(differ).nodes) == 4003
+    assert len(canonicalize(differ, tol=2.0).nodes) == 2002
+    assert equivalent(same, canonicalize(same))
+    assert not equivalent(same, differ)
+    assert equivalent(same, differ, tol=2.0)

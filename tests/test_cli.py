@@ -269,6 +269,28 @@ def test_bad_curve_document_exit_code(capsys, tmp_path, command, field, bad):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["geodesic", "curve-energy", "represent"])
+def test_a_nan_grid_point_exits_2_without_output(capsys, tmp_path, command):
+    # NaN compares false both ways, so a "b <= a" check let it through:
+    # geodesic wrote a flow document with NaN tokens (not JSON), and
+    # curve-energy and represent printed nan, all with exit 0
+    a, b = chain_process([0.0, 0.0]), chain_process([1.0, 1.0])
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(tree_to_dict(a)))
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"grid": [0.0, math.nan, 1.0], "p": 2.0,
+                                 "processes": [tree_to_dict(t) for t in (a, b, a)]}))
+    out_file = tmp_path / "f.json"
+    argv = {"geodesic": ["geodesic", str(x), str(x), "--grid", "0,nan,1", "--out", str(out_file)],
+            "curve-energy": ["curve-energy", str(curve)],
+            "represent": ["represent", str(curve), "--out", str(out_file)]}[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "strictly increasing" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out_file.exists()
+
+
 def test_geodesic_prints_the_dist_line(write_tree, capsys, tmp_path):
     rng = np.random.default_rng(5)
     x = write_tree("x.json", random_process(rng, 2, (1, 1), 3))
@@ -739,16 +761,17 @@ def chain_document(steps):
     return {"depth": steps, "value_dims": [1] * steps, "nodes": nodes}
 
 
-@pytest.mark.parametrize("argv", [["canonical", "{x}"], ["equiv", "{x}", "{x}"],
-                                  ["equiv", "{x}", "{x}", "--tol-equiv", "1e-9"]])
-def test_trees_too_deep_for_canonical_forms_trip_the_size_guard(capsys, tmp_path, argv):
-    # information states nest one level per step, and building and comparing
-    # them recurses; a 1,200-step chain is past Python's recursion limit
+@pytest.mark.parametrize("argv, said", [(["canonical", "{x}"], "1201 -> 1201 nodes"),
+                                        (["equiv", "{x}", "{x}"], "equivalent"),
+                                        (["equiv", "{x}", "{x}", "--tol-equiv", "1e-9"], "equivalent")],
+                         ids=["canonical", "equiv", "equiv-tol"])
+def test_deep_chains_run_through_canonical_and_equiv(capsys, tmp_path, argv, said):
+    # information states are built, merged, compared and written out level
+    # by level without recursing, so a 1,200-step chain, past Python's
+    # recursion limit, has a canonical form and an equivalence verdict
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(chain_document(1200)))
-    code, out, err = run(capsys, [a.format(x=path) for a in argv])
-    assert (code, out) == (4, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "depth 1200" in err
+    assert run(capsys, [a.format(x=path) for a in argv]) == (0, said + "\n", "")
 
 
 def test_deep_chains_and_samples_run_through_dist_and_quantize(capsys, tmp_path, write_tree):

@@ -376,6 +376,7 @@ def test_labels_at_rejects_nan(interpolation):
     ((0.0, 1.0, 0.5), "linear", r"must run from 0 to 1, got \(0.0, 1.0, 0.5\)"),
     ((0.2, 0.5, 0.9), "linear", "must run from 0 to 1"),
     ((0.0, 0.5, 1.0), "cubic", "interpolation must be 'linear' or 'constant', got 'cubic'"),
+    ((0.0, math.nan, 1.0), "linear", "strictly increasing"),
 ])
 def test_flow_rejects_a_bad_grid_or_interpolation(grid, interpolation, message):
     flow = geodesic(epsilon_x(), epsilon_y(0.1), 2.0, (0.0, 0.5, 1.0))
@@ -584,6 +585,17 @@ def test_grid_curve_validation():
         GridCurve(grid=(0.0, 0.5, 0.5, 1.0), processes=(x,) * 4, p=2.0)
     with pytest.raises(ShapeMismatchError):
         GridCurve(grid=(0.0, 1.0), processes=(x, chain_process([1.0])), p=2.0)
+
+
+@pytest.mark.parametrize("grid", [(0.0, math.nan, 1.0), (0.0, 0.5, math.nan, 1.0)])
+def test_grids_with_a_nan_point_are_rejected(grid):
+    # NaN compares false both ways, so "b <= a" let it through: the curve's
+    # energy was nan and a geodesic's flow document held NaN tokens
+    x = epsilon_x()
+    with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+        GridCurve(grid=grid, processes=(x,) * len(grid), p=2.0)
+    with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+        geodesic(x, epsilon_y(0.1), 2.0, grid)
 
 
 # -- weighted p-variation ------------------------------------------------------

@@ -185,6 +185,22 @@ def test_malformed_samples_documents_exit_cleanly(files, doc, branching):
         assert validate(tree_from_dict(json.loads((files / "quantized.json").read_text()))) == []
 
 
+@pytest.mark.parametrize("reader", ["tree", "plan", "curve", "samples"])
+def test_deeply_nested_documents_exit_cleanly(files, reader):
+    # json.load recurses once per nesting level, so 100,000 nested lists
+    # raised RecursionError: exit 1 with a 30-line traceback
+    deep = files / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    x, y = str(files / "x.json"), str(files / "y.json")
+    argv = {"tree": ["canonical", str(deep)],
+            "plan": ["check-plan", str(deep), x, y],
+            "curve": ["curve-energy", str(deep)],
+            "samples": ["quantize", str(deep), "--branching", "2,2", "--out", str(files / "deep-out.json")]}
+    code, out, err = run_main(argv[reader])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {deep}: ")
+
+
 # -- the template writers against json.dumps(indent=2) and csv.writer ----------
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 0.1, -1.5,

@@ -188,6 +188,31 @@ def test_node_views_stay_in_trees():
     assert tree_node_calls("TreeNode(0, None, 0, None, 1.0); trees.TreeNode(1, 0, 1, (0.0,), 1.0)") == 2
 
 
+def self_calls(source: str) -> set[str]:
+    """Every function in ``source`` that calls itself by name, as ``f(...)``
+    or ``self.f(...)``/``cls.f(...)``, in its body or a function nested in it."""
+    def called(func):
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("self", "cls"):
+            return func.attr
+        return getattr(func, "id", None)
+
+    return {fn.name for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Call) and called(node.func) == fn.name for node in ast.walk(fn))}
+
+
+def test_no_library_function_calls_itself():
+    # recursion stops at Python's recursion limit, about a thousand levels:
+    # the library walks trees and information states with explicit stacks
+    src = Path(adawass.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))}
+    assert {"trees", "canonical", "cli"} <= set(sources)
+    assert {f"{name}.{fn}" for name, text in sources.items() for fn in self_calls(text)} == set()
+    assert self_calls("def f(n):\n    def g():\n        return f(n - 1)\n    return g()\n"
+                      "class A:\n    def h(self):\n        return self.h()\n"
+                      "    def k(self):\n        return other.k()\n") == {"f", "h"}
+
+
 def random_description(rng, depth, dims):
     """Nested ``build_process`` branches whose values are scalars or tuples
     and lists of ints, floats and numpy floats, and whose probabilities are
