@@ -7,16 +7,20 @@ when their level-1 information laws coincide, and merging siblings with
 equal states yields the minimal representative of the equivalence class.
 
 One builder computes the states a level at a time from the leaves up, as
-flat records, merging siblings as it goes; the only thing a tolerance
-changes is the comparison ``_close`` that decides when two states are the
-same.  Nothing recurses, so trees of any depth have canonical forms.
+flat records, merging siblings with equal states as it goes.  A tolerance
+never changes that rule: ``canonicalize`` snaps the values to a grid first,
+and ``equivalent`` bounds the adapted distance of the exact forms.  Nothing
+recurses, so trees of any depth have canonical forms.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .trees import TreeProcess, _check_shapes, _check_tolerance, build_process
+import numpy as np
+
+from . import bicausal   # bicausal.aw_distance looked up per call, where perfbench/tracer.py wraps it
+from .trees import TreeProcess, _check_shapes, _check_tolerance, build_process, process_with_values
 
 __all__ = ["InfoState", "information_process", "canonicalize", "equivalent"]
 
@@ -33,51 +37,25 @@ class InfoState(NamedTuple):
     law: tuple[tuple["InfoState", float], ...] | None = None
 
 
-def _close(a: list, b: list, t: int, i: int, j: int, tol: float) -> bool:
-    """Whether state ``i`` of level ``t`` of the records ``a`` and state ``j`` of
-    that level of ``b`` count as the same: values and masses agreeing
-    componentwise within ``tol`` (exact equality at zero), down to the leaves."""
-    stack = [(t, i, j)]
-    while stack:
-        t, i, j = stack.pop()
-        (va, la, _), (vb, lb, _) = a[t], b[t]
-        la, lb = la[i], lb[j]
-        if (len(la) != len(lb) or any(abs(x - y) > tol for x, y in zip(va[i], vb[j]))
-                or any(abs(qa - qb) > tol for (_, qa), (_, qb) in zip(la, lb))):
-            return False
-        stack += [(t + 1, ca, cb) for (ca, _), (cb, _) in zip(la, lb)]
-    return True
-
-
-def _merge(records: list, t: int, kids: range, prob: list[float], tol: float) -> tuple:
-    """Merged law of the sibling states ``kids`` of level ``t``, grouped greedily
-    in node-list order, the first state of a group representing it: a state
-    equal to an earlier sibling's (the same rank) joins its group, and only
-    with ``tol`` > 0 is a new one compared with the representatives so far."""
-    ranks, rep, masses = records[t][2], {}, {}
-    for c in kids:
-        if ranks[c] not in rep:
-            near = (r for r in (masses if tol > 0.0 else ()) if _close(records, records, t, r, c, tol))
-            rep[ranks[c]] = next(near, c)
-        masses.setdefault(rep[ranks[c]], []).append(prob[c])
-    return tuple(sorted(((r, sum(sorted(qs))) for r, qs in masses.items()), key=lambda e: ranks[e[0]]))
-
-
-def _states(proc: TreeProcess, tol: float) -> list:
+def _states(proc: TreeProcess) -> list:
     """Every level's states as flat records, built from the layout a level at a
     time from the leaves up (a node's children: its ``bounds`` slice of the
     level below).  Level t's record lists per node its value, its merged law
-    as (position of the representative child in level t + 1, mass) pairs in
-    state order, and its rank: equal states share a rank, and sorting by rank
-    sorts the states in ``InfoState`` tuple order."""
+    as (position of the first child of each state in level t + 1, summed
+    mass) pairs in state order, and its rank: equal states share a rank, and
+    sorting by rank sorts the states in ``InfoState`` tuple order."""
     records: list = [None] * (proc.depth + 1)
     laws, below = [()] * len(proc.layout[-1].ids), []
     for t in range(proc.depth, -1, -1):
         level = proc.layout[t]
         if t < proc.depth:
-            bounds, prob = level.bounds.tolist(), proc.layout[t + 1].prob.tolist()
-            laws = [_merge(records, t + 1, range(a, b), prob, tol) for a, b in zip(bounds, bounds[1:])]
-            below = records[t + 1][2]
+            bounds, prob, below = level.bounds.tolist(), proc.layout[t + 1].prob.tolist(), records[t + 1][2]
+            laws = []
+            for a, b in zip(bounds, bounds[1:]):
+                groups: dict = {}   # rank -> [first child, its masses...]
+                for c in range(a, b):
+                    groups.setdefault(below[c], [c]).append(prob[c])
+                laws.append(tuple((g[0], sum(sorted(g[1:]))) for _, g in sorted(groups.items())))
         values = list(map(tuple, level.values.tolist()))
         keys = [(v, tuple((below[c], q) for c, q in law)) for v, law in zip(values, laws)]
         rank = {key: r for r, key in enumerate(sorted(set(keys)))}
@@ -94,7 +72,7 @@ def information_process(proc: TreeProcess) -> dict[int, InfoState]:
     """
     out: dict[int, InfoState] = {}
     below: list[InfoState] = []
-    for level, (values, laws, _) in zip(proc.layout[:0:-1], _states(proc, 0.0)[:0:-1]):
+    for level, (values, laws, _) in zip(proc.layout[:0:-1], _states(proc)[:0:-1]):
         states = [InfoState(v, tuple((below[c], q) for c, q in law) or None) for v, law in zip(values, laws)]
         out.update(zip(level.ids, states))
         below = states
@@ -104,13 +82,20 @@ def information_process(proc: TreeProcess) -> dict[int, InfoState]:
 def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     """Minimal representative: siblings with equal information states merged.
 
-    With ``tol`` zero the merge uses exact equality of states and the result
-    is idempotent node-for-node.  A positive ``tol`` merges states whose
-    values and probabilities agree componentwise within ``tol``, greedily in
-    node-list order with the first node winning.
+    The result is idempotent node-for-node.  A positive ``tol`` first moves
+    every value component to the nearest grid point k * tol (ties to even; a
+    zero is written 0.0, never -0.0), keeping a value whose grid point floats
+    cannot hold within tol / 2.  The identity coupling with the snapped tree
+    is bicausal and moves each step by at most sqrt(d) * tol / 2, d the
+    largest value dimension, so AW_p(proc, result) <= T**(1/p) * sqrt(d) *
+    tol / 2 at depth T; the result does not depend on the node list's order.
     """
     _check_tolerance(tol)
-    records = _states(proc, tol)
+    if tol > 0.0:
+        with np.errstate(over="ignore"):   # value / tol with a subnormal tol
+            snapped = [(np.rint(level.values / tol) * tol, level.values) for level in proc.layout[1:]]
+        proc = process_with_values(proc, [np.where(abs(s - v) <= tol / 2, s, v) + 0.0 for s, v in snapped])
+    records = _states(proc)
     # the build_process branches of the root's merged law, by an explicit-stack walk
     branches: list = []
     stack = [(1, records[0][1][0], branches)]
@@ -125,13 +110,16 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
 
 
 def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
-    """True iff the two processes have adapted distance zero for every order.
-
-    Tested as equality of the laws of the time-1 information states, i.e.
-    isomorphism of canonical forms (values and masses within ``tol`` when
-    positive).
+    """True iff the processes have adapted distance zero for every order, or,
+    for a positive ``tol``, AW_1 (the smallest AW_p) at most ``tol``.  AW = 0
+    exactly when the canonical forms are equal, since equal states emit
+    identical subtrees in rank order; values too far apart for a float cost
+    are farther apart than any ``tol``.
     """
     _check_shapes(a, b)
     _check_tolerance(tol)
-    # compare the laws as the laws of the two value-less root states
-    return _close(_states(a, tol), _states(b, tol), 0, 0, 0, tol)
+    ca, cb = canonicalize(a), canonicalize(b)
+    try:
+        return ca == cb or tol > 0.0 and bicausal.aw_distance(ca, cb, 1.0)[0] <= tol
+    except OverflowError:
+        return False

@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 unreadable or invalid input (any other
 and documents nested too deeply to parse) or an unwritable output path,
 3 shape mismatch, 4 size guard tripped (a product tree over --max-leaves),
 5 internal solver failure.  All commands are deterministic; --seed only
-affects ``quantize``.
+affects ``quantize``.  ``--tol-equiv`` is the mesh of the value grid for
+``canonical`` and the bound on AW_1 for ``equiv`` (0, the default: exact).
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def _curve_from_dict(data: dict) -> GridCurve:
 def _check_options(args) -> None:
     """Reject a bad ``--p``, ``--grid``, ``--dyadic``, ``--max-leaves``,
     ``--tol-equiv``, ``--tol-check``, ``--weights`` or ``--branching`` before
-    any command runs; parses the grid, the weights and the branching factors."""
+    any command runs; builds the grid, parses the weights and the branching factors."""
     p = getattr(args, "p", None)
     if p is not None and not 1.0 <= p < math.inf:
         raise ValueError(f"--p must be a finite order >= 1, got {p}")
@@ -255,15 +256,15 @@ def _check_options(args) -> None:
         tol = getattr(args, option, None)
         if tol is not None:
             _check_tolerance(tol, "--" + option.replace("_", "-"))
-    for option, least in (("dyadic", 0), ("max_leaves", 1)):
-        value = getattr(args, option, None)
-        if value is not None and value < least:
-            raise ValueError(f"--{option.replace('_', '-')} must be an integer >= {least}, got {value}")
-    if getattr(args, "grid", None) is not None:
+    if getattr(args, "max_leaves", None) is not None and args.max_leaves < 1:
+        raise ValueError(f"--max-leaves must be an integer >= 1, got {args.max_leaves}")
+    if hasattr(args, "grid"):   # geodesic: the grid from --grid or else from --dyadic
+        option, text = ("--grid", args.grid) if args.grid is not None else ("--dyadic", args.dyadic)
         try:
-            args.grid = _check_grid([float(u) for u in args.grid.split(",")])
+            args.grid = (dyadic_grid(text) if option == "--dyadic"
+                         else _check_grid([float(u) for u in text.split(",")]))
         except ValueError as exc:
-            raise ValueError(f"--grid {args.grid}: {exc}") from exc
+            raise ValueError(f"{option} {text}: {exc}") from exc
     for option, convert in (("weights", float), ("branching", int)):
         text = getattr(args, option, None)
         if text is not None:
@@ -338,8 +339,7 @@ def cmd_check_plan(args) -> int:
 def cmd_geodesic(args) -> int:
     x = _load_tree(args.x)
     y = _load_tree(args.y)
-    grid = args.grid if args.grid is not None else dyadic_grid(args.dyadic)
-    flow = geodesic(x, y, args.p, grid, max_leaves=args.max_leaves)
+    flow = geodesic(x, y, args.p, args.grid, max_leaves=args.max_leaves)
     if args.out:
         _write_text(args.out, _flow_json(flow))
     if args.csv:
@@ -483,13 +483,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("canonical", help="minimal representative of a tree")
     sp.add_argument("x")
-    sp.add_argument("--tol-equiv", type=float, default=0.0)
+    sp.add_argument("--tol-equiv", type=float, default=0.0, help="mesh of the value grid (0: exact)")
     sp.add_argument("--out", help="write the merged tree to this file")
     sp.set_defaults(func=cmd_canonical)
 
     sp = sub.add_parser("equiv", help="test equivalence of two trees")
     sp.add_argument("x"), sp.add_argument("y")
-    sp.add_argument("--tol-equiv", type=float, default=0.0)
+    sp.add_argument("--tol-equiv", type=float, default=0.0, help="bound on AW_1 (0: exact)")
     sp.set_defaults(func=cmd_equiv)
 
     sp = sub.add_parser("quantize", help="scenario tree from sample paths")

@@ -48,9 +48,15 @@ __all__ = [
 # misses it by far more.
 WEIGHT_SUM_TOL = 1e-9
 
+# Finest dyadic grid: about a million points, each one a process of the
+# geodesic; level 40 alone would be 2**40 + 1 floats, more than memory holds.
+MAX_DYADIC_LEVEL = 20
+
 
 def dyadic_grid(level: int) -> tuple[float, ...]:
-    """The grid i / 2**level, i = 0..2**level."""
+    """The grid i / 2**level, i = 0..2**level, for a level in 0..MAX_DYADIC_LEVEL."""
+    if not 0 <= level <= MAX_DYADIC_LEVEL:
+        raise ValueError(f"dyadic level must be in 0..{MAX_DYADIC_LEVEL}, got {level}")
     n = 2**level
     return tuple(i / n for i in range(n + 1))
 

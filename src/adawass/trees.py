@@ -622,6 +622,8 @@ def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
     if not samples:
         raise ValueError("no sample paths given")
     depth = len(samples[0])
+    if depth == 0:
+        raise ValueError("sample paths must have at least one step")
     if len(branching) != depth:
         raise ValueError(f"branching has {len(branching)} entries for depth {depth}")
     if any(b < 1 for b in branching):

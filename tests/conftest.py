@@ -7,10 +7,15 @@ from itertools import chain, repeat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
-from adawass import TreeNode, TreeProcess, build_process, chain_process, path_law, tree_to_dict
+from adawass import TreeNode, TreeProcess, aw_distance, build_process, chain_process, path_law, tree_to_dict
 from adawass.canonical import InfoState
 from adawass.trees import PROB_TOL
+
+# the settings of every property test: the same examples on every run
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
 
 
 def epsilon_x():
@@ -246,29 +251,25 @@ def build_process_by_nodes(value_dims, branches):
     return TreeProcess(depth=len(value_dims), value_dims=tuple(value_dims), nodes=tuple(nodes))
 
 
-def close_by_nesting(a, b, tol):
-    """The former canonical._close: whether two nested states count as the same,
-    recursively (exact equality when ``tol`` <= 0)."""
-    if tol <= 0.0:
-        return a == b
+def close_by_nesting(a, b):
+    """The former canonical._close at zero tolerance: whether two nested states
+    are the same, values and masses compared one by one, recursively."""
     (va, la), (vb, lb) = a, b
-    if len(va) != len(vb) or any(abs(x - y) > tol for x, y in zip(va, vb)):
+    if va != vb or (la is None) != (lb is None):
         return False
-    if la is None or lb is None:
-        return la is lb
-    return len(la) == len(lb) and all(
-        abs(qa - qb) <= tol and close_by_nesting(sa, sb, tol) for (sa, qa), (sb, qb) in zip(la, lb)
+    return la is None or len(la) == len(lb) and all(
+        qa == qb and close_by_nesting(sa, sb) for (sa, qa), (sb, qb) in zip(la, lb)
     )
 
 
-def merge_by_nesting(entries, tol):
-    """The former canonical._merge: close nested states grouped greedily in
-    node-list order, the first of a group representing it, masses summed in
-    sorted order, groups sorted by state."""
+def merge_by_nesting(entries):
+    """The former canonical._merge: equal nested states grouped in node-list
+    order, the first of a group representing it, masses summed in sorted
+    order, groups sorted by state."""
     groups = []
     for state, q in entries:
         for rep, qs in groups:
-            if close_by_nesting(rep, state, tol):
+            if close_by_nesting(rep, state):
                 qs.append(q)
                 break
         else:
@@ -278,36 +279,52 @@ def merge_by_nesting(entries, tol):
     return tuple(merged)
 
 
+def snapped_by_nodes(proc, tol):
+    """``proc`` with every value component moved node by node to the nearest
+    point of the grid k * tol, ties to even, zero as 0.0 (``proc`` itself at
+    ``tol`` zero); for values less than 2**52 grid steps from zero."""
+    if tol == 0.0:
+        return proc
+    return TreeProcess(proc.depth, proc.value_dims, [
+        n if n.value is None else n._replace(value=tuple(round(v / tol) * tol + 0.0 for v in n.value))
+        for n in proc.nodes
+    ])
+
+
 def branches_by_nesting(law):
     """The former canonical._branches: the ``build_process`` branches of the
     tree whose level-1 information law is ``law``, recursively."""
     return [(prob, state.value, branches_by_nesting(state.law or ())) for state, prob in law]
 
 
-def law_by_nodes(proc, nid, tol, states=None):
+def law_by_nodes(proc, nid, states=None):
     """The former canonical._law: the merged law of the states of a node's
     children, depth-first over ``children()`` and ``node()``; records every
     child's state in ``states`` when given."""
     entries = []
     for c in proc.children(nid):
         node = proc.node(c)
-        state = InfoState(node.value, law_by_nodes(proc, c, tol, states) if proc.children(c) else None)
+        state = InfoState(node.value, law_by_nodes(proc, c, states) if proc.children(c) else None)
         if states is not None:
             states[c] = state
         entries.append((state, node.prob))
-    return merge_by_nesting(entries, tol)
+    return merge_by_nesting(entries)
 
 
 def information_process_by_nodes(proc):
     states = {}
-    law_by_nodes(proc, proc.root_id, 0.0, states)
+    law_by_nodes(proc, proc.root_id, states)
     return states
 
 
 def canonicalize_by_nodes(proc, tol):
-    return build_process_by_nodes(proc.value_dims, branches_by_nesting(law_by_nodes(proc, proc.root_id, tol)))
+    """The tolerant canonical form as the snapped tree's exact one, node by node."""
+    snapped = snapped_by_nodes(proc, tol)
+    return build_process_by_nodes(proc.value_dims, branches_by_nesting(law_by_nodes(snapped, snapped.root_id)))
 
 
 def equivalent_by_nodes(a, b, tol):
-    return close_by_nesting(InfoState((), law_by_nodes(a, a.root_id, tol)),
-                            InfoState((), law_by_nodes(b, b.root_id, tol)), tol)
+    """Equal level-1 information laws, or, with a positive ``tol``, AW_1 of the
+    two trees themselves at most ``tol``."""
+    same = close_by_nesting(InfoState((), law_by_nodes(a, a.root_id)), InfoState((), law_by_nodes(b, b.root_id)))
+    return same or tol > 0.0 and aw_distance(a, b, 1.0)[0] <= tol

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adawass import (
     ShapeMismatchError,
@@ -19,12 +21,14 @@ from adawass import (
 from adawass.canonical import InfoState
 
 from conftest import (
+    FUZZ,
     canonicalize_by_nodes,
     epsilon_y,
     equivalent_by_nodes,
     information_process_by_nodes,
     law_by_nodes,
     random_process,
+    snapped_by_nodes,
 )
 
 
@@ -217,7 +221,8 @@ def test_canonicalize_matches_the_node_by_node_rebuild(tol, jitter):
     merged = 0
     for _ in range(60):
         proc = redundant_random_tree(rng, jitter)
-        ref = rebuild_by_nodes(proc.depth, proc.value_dims, law_by_nodes(proc, proc.root_id, tol))
+        snapped = snapped_by_nodes(proc, tol)
+        ref = rebuild_by_nodes(proc.depth, proc.value_dims, law_by_nodes(snapped, snapped.root_id))
         got = canonicalize(proc, tol)
         assert (got.depth, got.value_dims) == (ref.depth, ref.value_dims)
         assert repr(got.nodes) == repr(ref.nodes)
@@ -225,12 +230,13 @@ def test_canonicalize_matches_the_node_by_node_rebuild(tol, jitter):
     assert merged > 30
 
 
-def test_canonicalize_tolerant_chain_merges_greedily_first_wins():
-    # 6e-7 is within tol of both neighbours, so merging the transitive closure would leave one child
+def test_canonicalize_tolerant_chain_snaps_to_the_grid():
+    # 6e-7 is within tol of both neighbours: the grid, not the listing, decides
+    # that it joins 1.2e-6 at the grid point 1e-6 and not 0.0
     proc = build_process([1], [(0.25, 0.0, []), (0.25, 6e-7, []), (0.5, 1.2e-6, [])])
     merged = canonicalize(proc, tol=1e-6)
     kids = [merged.node(c) for c in merged.children(merged.root_id)]
-    assert [(k.value, k.prob) for k in kids] == [((0.0,), 0.5), ((1.2e-6,), 0.5)]
+    assert [(k.value, k.prob) for k in kids] == [((0.0,), 0.25), ((1e-6,), 0.75)]
 
 
 def relisted(proc, order, rng):
@@ -272,6 +278,98 @@ def test_canonical_forms_match_the_node_by_node_references(order, tol, jitter):
             assert verdict == equivalent_by_nodes(proc, other, tol)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# -- a tolerance as an adapted distance ----------------------------------------
+
+def test_equivalent_tolerance_matches_children_by_distance_not_by_rank():
+    # near-equal level-1 values sort the children into a different order in
+    # each tree; AW_1 = 1e-9 pairs each child with its near twin
+    a = build_process([1, 1], [(0.5, 1.0, [(1.0, 0.0, [])]), (0.5, 1.0 + 1e-9, [(1.0, 5.0, [])])])
+    b = build_process([1, 1], [(0.5, 1.0, [(1.0, 5.0, [])]), (0.5, 1.0 + 1e-9, [(1.0, 0.0, [])])])
+    assert aw_distance(a, b, 1.0)[0] <= 1e-8
+    assert not equivalent(a, b)
+    assert equivalent(a, b, tol=1e-6)
+
+
+def test_equivalent_tolerance_bounds_the_distance_not_each_mass():
+    # every mass differs by just 0.02, but half the mass moves by 100: AW_1 = 50
+    low, high = [0.05 * i for i in range(25)], [100.0 + 0.05 * i for i in range(25)]
+    x = build_process([1], [(0.03, v, []) for v in low] + [(0.01, v, []) for v in high])
+    y = build_process([1], [(0.01, v, []) for v in low] + [(0.03, v, []) for v in high])
+    assert aw_distance(x, y, 1.0)[0] == pytest.approx(50.0)
+    assert not equivalent(x, y, tol=0.02)
+    assert equivalent(x, y, tol=50.0 + 1e-6)
+
+
+def test_tolerant_canonical_form_of_a_fan_does_not_depend_on_its_listing():
+    fan = [(0.1, 0.009 * i, []) for i in range(10)]
+    forward, backward = build_process([1], fan), build_process([1], fan[::-1])
+    merged = canonicalize(forward, tol=0.01)
+    assert repr(canonicalize(backward, tol=0.01).nodes) == repr(merged.nodes)
+    assert len(merged.leaves) == 9
+    assert aw_distance(forward, merged, 1.0)[0] == pytest.approx(0.0025)
+
+
+def test_equivalent_tolerance_on_values_whose_costs_overflow():
+    # AW_1 is 2e308, past the largest float, so above any finite tol
+    a, b = chain_process([1e308]), chain_process([-1e308])
+    with pytest.raises(OverflowError):
+        aw_distance(a, b, 1.0)
+    assert not equivalent(a, b, tol=1.0)
+    assert canonicalize(a, tol=1.0) == a
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-310, 1e308])
+def test_canonicalize_keeps_values_whose_grid_point_floats_cannot_hold(tol):
+    # a subnormal mesh overflows value / tol, and a huge one overflows
+    # k * tol; the values stay finite and within tol / 2 of the input
+    values = [-1.7e308, -1.0, -1e-320, 0.0, 3e-310, 2.5, 1.7e308]
+    got = np.array([n.value[0] for n in canonicalize(chain_process(values), tol).nodes[1:]])
+    assert np.isfinite(got).all()
+    assert (np.abs(got - values) <= tol / 2).all()
+
+
+def test_canonicalize_writes_a_value_snapped_to_zero_as_positive_zero():
+    proc = build_process([1], [(0.5, -0.3, []), (0.5, -0.0, [])])
+    merged = canonicalize(proc, tol=1.0)
+    assert repr([n.value for n in merged.nodes]) == repr([None, (0.0,)])
+    assert math.copysign(1.0, merged.nodes[1].value[0]) == 1.0
+
+
+# relative slack on the bound for the rounding of the AW computation itself
+AW_ROUNDING = 1e-9
+
+
+@st.composite
+def small_trees(draw):
+    """Trees of depth 1..3, value dims 1..2, up to three children per node with
+    masses from few weights, and values in [-10, 10]."""
+    depth = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 2), min_size=depth, max_size=depth))
+    number = st.floats(-10.0, 10.0)
+    level = [(1, [])]   # the nodes whose children are drawn next: (their level, their branches)
+    root = level[0][1]
+    while level:
+        t, out = level.pop()
+        weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        for w in weights:
+            value = draw(st.lists(number, min_size=dims[t - 1], max_size=dims[t - 1]))
+            out.append((w / sum(weights), tuple(value), kids := []))
+            if t < depth:
+                level.append((t + 1, kids))
+    return build_process(dims, root)
+
+
+@FUZZ
+@given(proc=small_trees(), tol=st.floats(1e-3, 4.0), p=st.sampled_from([1.0, 2.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_tolerant_canonical_form_is_within_its_bound_of_the_tree(proc, tol, p, seed):
+    merged = canonicalize(proc, tol)
+    bound = proc.depth ** (1 / p) * math.sqrt(max(proc.value_dims)) * tol / 2
+    assert aw_distance(proc, merged, p)[0] <= bound * (1 + AW_ROUNDING)
+    again = canonicalize(relisted(proc, "shuffled", np.random.default_rng(seed)), tol)
+    assert repr(again.nodes) == repr(merged.nodes)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
@@ -384,7 +482,9 @@ def test_canonical_forms_of_trees_2001_levels_deep():
     assert same.depth == 2001 and len(same.nodes) == len(differ.nodes) == 4003
     assert len(canonicalize(same).nodes) == 2002
     assert len(canonicalize(differ).nodes) == 4003
-    assert len(canonicalize(differ, tol=2.0).nodes) == 2002
+    # on the grid of mesh 2.0 the last values 2001 and 2002 stay apart (2001
+    # rounds half to even to 2000), so the tolerant form merges nothing
+    assert len(canonicalize(differ, tol=2.0).nodes) == 4003
     assert equivalent(same, canonicalize(same))
     assert not equivalent(same, differ)
     assert equivalent(same, differ, tol=2.0)

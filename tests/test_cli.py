@@ -174,6 +174,9 @@ def test_bad_option_exit_code(write_tree, capsys, option):
     ["equiv", "{a}", "{a}", "--tol-equiv=-1e-9"],
     ["geodesic", "{a}", "{a}", "--dyadic", "-1"],
     ["geodesic", "{a}", "{a}", "--max-leaves", "0"],
+    ["geodesic", "{a}", "{a}", "--dyadic", "21"],
+    # rejected before any of its 2**40 + 1 grid points is built
+    ["geodesic", "{a}", "{a}", "--dyadic", "40"],
 ])
 def test_bad_tolerance_or_dyadic_exit_code(write_tree, capsys, argv):
     a = write_tree("a.json", build_process([1], [(0.5, 0.0, []), (0.5, 5.0, [])]))
@@ -581,6 +584,20 @@ def test_canonical_and_equiv(write_tree, capsys, tmp_path):
     assert out.strip() == "not equivalent"
 
 
+def test_canonical_and_equiv_with_a_tolerance(write_tree, capsys, tmp_path):
+    # canonical snaps the values to the grid of mesh --tol-equiv; equiv bounds
+    # AW_1 by it, and values too far apart for a float cost are not equivalent
+    fan = write_tree("fan.json", build_process([1], [(0.25, v, []) for v in (0.0, 0.3, 0.9, 1.2)]))
+    out_file = tmp_path / "can.json"
+    code, out, _ = run(capsys, ["canonical", fan, "--tol-equiv", "1", "--out", str(out_file)])
+    assert (code, out) == (0, "5 -> 3 nodes\n")
+    assert tree_from_dict(json.loads(out_file.read_text())) == build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])])
+    for tol, verdict in (("0.1", "not equivalent"), ("0.2", "equivalent")):   # AW_1 = 0.15
+        assert run(capsys, ["equiv", fan, str(out_file), "--tol-equiv", tol]) == (0, verdict + "\n", "")
+    huge, low = write_tree("huge.json", chain_process([1e308])), write_tree("low.json", chain_process([-1e308]))
+    assert run(capsys, ["equiv", huge, low, "--tol-equiv", "1"]) == (0, "not equivalent\n", "")
+
+
 def test_curve_energy_and_represent(write_tree, capsys, tmp_path):
     a, b = chain_process([0.0, 0.0]), chain_process([1.0, 1.0])
     curve_doc = {
@@ -652,6 +669,7 @@ def test_quantize_rejects_non_finite_samples(capsys, tmp_path):
 @pytest.mark.parametrize("samples, message", [
     ([[0.0, 1.0], [1.0]], "sample paths have unequal depth"),
     ([[0.0, 1.0], [1.0, [1.0, 2.0]]], "sample paths have unequal step dimensions"),
+    ([[]], "sample paths must have at least one step"),
 ])
 def test_quantize_unequal_samples_are_invalid_input(capsys, tmp_path, samples, message):
     sfile = tmp_path / "samples.json"

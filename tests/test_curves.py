@@ -30,6 +30,7 @@ from adawass import (
     weighted_p_variation,
 )
 from adawass.cli import _flow_json, _tree_json
+from adawass.curves import MAX_DYADIC_LEVEL
 from adawass.trees import step_cost, tree_from_dict, tree_to_dict
 
 from conftest import (
@@ -596,6 +597,14 @@ def test_grids_with_a_nan_point_are_rejected(grid):
         GridCurve(grid=grid, processes=(x,) * len(grid), p=2.0)
     with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
         geodesic(x, epsilon_y(0.1), 2.0, grid)
+
+
+@pytest.mark.parametrize("level", [-1, MAX_DYADIC_LEVEL + 1, 40])
+def test_dyadic_grids_past_their_levels_are_rejected(level):
+    # -1 used to raise a TypeError, and 40 to start building 2**40 + 1 floats
+    with pytest.raises(ValueError, match=f"^dyadic level must be in 0..{MAX_DYADIC_LEVEL}, got {level}$"):
+        dyadic_grid(level)
+    assert dyadic_grid(0) == (0.0, 1.0)
 
 
 # -- weighted p-variation ------------------------------------------------------

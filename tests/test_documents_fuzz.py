@@ -21,7 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from adawass import (
@@ -38,15 +38,13 @@ from adawass.cli import _flow_json, _plan_json, _tree_json, _write_particles_csv
 from adawass.trees import _float_fields, _int_field, _int_fields
 
 from conftest import (
+    FUZZ,
     assert_same_layout,
     flow_to_dict,
     layout_by_nodes,
     validate_by_nodes,
     write_particles_by_label_path,
 )
-
-FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
-                suppress_health_check=[HealthCheck.too_slow])
 
 X = build_process([1, 2], [
     (0.25, 0.0, [(0.5, (1.0, 0.0), []), (0.5, (-1.0, 0.5), [])]),

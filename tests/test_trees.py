@@ -394,6 +394,8 @@ def test_quantize_rejects_bad_input():
         quantize_paths([[(1.0,)]], [0])
     with pytest.raises(ValueError, match="at least one value"):
         quantize_paths([[[], []], [[], []]], [2, 2])
+    with pytest.raises(ValueError, match="at least one step"):
+        quantize_paths([[]], [])
 
 
 def test_json_round_trip_is_bit_exact():
