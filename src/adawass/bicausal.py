@@ -145,8 +145,8 @@ def _leaf_positions(procs: Sequence[TreeProcess], masses: Mapping[tuple[int, ...
 
 
 def _step_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """step_cost over the last axis of two value arrays: |a - b|_2^p; a cost
-    that overflows is inf, without a warning."""
+    """One-step costs |a - b|_2^p of the p-metric, over the last axis of two
+    value arrays; a cost that overflows is inf, without a warning."""
     with np.errstate(over="ignore"):
         return np.sqrt(((a - b) ** 2).sum(axis=-1)) ** p
 
@@ -154,8 +154,7 @@ def _step_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
 def _path_costs(x: TreeProcess, y: TreeProcess, p: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Costs of the leaf pairs (x.leaves[i], y.leaves[j]), broadcast over i and j.
 
-    The step costs (step_cost of the two values at each time) are added
-    from the first step on.
+    The step costs |x_t - y_t|_2^p are added from the first step on.
     """
     total = 0.0
     for t in range(1, x.depth + 1):
@@ -228,11 +227,11 @@ def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
     kx, ky = np.diff(bx), np.diff(by)
     mu_sum = np.bincount(np.repeat(np.arange(kx.size), kx), weights=mu, minlength=kx.size)
     nu_sum = np.bincount(np.repeat(np.arange(ky.size), ky), weights=nu, minlength=ky.size)
-    unbalanced = np.argwhere(np.abs(mu_sum[:, None] - nu_sum[None, :]) > BALANCE_TOL)
+    unbalanced = np.argwhere(~(np.abs(mu_sum[:, None] - nu_sum[None, :]) <= BALANCE_TOL))  # NaN fails
     if unbalanced.size:
         a, b = unbalanced[0]
         raise InfeasibleError(
-            f"marginal masses {mu_sum[a]!r} and {nu_sum[b]!r} do not balance"
+            f"marginal masses {mu_sum.item(a)!r} and {nu_sum.item(b)!r} do not balance"
         )
     values = np.empty((kx.size, ky.size))
     plans = np.zeros_like(cost)

@@ -24,7 +24,7 @@ from .bicausal import (
     aw_distance,
     glue,
 )
-from .trees import ShapeMismatchError, TreeProcess, _LevelValues, _check_order, process_with_values
+from .trees import TreeProcess, _LevelValues, _check_order, _check_shapes, process_with_values
 
 __all__ = [
     "GridCurve",
@@ -84,10 +84,8 @@ class GridCurve:
         object.__setattr__(self, "processes", tuple(self.processes))
         if len(self.processes) != len(self.grid):
             raise ValueError("one process per grid point required")
-        first = self.processes[0]
         for proc in self.processes[1:]:
-            if proc.depth != first.depth or proc.value_dims != first.value_dims:
-                raise ShapeMismatchError("curve processes disagree in depth or dims")
+            _check_shapes(self.processes[0], proc)
 
 
 @dataclass(frozen=True)

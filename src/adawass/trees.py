@@ -349,18 +349,22 @@ class PathLaw:
 
     atoms: tuple[tuple[tuple[tuple[float, ...], ...], float], ...]
 
-    @property
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
+
+def _report(rules) -> list[str]:
+    """The messages of a rule table, one ``(mask, message)`` entry per rule,
+    ``message(k)`` wording the rule's failure at node-list position k: nodes
+    in node-list order, each node's messages in table order."""
+    hits = np.nonzero(np.array([mask for mask, _ in rules]).T)
+    return [rules[r][1](k) for k, r in zip(*(h.tolist() for h in hits))]
 
 
 def validate(proc: TreeProcess) -> list[str]:
     """Check every structural invariant; returns [] iff the tree is valid.
 
-    Array code over the columns finds the nodes that break a rule; each
-    such node's messages come from its node view, in node-list order, first
-    those on its parent, level, probability and value, then, in a second
-    pass, those on its children.
+    After the root, depth and value-dims checks, each rule on the nodes is
+    one mask over the columns and one message worded from them: first the
+    rules on a node's parent, level, probability and value, then, in a
+    second pass, those on its children.  No node view is built.
     """
     ids, parents, times, probs, values, sizes = proc.columns
     depth, dims = proc.depth, proc.value_dims
@@ -390,53 +394,39 @@ def validate(proc: TreeProcess) -> list[str]:
     time, dim = _int_array(times), _int_array(dims)
     prob = np.asarray(probs, dtype=float)
     known = ppos >= 0
+    unknown = ~known
+    unknown[r] = False
+    # the rules after a parent's or a level's fault do not apply to the node
     inside = known & (time >= 1) & (time <= depth)
     want = np.full(n, -2, dtype=dim.dtype)
     want[inside] = dim[(time[inside] - 1).astype(np.intp)]
-    finite = np.isfinite(np.asarray(values, dtype=float))
+    size = np.maximum(sizes, 0)
+    start = np.cumsum(size) - size
     bad_value = np.zeros(n, dtype=bool)
-    bad_value[np.repeat(np.arange(n), np.maximum(sizes, 0))[~finite]] = True
-    unknown = ~known
-    unknown[r] = False
-    flagged = unknown | (known & ((time[ppos] + 1 != time) | ~(np.isfinite(prob) & (prob > 0.0))
-                                  | ~inside | (sizes != want) | bad_value))
+    bad_value[np.repeat(np.arange(n), size)[~np.isfinite(np.asarray(values, dtype=float))]] = True
+    violations += _report([
+        (unknown, lambda k: f"node {ids[k]} has unknown parent {parents[k]}"),
+        (known & (time[ppos] + 1 != time),
+         lambda k: f"node {ids[k]} at level {times[k]} under parent at level {times[ppos[k]]}"),
+        (known & ~np.isfinite(prob), lambda k: f"node {ids[k]} has non-finite edge probability {probs.item(k)}"),
+        (known & np.isfinite(prob) & ~(prob > 0.0),
+         lambda k: f"node {ids[k]} has non-positive edge probability {probs.item(k)}"),
+        (known & ~inside, lambda k: f"node {ids[k]} at level {times[k]} outside 1..{depth}"),
+        (inside & (sizes != want),
+         lambda k: f"node {ids[k]} value has dim {'none' if sizes[k] < 0 else sizes[k]}, expected {want[k]}"),
+        (inside & (sizes == want) & bad_value,
+         lambda k: f"node {ids[k]} has non-finite value {tuple(values[start[k]:start[k] + sizes[k]].tolist())}"),
+    ])
+
     count = np.diff(bounds)
-    sums = np.array(list(map(sum, _slices(prob[kids].tolist(), count))))
+    sums = list(map(sum, _slices(probs[kids].tolist(), count)))   # Python sums, in sibling order
     interior = time < depth
-    family = (interior & ((count == 0) | (np.abs(sums - 1.0) > PROB_TOL))) | (~interior & (count > 0))
-    nodes = proc.nodes if flagged.any() or family.any() else ()
-
-    for nid, parent, t, value, q in map(nodes.__getitem__, np.flatnonzero(flagged).tolist()):
-        if parent not in proc._index:
-            violations.append(f"node {nid} has unknown parent {parent}")
-            continue
-        parent_t = times[proc._index[parent]]
-        if t != parent_t + 1:
-            violations.append(f"node {nid} at level {t} under parent at level {parent_t}")
-        if not math.isfinite(q):
-            violations.append(f"node {nid} has non-finite edge probability {q}")
-        elif not q > 0.0:
-            violations.append(f"node {nid} has non-positive edge probability {q}")
-        if t < 1 or t > depth:
-            violations.append(f"node {nid} at level {t} outside 1..{depth}")
-            continue
-        if value is None or len(value) != dims[t - 1]:
-            got = "none" if value is None else str(len(value))
-            violations.append(f"node {nid} value has dim {got}, expected {dims[t - 1]}")
-        elif not all(map(math.isfinite, value)):
-            violations.append(f"node {nid} has non-finite value {value}")
-
-    for k in np.flatnonzero(family).tolist():
-        nid, t, ks = ids[k], times[k], kids[bounds[k]:bounds[k + 1]].tolist()
-        if t < depth:
-            if not ks:
-                violations.append(f"node {nid} at level {t} is a leaf, expected depth {depth}")
-            else:
-                s = sum(nodes[c].prob for c in ks)
-                if abs(s - 1.0) > PROB_TOL:
-                    violations.append(f"children of node {nid} have probability sum {s!r}")
-        elif ks:
-            violations.append(f"node {nid} at terminal level has children")
+    violations += _report([
+        (interior & (count == 0), lambda k: f"node {ids[k]} at level {times[k]} is a leaf, expected depth {depth}"),
+        (interior & (count > 0) & (np.abs(np.array(sums, dtype=float) - 1.0) > PROB_TOL),
+         lambda k: f"children of node {ids[k]} have probability sum {sums[k]!r}"),
+        (~interior & (count > 0), lambda k: f"node {ids[k]} at terminal level has children"),
+    ])
     return violations
 
 
@@ -472,11 +462,6 @@ def path_distance(x: Sequence[Sequence[float]], y: Sequence[Sequence[float]], p:
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(xt, yt)))
         total += d**p
     return total ** (1.0 / p)
-
-
-def step_cost(a: Sequence[float], b: Sequence[float], p: float) -> float:
-    """One-step contribution |a - b|_2^p of the p-metric."""
-    return math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b))) ** p
 
 
 def path_law(proc: TreeProcess) -> PathLaw:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from adawass import TreeNode, TreeProcess, aw_distance, build_process, chain_process, path_law, tree_to_dict
 from adawass.canonical import InfoState
+from adawass.discrete_ot import MARGINAL_TOL
 from adawass.trees import PROB_TOL
 
 # the settings of every property test: the same examples on every run
@@ -86,6 +87,30 @@ def pair_marginal(coupling, i):
         key = (tup[i], tup[i + 1])
         out[key] = out.get(key, 0.0) + m
     return out
+
+
+def total_mass(law):
+    """Total mass of a ``PathLaw``'s atoms."""
+    return sum(m for _, m in law.atoms)
+
+
+def step_cost(a, b, p):
+    """One-step contribution |a - b|_2^p of the p-metric."""
+    return math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b))) ** p
+
+
+def marginal_errors(plan):
+    """Largest row and column deviations of a ``TransportPlan`` from its marginals."""
+    m = plan.as_array()
+    row = float(np.abs(m.sum(axis=1) - np.asarray(plan.source_masses)).max())
+    col = float(np.abs(m.sum(axis=0) - np.asarray(plan.target_masses)).max())
+    return row, col
+
+
+def is_feasible(plan, tol=MARGINAL_TOL):
+    """Whether a ``TransportPlan`` meets its marginals and is nonnegative, within ``tol``."""
+    row, col = marginal_errors(plan)
+    return row <= tol and col <= tol and plan.as_array().min() >= -tol
 
 
 @pytest.fixture

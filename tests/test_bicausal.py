@@ -8,6 +8,7 @@ from adawass import (
     BicausalPlan,
     DiscreteLaw,
     GridCurve,
+    InfeasibleError,
     ShapeMismatchError,
     SizeGuardError,
     TreeNode,
@@ -31,7 +32,6 @@ from adawass import (
 from adawass import bicausal
 from adawass.bicausal import _solve_level
 from adawass.discrete_ot import MARGINAL_TOL, solve_transport
-from adawass.trees import step_cost
 
 from conftest import (
     ancestor_at,
@@ -43,6 +43,7 @@ from conftest import (
     pair_marginal,
     random_pair,
     random_process,
+    step_cost,
 )
 
 
@@ -827,3 +828,12 @@ def test_multicausal_check_rejects_shuffled_masses():
         node_tuple=coup.node_tuple,
     )
     assert not check_multicausal(fake)
+
+
+def test_aw_distance_rejects_a_nan_edge_probability():
+    # the nodewise balance check compared with ">", so a NaN mass passed and
+    # aw_distance returned nan
+    x = build_process([1], [(math.nan, 0.0, []), (0.5, 1.0, [])])
+    coin = build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])])
+    with pytest.raises(InfeasibleError, match=r"^marginal masses nan and 1.0 do not balance$"):
+        aw_distance(x, coin, 2.0)

@@ -617,6 +617,17 @@ def test_curve_energy_and_represent(write_tree, capsys, tmp_path):
     assert flow_file.exists()
 
 
+def test_curve_energy_exits_3_on_processes_of_different_shapes(capsys, tmp_path):
+    # GridCurve checks its processes with the library's one shape rule
+    curve_doc = {"grid": [0.0, 1.0], "p": 2.0,
+                 "processes": [tree_to_dict(chain_process([0.0, 0.0])), tree_to_dict(chain_process([1.0]))]}
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps(curve_doc))
+    code, out, err = run(capsys, ["curve-energy", str(curve_file)])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "shape mismatch: depth 2/1, dims (1, 1)/(1,)" in err
+
+
 def test_skorokhod_command(write_tree, capsys, tmp_path):
     seq_dir = tmp_path / "seq"
     seq_dir.mkdir()

@@ -31,7 +31,7 @@ from adawass import (
 )
 from adawass.cli import _flow_json, _tree_json
 from adawass.curves import MAX_DYADIC_LEVEL
-from adawass.trees import step_cost, tree_from_dict, tree_to_dict
+from adawass.trees import tree_from_dict, tree_to_dict
 
 from conftest import (
     assert_same_layout,
@@ -40,6 +40,7 @@ from conftest import (
     layout_by_nodes,
     random_pair,
     random_process,
+    step_cost,
 )
 
 QUARTER_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)

@@ -16,6 +16,8 @@ from adawass.discrete_ot import (
     solve_transport,
 )
 
+from conftest import is_feasible, marginal_errors
+
 
 # -- independent oracles ------------------------------------------------------
 
@@ -204,7 +206,7 @@ def test_w_distance_translation_example():
     cost = [[abs(a - b) for b in (2.0, 3.0)] for a in (0.0, 1.0)]
     value, plan = w_distance(mu, nu, cost)
     assert value == pytest.approx(2.0)
-    assert plan.is_feasible()
+    assert is_feasible(plan)
 
 
 def test_w_distance_rejects_unbalanced():
@@ -225,7 +227,7 @@ def test_w_distance_matches_vertex_enumeration():
         value, plan = w_distance(mu, nu, cost)
         oracle = transport_vertex_enumeration(mu.masses, nu.masses, cost)
         assert value == pytest.approx(oracle, abs=1e-9)
-        assert plan.is_feasible()
+        assert is_feasible(plan)
 
 
 def test_w_distance_closed_forms_match_simplex():
@@ -287,7 +289,7 @@ def test_w_distance_plan_marginals_within_tolerance():
         nu = random_law(rng, int(rng.integers(1, 6)))
         cost = rng.uniform(0.0, 2.0, size=(len(mu), len(nu)))
         _, plan = w_distance(mu, nu, cost)
-        row_err, col_err = plan.marginal_errors()
+        row_err, col_err = marginal_errors(plan)
         assert row_err <= 1e-10 and col_err <= 1e-10
 
 
@@ -413,6 +415,22 @@ def test_discrete_law_rejects_degenerate_masses():
         DiscreteLaw.from_arrays([[0.0], [1.0]], [1.0 - 1e-16, 1e-16])
     with pytest.raises(ValueError):
         DiscreteLaw.from_arrays([[0.0]], [0.9])
+
+
+@pytest.mark.parametrize("masses", [[np.nan], [0.5, np.nan], [np.inf], [np.inf, 0.5]])
+def test_discrete_law_rejects_non_finite_masses(masses):
+    # a NaN mass compared false with "<" and ">", so the law was accepted and
+    # w_distance against a unit atom returned 1.0 with plan ((1.0,),)
+    with pytest.raises(ValueError, match=r"masses sum to (nan|inf), expected 1$"):
+        DiscreteLaw.from_arrays([[float(k)] for k in range(len(masses))], masses)
+
+
+def test_solve_transport_rejects_nan_masses():
+    # it returned value nan and a plan full of NaN entries
+    with pytest.raises(InfeasibleError, match=r"^marginal masses nan and nan do not balance$"):
+        solve_transport([np.nan, 0.5], [0.3, np.nan, 0.2], np.ones((2, 3)))
+    with pytest.raises(InfeasibleError, match=r"^marginal masses 0.9 and 1.0 do not balance$"):
+        solve_transport([0.4, 0.5], [0.3, 0.5, 0.2], np.ones((2, 3)))
 
 
 def small_float_literals(source: str) -> list[tuple[int, float]]:

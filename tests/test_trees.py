@@ -22,7 +22,7 @@ from adawass import (
 
 from adawass.cli import _tree_json
 
-from conftest import assert_same_layout, build_process_by_nodes, layout_by_nodes, random_process
+from conftest import assert_same_layout, build_process_by_nodes, layout_by_nodes, random_process, total_mass
 
 
 def test_validate_single_branch_tree():
@@ -107,6 +107,17 @@ def test_validate_reports_every_per_node_violation_in_order():
     ]
 
 
+def test_validate_builds_no_node_views():
+    # validate words its messages from the columns, so a loaded tree keeps
+    # no node view even when it is invalid
+    doc = tree_to_dict(chain_process([1.0, 2.0]))
+    doc["nodes"][1]["prob"] = -0.5
+    proc = tree_from_dict(doc)
+    assert validate(proc) == ["node 1 has non-positive edge probability -0.5",
+                              "children of node 0 have probability sum -0.5"]
+    assert not NODE_VIEWS & vars(proc).keys()
+
+
 def test_path_distance_examples():
     assert path_distance([(1.0,), (2.0,)], [(3.0,), (5.0,)], 2.0) == pytest.approx(math.sqrt(13))
     assert path_distance([(1.0,), (2.0,)], [(1.0,), (2.0,)], 2.0) == 0.0
@@ -173,15 +184,41 @@ def tree_node_calls(source: str) -> int:
                for node in ast.walk(ast.parse(source)))
 
 
+def node_view_sites(source: str) -> dict[str, set[str]]:
+    """``node_view_reads`` of every top-level function, method and other
+    module-level statement in ``source``, by dotted name (``<module>``)."""
+    sites = {}
+    for top in ast.parse(source).body:
+        for stmt in top.body if isinstance(top, ast.ClassDef) else [top]:
+            name = getattr(stmt, "name", "<module>")
+            if top is not stmt:
+                name = f"{top.name}.{name}"
+            if found := node_view_reads(ast.unparse(stmt)):
+                sites.setdefault(name, set()).update(found)
+    return sites
+
+
 def test_node_views_stay_in_trees():
-    # computations read a tree's layout and columns; its node views serve
-    # validate's messages, tree_to_dict and repr, all in trees.py, and no
-    # library code builds a TreeNode
+    # computations read a tree's layout and columns; within trees.py the
+    # node views are read only by the views themselves, by the columns of a
+    # tree made from nodes, by tree_to_dict and by repr (validate words its
+    # messages from the columns), and no library code builds a TreeNode
     src = Path(adawass.__file__).parent
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))}
     assert "trees" in sources
     assert {name: found for name, text in sources.items()
             if name != "trees" and (found := node_view_reads(text))} == {}
+    assert node_view_sites(sources["trees"]) == {
+        "TreeProcess.__repr__": {"nodes"},
+        "TreeProcess.columns": {"nodes"},
+        "TreeProcess.by_id": {"nodes"},
+        "TreeProcess.children": {"children_map"},
+        "TreeProcess.node": {"by_id"},
+        "tree_to_dict": {"nodes"},
+    }
+    assert node_view_sites("class A:\n    def f(self):\n        return self.nodes\nx = t.by_id\n"
+                           "def g(t):\n    return t.children(1)\n") == {
+        "A.f": {"nodes"}, "<module>": {"by_id"}, "g": {"children()"}}
     assert {name: n for name, text in sources.items() if (n := tree_node_calls(text))} == {}
     assert node_view_reads("x.nodes; y.by_id; z.children_map; t.node(1); t.children(2)") == {
         "nodes", "by_id", "children_map", "node()", "children()"}
@@ -297,7 +334,7 @@ def test_path_law_two_level_product_rule():
     law = path_law(proc)
     assert len(law.atoms) == 4
     assert all(m == pytest.approx(0.25) for _, m in law.atoms)
-    assert law.total_mass == pytest.approx(1.0)
+    assert total_mass(law) == pytest.approx(1.0)
 
 
 def test_path_law_masses_positive_and_normalized_on_fuzz():
@@ -306,7 +343,7 @@ def test_path_law_masses_positive_and_normalized_on_fuzz():
         proc = random_process(rng)
         law = path_law(proc)
         assert all(m > 0 for _, m in law.atoms)
-        assert abs(law.total_mass - 1.0) <= 1e-12
+        assert abs(total_mass(law) - 1.0) <= 1e-12
 
 
 def test_random_constructors_produce_valid_trees():
@@ -341,7 +378,7 @@ def test_quantize_iid_samples_against_assignment_oracle():
     assert validate(proc) == []
     law = path_law(proc)
     assert len(law.atoms) == 2
-    assert law.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert total_mass(law) == pytest.approx(1.0, abs=1e-12)
     # oracle: recompute empirical masses from nearest-centroid assignment
     centroids = [p[0][0] for p, _ in law.atoms]
     counts = [0, 0]
