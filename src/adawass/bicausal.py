@@ -29,6 +29,7 @@ from .discrete_ot import (  # noqa: F401  (solve_transport: perfbench/tracer.py 
     BALANCE_TOL,
     MARGINAL_TOL,
     InfeasibleError,
+    _check_non_negative,
     _simplex_shape,
     _solve_batch,
     lp_solve,
@@ -233,6 +234,7 @@ def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
         raise InfeasibleError(
             f"marginal masses {mu_sum.item(a)!r} and {nu_sum.item(b)!r} do not balance"
         )
+    _check_non_negative(mu, nu)
     values = np.empty((kx.size, ky.size))
     plans = np.zeros_like(cost)
     # sorted(set(...)), not np.unique, which imports numpy.ma (2 MB) on first use

@@ -7,10 +7,13 @@ when their level-1 information laws coincide, and merging siblings with
 equal states yields the minimal representative of the equivalence class.
 
 One builder computes the states a level at a time from the leaves up, as
-flat records, merging siblings with equal states as it goes.  A tolerance
-never changes that rule: ``canonicalize`` snaps the values to a grid first,
-and ``equivalent`` bounds the adapted distance of the exact forms.  Nothing
-recurses, so trees of any depth have canonical forms.
+arrays, merging siblings with equal states as it goes: the states of a
+level are ranked by sorting, in the tree-isomorphism manner of Aho,
+Hopcroft and Ullman, and siblings are grouped by rank.  A tolerance never
+changes that rule: ``canonicalize`` snaps the values to a grid first, and
+``equivalent`` bounds the adapted distance of the exact forms.  Nothing
+recurses, so trees of any depth have canonical forms.  A non-finite value
+or edge probability has no place in the order, and raises ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bicausal   # bicausal.aw_distance looked up per call, where perfbench/tracer.py wraps it
-from .trees import TreeProcess, _check_shapes, _check_tolerance, build_process, process_with_values
+from .trees import (TreeProcess, _check_finite, _check_shapes, _check_tolerance, _segment_sums, build_process,
+                    process_with_values)
 
 __all__ = ["InfoState", "information_process", "canonicalize", "equivalent"]
 
@@ -37,29 +41,109 @@ class InfoState(NamedTuple):
     law: tuple[tuple["InfoState", float], ...] | None = None
 
 
-def _states(proc: TreeProcess) -> list:
-    """Every level's states as flat records, built from the layout a level at a
-    time from the leaves up (a node's children: its ``bounds`` slice of the
-    level below).  Level t's record lists per node its value, its merged law
-    as (position of the first child of each state in level t + 1, summed
-    mass) pairs in state order, and its rank: equal states share a rank, and
-    sorting by rank sorts the states in ``InfoState`` tuple order."""
-    records: list = [None] * (proc.depth + 1)
-    laws, below = [()] * len(proc.layout[-1].ids), []
-    for t in range(proc.depth, -1, -1):
-        level = proc.layout[t]
-        if t < proc.depth:
-            bounds, prob, below = level.bounds.tolist(), proc.layout[t + 1].prob.tolist(), records[t + 1][2]
-            laws = []
-            for a, b in zip(bounds, bounds[1:]):
-                groups: dict = {}   # rank -> [first child, its masses...]
-                for c in range(a, b):
-                    groups.setdefault(below[c], [c]).append(prob[c])
-                laws.append(tuple((g[0], sum(sorted(g[1:]))) for _, g in sorted(groups.items())))
-        values = list(map(tuple, level.values.tolist()))
-        keys = [(v, tuple((below[c], q) for c, q in law)) for v, law in zip(values, laws)]
-        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-        records[t] = (values, laws, list(map(rank.__getitem__, keys)))
+class _States(NamedTuple):
+    """The states of one level t as arrays.  Node k's merged law is entries
+    ``law[k]:law[k + 1]``, in state order; entry e is the state of
+    ``child[e]``, a position in level t + 1 (the first child by position in
+    that state), with summed mass ``mass[e]``."""
+
+    values: np.ndarray
+    law: np.ndarray
+    child: np.ndarray
+    mass: np.ndarray
+
+
+def _merge(parent: np.ndarray, prob: np.ndarray, rank: np.ndarray, n: int):
+    """The merged laws of n nodes from their children's parent positions,
+    edge probabilities and ranks: children grouped by (parent, rank) with one
+    ``np.lexsort``, a group's mass its masses sorted ascending and summed
+    left to right from +0.0 (``_segment_sums``).  Returns (law, child, mass)
+    as in ``_States``."""
+    order = np.lexsort((prob, rank, parent))
+    p, r = parent[order], rank[order]
+    new = np.ones(order.size, dtype=bool)       # a group starts
+    new[1:] = (p[1:] != p[:-1]) | (r[1:] != r[:-1])
+    first = np.flatnonzero(new)
+    mass = _segment_sums(prob[order], np.diff(np.append(first, order.size)))
+    return np.searchsorted(p[first], np.arange(n + 1)), np.minimum.reduceat(order, first), mass
+
+
+def _ranks(values: np.ndarray, law: np.ndarray | None = None, rank: np.ndarray | None = None,
+           mass: np.ndarray | None = None) -> np.ndarray:
+    """Dense ranks of states in ``InfoState`` tuple order, equal states
+    sharing a rank.  A state is keyed by its value row, then by its law, whose
+    entries carry the ranks ``rank`` and masses ``mass`` (no law: values
+    only).  Values sort column by column; then the law entries, (rank,
+    mass), one position j at a time and only within runs still tied (most
+    significant first), a law before a longer one that it is a prefix of."""
+    order = np.lexsort(values.T[::-1]) if values.shape[1] else np.arange(len(values))
+    rows = values[order]
+    new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))   # a run of equal keys starts
+    tied = np.flatnonzero(~(new & np.append(new[1:], True)))             # positions in runs of two or more
+    j = 0
+    while tied.size and law is not None:
+        node = order[tied]
+        at, end = law[node] + j, law[node + 1]
+        has = at < end
+        at = np.where(has, at, 0)
+        key_r, key_q = np.where(has, rank[at], -1), np.where(has, mass[at], 0.0)
+        perm = np.lexsort((key_q, key_r, np.cumsum(new[tied])))
+        order[tied] = node[perm]
+        key_r, key_q = key_r[perm], key_q[perm]
+        new[tied[1:]] |= (key_r[1:] != key_r[:-1]) | (key_q[1:] != key_q[:-1])
+        # the runs still tied in which some law goes on past position j
+        start = new[tied]
+        run = np.cumsum(start) - 1
+        longer = np.bincount(run, (end - at > 1)[perm] & has[perm]) > 0
+        tied = tied[~(start & np.append(start[1:], True)) & longer[run]]
+        j += 1
+    out = np.empty(order.size, dtype=np.intp)
+    out[order] = np.cumsum(new) - 1
+    return out
+
+
+def _single_levels(layout) -> list[bool]:
+    """For t = 0..T-1, whether every node of level t has exactly one child:
+    the node at its own position in level t + 1."""
+    sizes = [len(level.ids) for level in layout]
+    parent = np.concatenate([level.parent for level in layout[1:]])
+    first = np.repeat(np.cumsum([0] + sizes[1:-1]), sizes[1:])      # each node's level's first position
+    other = np.repeat(np.arange(len(sizes) - 1), sizes[1:])[parent != np.arange(parent.size) - first]
+    moved = np.bincount(other, minlength=len(sizes) - 1).tolist()
+    return [n == m and not k for n, m, k in zip(sizes, sizes[1:], moved)]
+
+
+def _states(proc: TreeProcess) -> list[_States]:
+    """Every level's states, built from the layout a level at a time from
+    the leaves up (a node's children: its ``bounds`` slice of the level
+    below), with a fixed number of array operations per level and per law
+    position that ties reach.
+
+    Merging needs the ranks of the level below.  Where every node of a level
+    has one child, the merge is the children themselves and needs no ranks,
+    so a run of such levels down to a ranked level is ranked where the level
+    above it merges, in one sort: a state on the run is keyed by the values
+    down the run, the rank at its end, and the masses back up."""
+    layout, depth = proc.layout, proc.depth
+    single = _single_levels(layout)
+    count = np.arange(max(len(level.ids) for level in layout) + 1)
+    n = len(layout[depth].ids)
+    records: list = [None] * depth + [_States(layout[depth].values, np.zeros(n + 1, dtype=np.intp),
+                                              count[:0], np.empty(0))]
+    ranked, rank = depth, _ranks(layout[depth].values)     # the ranks of level `ranked`
+    for t in range(depth - 1, -1, -1):
+        level, below = layout[t], layout[t + 1]
+        n = len(level.ids)
+        if single[t]:
+            records[t] = _States(level.values, count[:n + 1], count[:n], below.prob + 0.0)   # one-term sums
+            continue
+        if ranked > t + 1:
+            run = [*(col for lv in layout[t + 1:ranked] for col in lv.values.T),
+                   rank, *(lv.prob for lv in layout[ranked:t + 1:-1])]
+            rank = _ranks(np.stack(run, axis=1))
+        law, child, mass = _merge(below.parent, below.prob, rank, n)
+        records[t] = _States(level.values, law, child, mass)
+        ranked, rank = t, _ranks(level.values, law, rank[child], mass)
     return records
 
 
@@ -68,12 +152,16 @@ def information_process(proc: TreeProcess) -> dict[int, InfoState]:
 
     Terminal nodes carry their value; an interior node carries its value and
     the edge-probability mixture of its children's states, with identical
-    children merged by summing mass.
+    children merged by summing mass.  A non-finite value or edge
+    probability raises ValueError.
     """
+    _check_finite(proc)
     out: dict[int, InfoState] = {}
     below: list[InfoState] = []
-    for level, (values, laws, _) in zip(proc.layout[:0:-1], _states(proc)[:0:-1]):
-        states = [InfoState(v, tuple((below[c], q) for c, q in law) or None) for v, law in zip(values, laws)]
+    for level, rec in zip(proc.layout[:0:-1], _states(proc)[:0:-1]):
+        law, child, mass = rec.law.tolist(), rec.child.tolist(), rec.mass.tolist()
+        states = [InfoState(v, tuple((below[child[e]], mass[e]) for e in range(a, b)) or None)
+                  for v, a, b in zip(map(tuple, rec.values.tolist()), law, law[1:])]
         out.update(zip(level.ids, states))
         below = states
     return out
@@ -91,21 +179,23 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     tol / 2 at depth T; the result does not depend on the node list's order.
     """
     _check_tolerance(tol)
+    _check_finite(proc)
     if tol > 0.0:
         with np.errstate(over="ignore"):   # value / tol with a subnormal tol
             snapped = [(np.rint(level.values / tol) * tol, level.values) for level in proc.layout[1:]]
         proc = process_with_values(proc, [np.where(abs(s - v) <= tol / 2, s, v) + 0.0 for s, v in snapped])
     records = _states(proc)
+    values = [rec.values.tolist() for rec in records]
+    laws = [(rec.law.tolist(), rec.child.tolist(), rec.mass.tolist()) for rec in records]
     # the build_process branches of the root's merged law, by an explicit-stack walk
     branches: list = []
-    stack = [(1, records[0][1][0], branches)]
+    stack = [(0, 0, branches)]      # (level, node position, its branches to fill)
     while stack:
-        t, law, out = stack.pop()
-        values, laws, _ = records[t]
-        for c, q in law:
-            out.append((q, values[c], kids := []))
-            if laws[c]:
-                stack.append((t + 1, laws[c], kids))
+        t, k, out = stack.pop()
+        law, child, mass = laws[t]
+        for e in range(law[k], law[k + 1]):
+            out.append((mass[e], values[t + 1][child[e]], kids := []))
+            stack.append((t + 1, child[e], kids))
     return build_process(proc.value_dims, branches)
 
 

@@ -382,6 +382,14 @@ def _solve_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> tuple[np.n
     return (plans * cost).reshape(size, n * m).sum(axis=1), plans
 
 
+def _check_non_negative(mu: np.ndarray, nu: np.ndarray) -> None:
+    """Reject a negative mass, whose plan ``_solve_batch`` would clip to 0;
+    written so that a NaN mass fails too."""
+    masses = np.concatenate([mu, nu])
+    if not (masses >= 0.0).all():
+        raise ValueError(f"mass {masses[~(masses >= 0.0)][0].item()!r} is not >= 0")
+
+
 def solve_transport(mu_masses, nu_masses, cost) -> tuple[float, np.ndarray]:
     """Optimal plan between raw mass vectors; no atom-size restrictions.
 
@@ -402,6 +410,7 @@ def solve_transport(mu_masses, nu_masses, cost) -> tuple[float, np.ndarray]:
         raise InfeasibleError(
             f"marginal masses {mu_m.sum().item()!r} and {nu_m.sum().item()!r} do not balance"
         )
+    _check_non_negative(mu_m, nu_m)
     values, plans = _solve_batch(mu_m[None], nu_m[None], cmat[None])
     return float(values[0]), plans[0]
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from typing import Mapping, NamedTuple, Sequence
 
@@ -127,6 +127,20 @@ def _slices(items: list, size: np.ndarray):
     at a time (an iterator, so that each slice is freed once used)."""
     end = np.cumsum(size).tolist()
     return map(items.__getitem__, map(slice, [0] + end[:-1], end))
+
+
+def _segment_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The float sum of each of the consecutive segments of ``size[k]``
+    entries of ``x``, left to right from +0.0 as
+    ``functools.reduce(operator.add, segment, 0.0)`` sums it, 0.0 for an
+    empty segment: one ``np.cumsum`` along the rows of a matrix per distinct
+    length.  (``np.add.reduce`` and ``reduceat`` sum pairwise from 9 terms on.)"""
+    out = np.zeros(size.size)
+    start = np.cumsum(size) - size
+    for length in set(size.tolist()) - {0}:
+        k = np.flatnonzero(size == length)
+        out[k] = np.cumsum(x[start[k, None] + np.arange(length)], axis=1)[:, -1]
+    return out + 0.0    # the sum from the first term is -0.0 only where all terms are, and +0.0 then
 
 
 def _columns(rows: Sequence[tuple]) -> TreeColumns:
@@ -358,15 +372,50 @@ def _report(rules) -> list[str]:
     return [rules[r][1](k) for k, r in zip(*(h.tolist() for h in hits))]
 
 
+def _non_finite_prob(columns: TreeColumns, k: int) -> str:
+    return f"node {columns.ids[k]} has non-finite edge probability {columns.probs.item(k)}"
+
+
+def _non_finite_value(columns: TreeColumns, start: np.ndarray, k: int) -> str:
+    ids, _, _, _, values, sizes = columns
+    return f"node {ids[k]} has non-finite value {tuple(values[start[k]:start[k] + sizes[k]].tolist())}"
+
+
+def _non_finite_values(columns: TreeColumns) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, whether one of its values is not finite, and the position
+    of its first value in ``columns.values``."""
+    size = np.maximum(columns.sizes, 0)
+    bad = np.zeros(size.size, dtype=bool)
+    bad[np.repeat(np.arange(size.size), size)[~np.isfinite(np.asarray(columns.values, dtype=float))]] = True
+    return bad, np.cumsum(size) - size
+
+
+def _check_finite(proc: TreeProcess) -> None:
+    """Raise ValueError for the first node in node-list order, the root
+    aside, with a non-finite edge probability or value, worded as
+    ``validate`` words it."""
+    cols = proc.columns
+    bad_prob = ~np.isfinite(np.asarray(cols.probs, dtype=float))
+    if bad_prob.any() or not np.isfinite(np.asarray(cols.values, dtype=float)).all():
+        bad_prob[proc._index[proc.root_id]] = False
+        bad_value, start = _non_finite_values(cols)
+        if faults := _report([(bad_prob, lambda k: _non_finite_prob(cols, k)),
+                              (bad_value, lambda k: _non_finite_value(cols, start, k))]):
+            raise ValueError(faults[0])
+
+
 def validate(proc: TreeProcess) -> list[str]:
     """Check every structural invariant; returns [] iff the tree is valid.
 
     After the root, depth and value-dims checks, each rule on the nodes is
     one mask over the columns and one message worded from them: first the
     rules on a node's parent, level, probability and value, then, in a
-    second pass, those on its children.  No node view is built.
+    second pass, those on its children.  No node view is built.  A node's
+    children's probabilities are summed in sibling order (node-list order),
+    left to right from +0.0 (``_segment_sums``), on any interpreter; Python
+    3.12's ``sum`` adds floats with compensation, and is not used.
     """
-    ids, parents, times, probs, values, sizes = proc.columns
+    ids, parents, times, probs, _, sizes = proc.columns
     depth, dims = proc.depth, proc.value_dims
     roots = parents.count(None)
     if roots != 1:
@@ -400,31 +449,30 @@ def validate(proc: TreeProcess) -> list[str]:
     inside = known & (time >= 1) & (time <= depth)
     want = np.full(n, -2, dtype=dim.dtype)
     want[inside] = dim[(time[inside] - 1).astype(np.intp)]
-    size = np.maximum(sizes, 0)
-    start = np.cumsum(size) - size
-    bad_value = np.zeros(n, dtype=bool)
-    bad_value[np.repeat(np.arange(n), size)[~np.isfinite(np.asarray(values, dtype=float))]] = True
+    bad_value, start = _non_finite_values(proc.columns)
     violations += _report([
         (unknown, lambda k: f"node {ids[k]} has unknown parent {parents[k]}"),
         (known & (time[ppos] + 1 != time),
          lambda k: f"node {ids[k]} at level {times[k]} under parent at level {times[ppos[k]]}"),
-        (known & ~np.isfinite(prob), lambda k: f"node {ids[k]} has non-finite edge probability {probs.item(k)}"),
+        (known & ~np.isfinite(prob), lambda k: _non_finite_prob(proc.columns, k)),
         (known & np.isfinite(prob) & ~(prob > 0.0),
          lambda k: f"node {ids[k]} has non-positive edge probability {probs.item(k)}"),
         (known & ~inside, lambda k: f"node {ids[k]} at level {times[k]} outside 1..{depth}"),
         (inside & (sizes != want),
          lambda k: f"node {ids[k]} value has dim {'none' if sizes[k] < 0 else sizes[k]}, expected {want[k]}"),
         (inside & (sizes == want) & bad_value,
-         lambda k: f"node {ids[k]} has non-finite value {tuple(values[start[k]:start[k] + sizes[k]].tolist())}"),
+         lambda k: _non_finite_value(proc.columns, start, k)),
     ])
 
     count = np.diff(bounds)
-    sums = list(map(sum, _slices(probs[kids].tolist(), count)))   # Python sums, in sibling order
+    sums = _segment_sums(prob[kids], count)
     interior = time < depth
     violations += _report([
         (interior & (count == 0), lambda k: f"node {ids[k]} at level {times[k]} is a leaf, expected depth {depth}"),
-        (interior & (count > 0) & (np.abs(np.array(sums, dtype=float) - 1.0) > PROB_TOL),
-         lambda k: f"children of node {ids[k]} have probability sum {sums[k]!r}"),
+        (interior & (count > 0) & (np.abs(sums - 1.0) > PROB_TOL),
+         # worded from the numbers as given, so that int probabilities sum to an int
+         lambda k: f"children of node {ids[k]} have probability sum "
+                   f"{reduce(operator.add, probs[kids[bounds[k]:bounds[k + 1]]].tolist(), 0)!r}"),
         (~interior & (count > 0), lambda k: f"node {ids[k]} at terminal level has children"),
     ])
     return violations

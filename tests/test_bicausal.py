@@ -837,3 +837,13 @@ def test_aw_distance_rejects_a_nan_edge_probability():
     coin = build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])])
     with pytest.raises(InfeasibleError, match=r"^marginal masses nan and 1.0 do not balance$"):
         aw_distance(x, coin, 2.0)
+
+
+def test_aw_distance_rejects_a_negative_edge_probability():
+    # the probabilities balance, and aw_distance returned 1.0
+    x = build_process([1], [(1.5, 0.0, []), (-0.5, 1.0, [])])
+    coin = build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])])
+    with pytest.raises(ValueError, match=r"^mass -0.5 is not >= 0$"):
+        aw_distance(x, coin, 1.0)
+    with pytest.raises(ValueError, match=r"^mass -0.5 is not >= 0$"):
+        aw_distance(coin, x, 2.0)

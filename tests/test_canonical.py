@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +281,131 @@ def test_canonical_forms_match_the_node_by_node_references(order, tol, jitter):
             assert verdict == equivalent_by_nodes(proc, other, tol)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# nine masses whose sorted left-to-right sum, 1.0319999999999998, is not
+# numpy's pairwise sum (1.032)
+NINE = [0.011, 0.016, 0.043, 0.113, 0.149, 0.165, 0.173, 0.174, 0.188]
+
+
+def hard_shapes():
+    """Trees whose states sort and merge in the ways most easily got wrong,
+    by name; masses need not sum to one, since no form validates."""
+    def fan(pairs):
+        return [(q, v, []) for v, q in pairs]
+
+    def chain(values, probs):
+        branches = []
+        for v, q in zip(reversed(values), reversed(probs)):
+            branches = [(q, v, branches)]
+        return branches[0]
+
+    wide, twin = fan((float(i), 0.025) for i in range(40)), fan((float(i), 0.025) for i in range(40))
+    twin[-1] = (0.025, 39.5, [])
+    return {
+        # equal values whose laws are prefixes of one another
+        "prefix laws": build_process([1, 1], [
+            (0.2, 0.0, fan([(1.0, 0.5), (2.0, 0.5)])),
+            (0.2, 0.0, fan([(1.0, 0.5)])),
+            (0.2, 0.0, fan([(1.0, 0.5), (2.0, 0.5), (3.0, 0.25)])),
+            (0.2, 0.0, fan([(2.0, 0.5), (1.0, 0.5)])),
+            (0.2, 0.0, fan([(1.0, 0.5), (2.0, 0.25)])),
+        ]),
+        # -0.0 == 0.0: all three level-1 states are one, written with the
+        # first child's value
+        "signed zeros": build_process([1, 1], [
+            (0.25, -0.0, fan([(0.0, 1.0)])),
+            (0.25, 0.0, fan([(-0.0, 1.0)])),
+            (0.5, 0.0, fan([(0.0, 0.5), (-0.0, 0.5)])),
+        ]),
+        "2-d ties in the first component": build_process([2, 1], [
+            (0.2, (0.0, 1.0), fan([(1.0, 1.0)])),
+            (0.2, (0.0, -1.0), fan([(0.0, 1.0)])),
+            (0.2, (0.0, 1.0), fan([(0.0, 1.0)])),
+            (0.2, (1.0, -1.0), fan([(0.0, 1.0)])),
+            (0.2, (0.0, -1.0), fan([(0.0, 1.0)])),
+        ]),
+        "nine equal siblings": build_process([1, 1], [
+            (0.5, 0.0, fan([(1.0, q) for q in NINE[::-1]] + [(2.0, 0.05)])),
+            (0.5, 0.0, fan([(2.0, 0.05)] + [(1.0, q) for q in NINE[4:] + NINE[:4]])),
+        ]),
+        # two equal wide nodes and one that differs at its last entry, among
+        # narrow ones tied with them on the value
+        "wide among narrow": build_process([1, 1], [
+            (0.01, 0.0, wide), (0.01, 0.0, twin), (0.01, 0.0, list(wide)),
+            *((0.01, 0.0, fan([(float(i % 5), 1.0)])) for i in range(60)),
+        ]),
+        # runs of one-child levels: chain i has the bits of i as its values
+        # at levels 2, 4 and 5 and its masses at levels 2, 3 and 4, so
+        # that every pair of chains differs somewhere; some are repeated
+        "one-child runs": build_process([1] * 5, [
+            chain([0.0, float(i & 1), 0.0, float(i >> 1 & 1), float(i >> 5 & 1)],
+                  [0.0125, *(0.5 + 0.5 * (i >> b & 1) for b in (2, 3, 4)), 1.0])
+            for i in (*range(64), 3, 6, 9, 12, 17, 30, 31, 63)
+        ]),
+        "one-child runs between fans": build_process([1] * 4, [
+            (0.5, 0.0, [chain([0.0, float(i % 2), float(j)], [0.25, 1.0, 0.5]) for j in range(2)
+                        for i in range(4)]),
+            (0.5, 0.0, [chain([0.0, float(i % 2), float(j)], [0.25, 1.0, 0.5]) for i in range(4)
+                        for j in range(2)]),
+        ]),
+    }
+
+
+@pytest.mark.parametrize("order", ["depth-first", "shuffled"])
+@pytest.mark.parametrize("name", list(hard_shapes()))
+def test_canonical_forms_match_the_node_by_node_references_on_hard_shapes(name, order):
+    rng = np.random.default_rng(41)
+    proc = relisted(hard_shapes()[name], order, rng)
+    want = information_process_by_nodes(proc)
+    assert {k: repr(v) for k, v in information_process(proc).items()} == {k: repr(v) for k, v in want.items()}
+    for tol in (0.0, 0.75):
+        got, ref = canonicalize(proc, tol), canonicalize_by_nodes(proc, tol)
+        assert (got.depth, got.value_dims, repr(got.nodes)) == (ref.depth, ref.value_dims, repr(ref.nodes))
+    assert equivalent(proc, relisted(canonicalize(proc), "shuffled", rng))
+    for other in hard_shapes().values():
+        if other.value_dims == proc.value_dims:
+            assert equivalent(proc, other) == equivalent_by_nodes(proc, other, 0.0)
+
+
+def test_canonical_forms_of_hard_shapes_merge_as_stated():
+    shapes = hard_shapes()
+    assert repr(canonicalize(shapes["signed zeros"]).nodes[1:]) == repr((
+        TreeNode(1, 0, 1, (-0.0,), 1.0), TreeNode(2, 1, 2, (0.0,), 1.0)))
+    assert functools.reduce(operator.add, NINE, 0.0) != float(np.sum(NINE))
+    nine = canonicalize(shapes["nine equal siblings"])
+    assert [n.prob for n in nine.nodes if n.time == 2] == [1.0319999999999998, 0.05]
+    # the two equal wide nodes merge, the twin differing at its 40th entry
+    # sorts after them, and both sort before the narrow ones, whose first
+    # entries carry more mass
+    wide = canonicalize(shapes["wide among narrow"])
+    assert [n.prob for n in wide.nodes if n.time == 1] == [0.02, 0.01] + [0.11999999999999998] * 5
+    assert [len(wide.children(c)) for c in wide.children(wide.root_id)] == [40, 40, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_canonical_forms_reject_a_non_finite_value_as_validate_words_it(bad):
+    # with children (1.0, NaN) the form followed the listing, a tree was not
+    # equivalent to itself, and with a tolerance the cost check raised
+    a = build_process([1, 1], [(0.5, 0.0, [(0.5, 1.0, []), (0.5, bad, [])]), (0.5, 1.0, [(1.0, bad, [])])])
+    message = validate(a)[0]
+    assert message == f"node 3 has non-finite value ({bad},)"
+    for call in (lambda: canonicalize(a), lambda: canonicalize(a, tol=0.1), lambda: information_process(a),
+                 lambda: equivalent(a, a), lambda: equivalent(a, a, tol=0.1)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    b = build_process([2], [(0.5, (0.0, 1.0), []), (0.5, (2.0, bad), [])])
+    with pytest.raises(ValueError, match=rf"^node 2 has non-finite value \(2.0, {bad}\)$"):
+        canonicalize(b)
+
+
+def test_canonical_forms_reject_a_non_finite_edge_probability_as_validate_words_it():
+    a = build_process([1], [(0.5, 0.0, []), (math.nan, 1.0, []), (0.5, math.inf, [])])
+    assert validate(a)[0] == "node 2 has non-finite edge probability nan"
+    with pytest.raises(ValueError, match=r"^node 2 has non-finite edge probability nan$"):
+        canonicalize(a)
+    with pytest.raises(ValueError, match=r"^node 2 has non-finite edge probability nan$"):
+        information_process(a)
 
 
 # -- a tolerance as an adapted distance ----------------------------------------

@@ -433,6 +433,17 @@ def test_solve_transport_rejects_nan_masses():
         solve_transport([0.4, 0.5], [0.3, 0.5, 0.2], np.ones((2, 3)))
 
 
+def test_solve_transport_rejects_a_negative_mass():
+    # the masses balance, and it returned value 1.0 with the plan
+    # [[0.5, 1.0], [0, 0]], whose row and column sums miss both marginals
+    with pytest.raises(ValueError, match=r"^mass -0.5 is not >= 0$"):
+        solve_transport([1.5, -0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^mass -0.25 is not >= 0$"):
+        solve_transport([0.5, 0.5], [1.25, -0.25], [[0.0, 1.0], [1.0, 0.0]])
+    value, plan = solve_transport([0.5, 0.5], [1.0, -0.0], [[0.0, 1.0], [1.0, 0.0]])
+    assert value == 0.5 and plan.tolist() == [[0.5, 0.0], [0.5, 0.0]]
+
+
 def small_float_literals(source: str) -> list[tuple[int, float]]:
     """Line and value of every float literal with 0 < |x| < 1e-6 that is not
     part of a module-level assignment."""

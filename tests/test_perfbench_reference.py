@@ -7,6 +7,7 @@ benchmark run fail.  This test regenerates the whole pool (four request
 cycles) with the benchmark's own generator and checks the values and plans.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -92,3 +93,49 @@ def test_canon_equiv_requests_pass_the_benchmark_checks(workloads, tmp_path):
     for kind in ("canonical", "equiv-tol", "differ"):
         i = next(i for i, req in enumerate(pool) if req.kind.split()[0] == kind)
         pool[i].check(pool[i].call(f"r{i}"))
+
+
+# Every seed-0 canon-equiv request's line and, for canonical, the sha256 of
+# the document it writes, as the tuple-based canonical forms produced them.
+CANON_EQUIV_PINS = [
+    ("canonical 3x4", "1885 -> 85 nodes", "ee28857cf8445ee785d642d76f99f63c46a69fc448ee96861786932859c5f750"),
+    ("equiv 3x4", "equivalent", None),
+    ("equiv-tol 3x4", "equivalent", None),
+    ("differ 3x4", "not equivalent", None),
+    ("differ-tol 3x4", "not equivalent", None),
+    ("canonical 4x3", "4681 -> 121 nodes", "fb805c354ab8a19e4ac5f0e42517ced0831b2cdadc7ddc9377569aa041a6d96a"),
+    ("equiv 4x3", "equivalent", None),
+    ("equiv-tol 4x3", "equivalent", None),
+    ("differ 4x3", "not equivalent", None),
+    ("differ-tol 4x3", "not equivalent", None),
+    ("canonical 3x7", "8421 -> 400 nodes", "47010f24d5d30846fa17aaefbe917675fac540cc72be9f615c967ca4f0f81687"),
+    ("equiv 3x7", "equivalent", None),
+    ("equiv-tol 3x7", "equivalent", None),
+    ("differ 3x7", "not equivalent", None),
+    ("differ-tol 3x7", "not equivalent", None),
+    ("canonical 3x4", "1885 -> 85 nodes", "db3d37c6875ea9b23da94b7ae1502608000ddaf2a6d9d9ab8f0d9f8508903768"),
+    ("equiv 3x4", "equivalent", None),
+    ("equiv-tol 3x4", "equivalent", None),
+    ("differ 3x4", "not equivalent", None),
+    ("differ-tol 3x4", "not equivalent", None),
+    ("canonical 4x3", "4681 -> 121 nodes", "fd16a1c38a78de61f0fe0292325c0045cf7b40d937a394f0e7e24fcda252b733"),
+    ("equiv 4x3", "equivalent", None),
+    ("equiv-tol 4x3", "equivalent", None),
+    ("differ 4x3", "not equivalent", None),
+    ("differ-tol 4x3", "not equivalent", None),
+    ("canonical 3x7", "8421 -> 400 nodes", "83c15f99b020aeb82207bae5edfb555ebcff3c0593ad0fa7b5037bbf380e5678"),
+    ("equiv 3x7", "equivalent", None),
+    ("equiv-tol 3x7", "equivalent", None),
+    ("differ 3x7", "not equivalent", None),
+    ("differ-tol 3x7", "not equivalent", None),
+]
+
+
+def test_canon_equiv_outputs_match_the_pinned_bytes(workloads, tmp_path):
+    pool = workloads.build("canon-equiv", 0, tmp_path).pool
+    got = []
+    for i, req in enumerate(pool):
+        out = req.call(f"r{i}")
+        digests = [hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in out["files"]]
+        got.append((req.kind, out["stdout"][0].strip(), digests[0] if digests else None))
+    assert got == CANON_EQUIV_PINS

@@ -1,5 +1,7 @@
 import ast
+import functools
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,10 @@ from adawass import (
 
 from adawass.cli import _tree_json
 
-from conftest import assert_same_layout, build_process_by_nodes, layout_by_nodes, random_process, total_mass
+from adawass.trees import _segment_sums
+
+from conftest import (assert_same_layout, build_process_by_nodes, layout_by_nodes, random_process, total_mass,
+                      validate_by_nodes)
 
 
 def test_validate_single_branch_tree():
@@ -117,6 +122,57 @@ def test_validate_builds_no_node_views():
                               "children of node 0 have probability sum -0.5"]
     assert not NODE_VIEWS & vars(proc).keys()
 
+
+
+# nine probabilities whose left-to-right sum, 1.0319999999999998, is neither
+# numpy's pairwise sum nor the correctly rounded one (both 1.032)
+NINE = [0.011, 0.016, 0.043, 0.113, 0.149, 0.165, 0.173, 0.174, 0.188]
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_validate_sums_children_as_the_node_by_node_reference(shuffle):
+    # children sums a few ulps off one pass, and the printed sums that fail
+    # are the left-to-right ones, signed zeros included
+    branches = [
+        (0.2, 0.0, [(q, 1.0, []) for q in NINE]),
+        (0.2, 1.0, [(0.1, float(i), []) for i in range(10)]),        # 0.9999999999999999
+        (0.2, 2.0, [(-0.0, 0.0, []), (-0.0, 1.0, [])]),
+        (0.2, 3.0, [(0.3, 0.0, []), (0.3, 1.0, []), (0.4 + 2e-12, 2.0, [])]),
+        (0.2, 4.0, [(1.0 / 3.0, float(i), []) for i in range(3)]),
+    ]
+    proc = build_process([1, 1], branches)
+    if shuffle:
+        rng = np.random.default_rng(5)
+        fresh = (5 * rng.permutation(len(proc.nodes)) + 2).tolist()
+        proc = TreeProcess(proc.depth, proc.value_dims, [
+            TreeNode(fresh[n.id], None if n.parent is None else fresh[n.parent], n.time, n.value, n.prob)
+            for n in map(proc.nodes.__getitem__, rng.permutation(len(proc.nodes)).tolist())])
+    got = validate(proc)
+    assert got == validate_by_nodes(proc)
+    # siblings are summed in node-list order, which shuffling changes
+    nine = next(k for k in proc.level(1) if proc.node(k).value == (0.0,))
+    left_to_right = functools.reduce(operator.add, (proc.node(c).prob for c in proc.children(nine)), 0.0)
+    assert sorted(m.split(" have ")[1] for m in got if "probability sum" in m) == [
+        "probability sum 0.0", "probability sum 1.000000000002", f"probability sum {left_to_right!r}"]
+    if not shuffle:
+        assert "children of node 1 have probability sum 1.0319999999999998" in got
+
+
+def test_segment_sums_add_left_to_right_from_positive_zero():
+    rng = np.random.default_rng(3)
+    size = rng.integers(0, 30, size=300)
+    size[:4] = [0, 12, 3, 40]
+    x = rng.normal(size=size.sum()) * 10.0 ** rng.integers(-12, 13, size=size.sum())
+    x[12:15] = -0.0      # a segment of -0.0 only
+    ends = np.cumsum(size)[:-1]
+    want = np.array([functools.reduce(operator.add, seg.tolist(), 0.0) for seg in np.split(x, ends)])
+    got = _segment_sums(x, size)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert math.copysign(1.0, got[2]) == 1.0
+    # numpy's own sums group the terms otherwise
+    pairwise = np.add.reduceat(x, np.cumsum(size) - size)[size > 0]
+    assert (pairwise != want[size > 0]).any()
+    assert _segment_sums(np.empty(0), np.zeros(2, dtype=np.intp)).tolist() == [0.0, 0.0]
 
 def test_path_distance_examples():
     assert path_distance([(1.0,), (2.0,)], [(3.0,), (5.0,)], 2.0) == pytest.approx(math.sqrt(13))
@@ -249,6 +305,27 @@ def test_no_library_function_calls_itself():
                       "class A:\n    def h(self):\n        return self.h()\n"
                       "    def k(self):\n        return other.k()\n") == {"f", "h"}
 
+
+
+def builtin_sum_calls(source: str, function: str | None = None) -> int:
+    """How many times ``source``, or its top-level function ``function``,
+    calls the builtin ``sum(...)``."""
+    tree = ast.parse(source)
+    if function is not None:
+        tree = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == function)
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+               for node in ast.walk(tree))
+
+
+def test_canonical_forms_and_validate_call_no_builtin_sum():
+    # Python's sum adds floats with compensation from 3.12 on; canonical
+    # masses and validate's children sums are trees._segment_sums, left to
+    # right from +0.0 on any interpreter
+    src = Path(adawass.__file__).parent
+    assert builtin_sum_calls((src / "canonical.py").read_text(encoding="utf-8")) == 0
+    assert builtin_sum_calls((src / "trees.py").read_text(encoding="utf-8"), "validate") == 0
+    assert builtin_sum_calls("def f(x):\n    return sum(x) + np.sum(x) + x.sum()\ny = sum([])\n") == 2
+    assert builtin_sum_calls("def f(x):\n    return sum(x)\ny = sum([])\n", "f") == 1
 
 def random_description(rng, depth, dims):
     """Nested ``build_process`` branches whose values are scalars or tuples
