@@ -10,6 +10,9 @@ corner of its children sorted by value, and a top-down pass over index
 arrays of the reachable node pairs forms the path-pair masses.  A plan
 keeps its nodewise kernels as one matrix per level over the children of
 both trees (``_LevelKernels``), which ``glue`` reads a level at a time.
+Couplings are arrays from end to end: per process the leaf positions of the
+listed leaf tuples, and their masses (``_LeafMasses``); the tuple-keyed
+mappings of plans and glued couplings are views built on first access.
 The oracle solves one linear program over path-pair masses whose
 causality conditions enter as linear product identities against the fixed
 marginal laws.
@@ -17,10 +20,8 @@ marginal laws.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,7 +40,10 @@ from .trees import (
     TreeProcess,
     _check_order,
     _check_shapes,
+    _DictView,
     _from_levels,
+    _int_array,
+    _slices,
     process_with_values,
 )
 
@@ -84,10 +88,63 @@ def _pth_root(cost: float, p: float) -> float:
     return max(cost, 0.0) ** (1.0 / p)
 
 
+class _LeafMasses(_DictView):
+    """Masses on tuples of leaves of ``procs``, kept as arrays in listing
+    order: ``leaf[i]`` holds the position in ``procs[i].leaves`` of every
+    tuple's i-th leaf, ``mass`` the masses (read-only).  As a Mapping it maps
+    leaf-id tuples to masses, keys in listing order; that dict is built on
+    first access."""
+
+    def __init__(self, procs: Sequence[TreeProcess], leaf: Sequence[np.ndarray], mass: np.ndarray):
+        for arr in (*leaf, mass):
+            arr.flags.writeable = False
+        self.procs, self.leaf, self.mass = tuple(procs), tuple(leaf), mass
+
+    @classmethod
+    def of(cls, procs: Sequence[TreeProcess], masses: Mapping[tuple[int, ...], float]) -> "_LeafMasses":
+        """``masses`` on leaf tuples of ``procs``: a ``_LeafMasses`` over these
+        trees as it is, any other Mapping converted once."""
+        if isinstance(masses, cls) and masses.procs == tuple(procs):
+            return masses
+        keys = list(masses)
+        ids = [[key[f] for key in keys] for f in range(len(procs))]
+        return cls(procs, _leaf_positions(procs, ids), np.fromiter(masses.values(), float, len(keys)))
+
+    def _build(self) -> dict[tuple[int, ...], float]:
+        ids = [map(proc.leaves.__getitem__, pos.tolist()) for proc, pos in zip(self.procs, self.leaf)]
+        return dict(zip(zip(*ids), self.mass.tolist()))
+
+    def __len__(self) -> int:
+        return self.mass.size
+
+
+def _leaf_positions(procs: Sequence[TreeProcess], ids: Sequence) -> list[np.ndarray]:
+    """Per process, the position in ``procs[i].leaves`` of every id in the
+    list or array ``ids[i]``, found by one search among the sorted leaf ids;
+    a ValueError names the first id, process by process in listing order,
+    that is not a leaf."""
+    out = []
+    for proc, wanted in zip(procs, ids):
+        leaves = _int_array(proc.leaves)
+        order = np.argsort(leaves, kind="stable")
+        known, query = leaves[order], _int_array(wanted)
+        try:
+            at = np.searchsorted(known, query).clip(max=known.size - 1)
+            found = known[at] == query
+        except TypeError:   # a caller's key that does not compare with ints is no leaf
+            found = np.fromiter(map(proc.leaf_index.__contains__, query.tolist()), bool, query.size)
+        if not found.all():
+            raise ValueError(f"plan lists a pair with a non-leaf node {query[~found][:1].tolist()[0]!r}")
+        out.append(order[at])
+    return out
+
+
 @dataclass(frozen=True)
 class BicausalPlan:
     """Coupling of two tree processes, stored as path-pair masses.
 
+    ``pair_masses`` maps (x leaf, y leaf) to mass; it is a ``_LeafMasses``,
+    and a Mapping handed to the constructor is converted to one.
     Solver-built plans additionally carry the nodewise kernels: for every
     node pair with positive reachable mass, the joint transition over the
     two children sets.  Plans built from raw masses derive kernels on demand
@@ -102,28 +159,30 @@ class BicausalPlan:
     value: float
     kernels: _LevelKernels | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "pair_masses", _LeafMasses.of((self.x, self.y), self.pair_masses))
+
     @classmethod
     def from_pair_masses(cls, x: TreeProcess, y: TreeProcess, p: float,
                          masses: Mapping[tuple[int, int], float]) -> "BicausalPlan":
         _check_order(p)
         _check_shapes(x, y)
-        (i, j), m = _leaf_positions((x, y), masses)
-        weighted = m * _path_costs(x, y, p, i, j)
+        masses = _LeafMasses.of((x, y), masses)
+        weighted = masses.mass * _path_costs(x, y, p, *masses.leaf)
         # summed in listing order, as a running total
         cost = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
-        return cls(x=x, y=y, p=p, pair_masses=dict(masses), value=_pth_root(cost, p))
+        return cls(x=x, y=y, p=p, pair_masses=masses, value=_pth_root(cost, p))
 
     @classmethod
     def product(cls, x: TreeProcess, y: TreeProcess, p: float) -> "BicausalPlan":
         """Independent coupling of the two path laws; always bicausal."""
-        mu, nu = x.reach_prob, y.reach_prob
-        masses = {(k, l): mu[k] * nu[l] for k in x.leaves for l in y.leaves}
-        return cls.from_pair_masses(x, y, p, masses)
+        mu, nu = x.layout[-1].reach, y.layout[-1].reach
+        i, j = np.divmod(np.arange(mu.size * nu.size), nu.size)
+        return cls.from_pair_masses(x, y, p, _LeafMasses((x, y), (i, j), mu[i] * nu[j]))
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((len(self.x.leaves), len(self.y.leaves)))
-        (i, j), masses = _leaf_positions((self.x, self.y), self.pair_masses)
-        m[i, j] = masses
+        m[self.pair_masses.leaf] = self.pair_masses.mass
         return m
 
     def effective_kernels(self) -> _LevelKernels:
@@ -131,18 +190,6 @@ class BicausalPlan:
         if self.kernels is not None:
             return self.kernels
         return _LevelKernels(self.x, self.y, _levels_from_masses(self))
-
-
-def _leaf_positions(procs: Sequence[TreeProcess], masses: Mapping[tuple[int, ...], float]):
-    """Per process, the leaf position of the matching entry of every listed
-    leaf tuple, and the masses, as arrays."""
-    n = len(masses)
-    try:
-        leaf = [np.fromiter(map(proc.leaf_index.__getitem__, map(itemgetter(f), masses)), np.intp, n)
-                for f, proc in enumerate(procs)]
-    except KeyError as exc:
-        raise ValueError(f"plan lists a pair with a non-leaf node {exc}") from None
-    return leaf, np.fromiter(masses.values(), float, n)
 
 
 def _step_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
@@ -171,7 +218,7 @@ def _levels_from_masses(plan: BicausalPlan):
     the reachable pairs are those of positive mass, row-major, and each child
     pair's mass is divided by its parent pair's mass."""
     x, y = plan.x, plan.y
-    (i, j), m = _leaf_positions((x, y), plan.pair_masses)
+    (i, j), m = plan.pair_masses.leaf, plan.pair_masses.mass
     cyl = []
     for t in range(x.depth + 1):
         nx, ny = len(x.level(t)), len(y.level(t))
@@ -258,7 +305,7 @@ def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
     return values, plans
 
 
-class _LevelKernels(Mapping):
+class _LevelKernels(_DictView):
     """The nodewise kernels of a plan, read-only and lazy.
 
     ``levels[t]`` is ``(px, py, kernel)``: the level-t positions of the
@@ -274,8 +321,7 @@ class _LevelKernels(Mapping):
         self._trees = (x, y)
         self.levels = tuple(levels)
 
-    @functools.cached_property
-    def _kernels(self) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
+    def _build(self) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]:
         x, y = self._trees
         out = {}
         for t, (px, py, kernel) in enumerate(self.levels):
@@ -285,15 +331,6 @@ class _LevelKernels(Mapping):
                 sx, sy = slice(bx[a], bx[a + 1]), slice(by[b], by[b + 1])
                 out[(ids_x[a], ids_y[b])] = (kids_x[sx], kids_y[sy], kernel[sx, sy])
         return out
-
-    def __getitem__(self, key):
-        return self._kernels[key]
-
-    def __iter__(self):
-        return iter(self._kernels)
-
-    def __len__(self) -> int:
-        return len(self._kernels)
 
 
 def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, BicausalPlan]:
@@ -337,10 +374,9 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
         flat = plans[t][cx, cy]
         reached = flat > 0.0
         px, py, mass = cx[reached], cy[reached], mass[k[reached]] * flat[reached]
-    pairs = zip(map(x.leaves.__getitem__, px.tolist()), map(y.leaves.__getitem__, py.tolist()))
-    masses = dict(zip(pairs, mass.tolist()))
     value = _pth_root(total, p)
-    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=masses, value=value, kernels=_LevelKernels(x, y, levels))
+    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=_LeafMasses((x, y), (px, py), mass), value=value,
+                        kernels=_LevelKernels(x, y, levels))
     return value, plan
 
 
@@ -381,17 +417,14 @@ def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bic
     """Independent oracle: one LP over path-pair masses with causality rows."""
     _check_order(p)
     _check_shapes(x, y)
-    lx, ly = x.leaves, y.leaves
-    ny = len(ly)
-    cost = _path_costs(x, y, p, np.arange(len(lx))[:, None], np.arange(ny)[None, :])
+    nx, ny = len(x.leaves), len(y.leaves)
+    cost = _path_costs(x, y, p, np.arange(nx)[:, None], np.arange(ny)[None, :])
     a, b = _lp_rows(x, y)
     total, sol = lp_solve(cost.ravel(), a, b)
     kept = np.flatnonzero(sol > _PRUNE)
-    i, j = np.divmod(kept, ny)
-    pairs = zip(map(lx.__getitem__, i.tolist()), map(ly.__getitem__, j.tolist()))
-    masses = dict(zip(pairs, sol[kept].tolist()))
     value = _pth_root(total, p)
-    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=masses, value=value)
+    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=_LeafMasses((x, y), np.divmod(kept, ny), sol[kept]),
+                        value=value)
     return value, plan
 
 
@@ -438,9 +471,40 @@ def _residuals(procs: Sequence[TreeProcess], leaf: Sequence[np.ndarray],
 def check_bicausal(plan: BicausalPlan, tol: float = CAUSALITY_TOL) -> bool:
     """Verify marginal and two-sided causality identities of a plan, the
     two-process case of ``check_multicausal``."""
-    procs = (plan.x, plan.y)
-    marginal, causal = _residuals(procs, *_leaf_positions(procs, plan.pair_masses))
+    masses = plan.pair_masses
+    marginal, causal = _residuals(masses.procs, masses.leaf, masses.mass)
     return marginal <= MARGINAL_TOL and causal <= tol   # false for NaN
+
+
+class _NodeTuples(_DictView):
+    """The factor nodes of every product node, kept as ``positions`` (see
+    ``MulticausalCoupling``).  As a Mapping it maps product node ids to
+    tuples of factor node ids, in the product's layout order; that dict is
+    built on first access."""
+
+    def __init__(self, procs: Sequence[TreeProcess], product: TreeProcess, positions: Sequence[np.ndarray]):
+        self.procs, self.product, self.positions = tuple(procs), product, tuple(positions)
+
+    def _build(self) -> dict[int, tuple[int, ...]]:
+        out = {}
+        for t, pos in enumerate(self.positions):
+            ids = [map(proc.level(t).__getitem__, col.tolist()) for proc, col in zip(self.procs, pos.T)]
+            out.update(zip(self.product.level(t), zip(*ids)))
+        return out
+
+
+def _node_positions(procs: Sequence[TreeProcess], product: TreeProcess,
+                    node_tuple: Mapping[int, tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """``positions`` from a Mapping of product node ids to factor node ids."""
+    out = []
+    for t, level in enumerate(product.layout):
+        index = [{node: k for k, node in enumerate(proc.level(t))} for proc in procs]
+        try:
+            out.append(np.array([[at[node] for at, node in zip(index, node_tuple[pid])] for pid in level.ids],
+                                dtype=np.intp).reshape(len(level.ids), len(procs)))
+        except KeyError as exc:
+            raise ValueError(f"node tuples name no node {exc} at level {t}") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -449,18 +513,32 @@ class MulticausalCoupling:
 
     ``product`` is the common filtered space: one tree whose nodes are the
     reachable tuples of factor nodes and whose values concatenate the factor
-    values; ``node_tuple`` maps each product node to its factor nodes.
-    ``positions[t]``, filled by ``glue`` for t = 0..T, is a read-only array
-    with one row per node of ``product.level(t)`` whose column i is the
-    position of its i-th factor node in ``processes[i].level(t)``.
+    values.  ``positions[t]``, for t = 0..T, is a read-only array with one
+    row per node of ``product.level(t)`` whose column i is the position of
+    its i-th factor node in ``processes[i].level(t)``; ``node_tuple`` maps
+    each product node to its factor nodes, a view of ``positions`` (when no
+    positions are given, they are taken from ``node_tuple``).  ``masses``
+    maps leaf tuples to masses; it is a ``_LeafMasses``, and a Mapping
+    handed to the constructor is converted to one.
     """
 
     processes: tuple[TreeProcess, ...]
     masses: Mapping[tuple[int, ...], float]
     plans: tuple[BicausalPlan, ...]
     product: TreeProcess
-    node_tuple: Mapping[int, tuple[int, ...]]
+    node_tuple: Mapping[int, tuple[int, ...]] | None = None
     positions: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        procs, tuples, positions = tuple(self.processes), self.node_tuple, self.positions
+        if not positions:
+            same = isinstance(tuples, _NodeTuples) and tuples.procs == procs and tuples.product is self.product
+            positions = tuples.positions if same else _node_positions(procs, self.product, tuples)
+        for arr in positions:
+            arr.flags.writeable = False
+        object.__setattr__(self, "positions", tuple(positions))
+        object.__setattr__(self, "node_tuple", _NodeTuples(procs, self.product, positions))
+        object.__setattr__(self, "masses", _LeafMasses.of(procs, self.masses))
 
     def factor_values(self, i: int) -> list[np.ndarray]:
         """Per level t = 1..T, the value of every product node's i-th factor
@@ -501,8 +579,6 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
     T, n = chain[0].depth, len(chain)
     dims = tuple(sum(pr.value_dims[t] for pr in chain) for t in range(T))
 
-    tuples = [tuple(pr.root_id for pr in chain)]
-    node_tuple: dict[int, tuple[int, ...]] = {0: tuples[0]}
     pos = np.zeros((1, n), dtype=np.intp)   # factor positions of the level's product nodes
     positions = [pos]
     parents, probs, values = [], [], []      # the product's level arrays, t = 1..T
@@ -525,8 +601,8 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
             live = (rowsum[e] > 0.0) & (q > 0.0)
             e, c, q = e[live], c[live], q[live]
             k, w, child = k[e], w[e] * (q / rowsum[e]), np.column_stack([child[e], c])
-        ends = np.bincount(k, minlength=len(pos)).cumsum()
-        total = np.array([math.fsum(part) for part in np.split(w, ends[:-1])])
+        counts = np.bincount(k, minlength=len(pos))
+        total = np.fromiter(map(math.fsum, _slices(w.tolist(), counts)), float, len(pos))
         if (total <= 0.0).any():
             raise RuntimeError(f"degenerate kernel at product node {first - len(pos) + np.argmax(total <= 0.0)}")
         if k.size > max_leaves:
@@ -541,25 +617,20 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
         probs.append(w)
         # values concatenate the factors' level value arrays
         values.append(np.concatenate([pr.layout[t + 1].values[col] for pr, col in zip(chain, child.T)], axis=1))
-        tuples = list(zip(*(map(pr.level(t + 1).__getitem__, col.tolist())
-                            for pr, col in zip(chain, child.T))))
-        node_tuple.update(zip(range(first, first + k.size), tuples))
         first, pos = first + k.size, child
         positions.append(pos)
 
     product = _from_levels(dims, parents, probs, values)
     # the product's leaves are the last level, in its order
-    masses = dict(zip(tuples, product.layout[-1].reach.tolist()))
-    for arr in positions:
-        arr.flags.writeable = False
+    masses = _LeafMasses(chain, tuple(pos.T), product.layout[-1].reach)
     return MulticausalCoupling(processes=tuple(chain), masses=masses, plans=tuple(plans),
-                               product=product, node_tuple=node_tuple, positions=tuple(positions))
+                               product=product, positions=tuple(positions))
 
 
 def check_multicausal(coupling: MulticausalCoupling, tol: float = CAUSALITY_TOL) -> bool:
     """Verify factor marginals and every multicausal product identity."""
-    procs = coupling.processes
-    marginal, causal = _residuals(procs, *_leaf_positions(procs, coupling.masses))
+    masses = coupling.masses
+    marginal, causal = _residuals(masses.procs, masses.leaf, masses.mass)
     return marginal <= MARGINAL_TOL and causal <= tol   # false for NaN
 
 
@@ -571,6 +642,6 @@ def factor_plan(coupling: MulticausalCoupling, i: int, p: float) -> BicausalPlan
     """
     proc, product = coupling.processes[i], coupling.product
     lifted = process_with_values(product, coupling.factor_values(i))
-    factor_leaves = map(proc.leaves.__getitem__, coupling.positions[-1][:, i].tolist())
-    masses = dict(zip(zip(factor_leaves, product.leaves), product.layout[-1].reach.tolist()))
+    reach = product.layout[-1].reach
+    masses = _LeafMasses((proc, lifted), (coupling.positions[-1][:, i], np.arange(reach.size)), reach)
     return BicausalPlan.from_pair_masses(proc, lifted, p, masses)

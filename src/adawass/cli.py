@@ -26,6 +26,8 @@ from .bicausal import (
     MAX_PRODUCT_LEAVES,
     BicausalPlan,
     SizeGuardError,
+    _leaf_positions,
+    _LeafMasses,
     aw_distance,
     check_bicausal,
 )
@@ -47,9 +49,12 @@ from .discrete_ot import InfeasibleError, SolverError, UnboundedError
 from .trees import (  # noqa: F401  (tree_to_dict: perfbench/tracer.py wraps it here)
     ShapeMismatchError,
     TreeProcess,
+    _check_order,
+    _check_shapes,
     _check_tolerance,
     _float_field,
     _float_fields,
+    _int_array,
     _int_fields,
     quantize_paths,
     tree_from_dict,
@@ -197,38 +202,61 @@ def _flow_json(flow: CommonSpaceFlow) -> str:
                json.dumps(flow.p), json.dumps(flow.interpolation), labels))
 
 
-_PAIR_ROW = '{\n      "leaf_x": %d,\n      "leaf_y": %d,\n      "mass": %s\n    }'
+# ``%r`` writes a mass as ``float.__repr__`` does, as ``json`` writes floats
+_PAIR_ROW = '{\n      "leaf_x": %d,\n      "leaf_y": %d,\n      "mass": %r\n    }'
 
 
 def _plan_json(plan: BicausalPlan) -> str:
     """The plan document {"pairs": [{"leaf_x", "leaf_y", "mass"}, ...], "value", "p"}.
 
-    Masses go through ``float.__repr__`` as ``json`` writes floats.
+    Pairs are sorted by (x leaf id, y leaf id), through each leaf's rank
+    among its tree's leaf ids (ids may exceed int64), and fill one template.
     """
-    rows = [_PAIR_ROW % (k, l, float.__repr__(m)) for (k, l), m in sorted(plan.pair_masses.items())]
-    return (f'{{\n  "pairs": {_block(rows, 2)},\n  "value": {json.dumps(plan.value)},\n'
+    (i, j), mass = plan.pair_masses.leaf, plan.pair_masses.mass
+    rank_x, rank_y = (np.argsort(np.argsort(_int_array(proc.leaves), kind="stable"))
+                      for proc in (plan.x, plan.y))
+    order = np.lexsort((rank_y[j], rank_x[i]))
+    cells = [None] * (3 * order.size)
+    cells[0::3] = map(plan.x.leaves.__getitem__, i[order].tolist())
+    cells[1::3] = map(plan.y.leaves.__getitem__, j[order].tolist())
+    cells[2::3] = mass[order].tolist()
+    rows = _block([_PAIR_ROW] * order.size, 2) % tuple(cells)
+    return (f'{{\n  "pairs": {rows},\n  "value": {json.dumps(plan.value)},\n'
             f'  "p": {json.dumps(plan.p)}\n}}')
 
 
 def _plan_from_dict(data: dict, x: TreeProcess, y: TreeProcess) -> BicausalPlan:
-    """The plan of a plan document; a non-finite mass or a pair listed twice
-    is an input error, and so is a bad ``p`` (``from_pair_masses``)."""
+    """The plan of a plan document, its pairs read as columns.
+
+    Faults are reported in this order: a malformed document; then, in
+    listing order, a non-finite mass or a pair listed twice (leaves or
+    not); then a bad ``p``, the trees' shapes, and a non-leaf x id, then
+    a non-leaf y id, each the first listed.
+    """
     try:
         p = _float_field(data["p"])
         rows = data["pairs"]
-        pairs = list(zip(zip(_int_fields([e["leaf_x"] for e in rows]),
-                             _int_fields([e["leaf_y"] for e in rows])),
-                         _float_fields([e["mass"] for e in rows])))
+        if not isinstance(rows, list):
+            raise TypeError(f"expected a list of pairs, got {type(rows).__name__}")
+        ids = [_int_fields([e["leaf_x"] for e in rows]), _int_fields([e["leaf_y"] for e in rows])]
+        masses = _float_fields([e["mass"] for e in rows])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed plan document: {exc}") from exc
-    masses: dict[tuple[int, int], float] = {}
-    for pair, mass in pairs:
-        if not math.isfinite(mass):
-            raise ValueError(f"plan lists a non-finite mass {mass} for pair {pair}")
-        if pair in masses:
-            raise ValueError(f"plan lists pair {pair} twice")
-        masses[pair] = mass
-    return BicausalPlan.from_pair_masses(x, y, p, masses)
+    mass, xs, ys = np.array(masses, dtype=float), _int_array(ids[0]), _int_array(ids[1])
+    # the first entry with a non-finite mass, and the first that repeats an
+    # earlier pair: the stable sort keeps each run of equal pairs in listing order
+    order = np.lexsort((ys, xs))
+    later, earlier = order[1:], order[:-1]
+    repeats = later[(xs[later] == xs[earlier]) & (ys[later] == ys[earlier])]
+    nonfinite, repeated = (int(a.min(initial=len(rows))) for a in (np.flatnonzero(~np.isfinite(mass)), repeats))
+    if nonfinite < len(rows) and nonfinite <= repeated:
+        raise ValueError(f"plan lists a non-finite mass {masses[nonfinite]} "
+                         f"for pair {(ids[0][nonfinite], ids[1][nonfinite])}")
+    if repeated < len(rows):
+        raise ValueError(f"plan lists pair {(ids[0][repeated], ids[1][repeated])} twice")
+    _check_order(p)
+    _check_shapes(x, y)
+    return BicausalPlan.from_pair_masses(x, y, p, _LeafMasses((x, y), _leaf_positions((x, y), (xs, ys)), mass))
 
 
 def _curve_from_dict(data: dict) -> GridCurve:

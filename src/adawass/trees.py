@@ -296,6 +296,8 @@ class TreeProcess:
             members.append(kids[_segments(first[members[-1]], count)])
             parent.append(np.repeat(np.arange(count.size), count))
         members.pop()
+        if self.depth < 1 or not members[-1].size:     # no level below the root, or a leaf above level T
+            raise ValueError(validate(self)[0])
         rows = [values[_segments(start[m], sizes[m])].reshape(m.size, -1) for m in members[1:]]
         return _layout([tuple(map(cols.ids.__getitem__, m.tolist())) for m in members], parent,
                        [prob[m] for m in members], [np.empty((1, 0)), *rows], members)
@@ -546,7 +548,31 @@ def build_process(value_dims: Sequence[int], branches) -> TreeProcess:
     return TreeProcess._from_columns(len(value_dims), tuple(value_dims), _columns(rows))
 
 
-class _LevelValues(Mapping):
+class _DictView(Mapping):
+    """A read-only Mapping over arrays, whose dict ``_build`` makes from them
+    on first access."""
+
+    def _build(self) -> dict:
+        raise NotImplementedError
+
+    @cached_property
+    def _dict(self) -> dict:
+        return self._build()
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._dict)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._dict!r})"
+
+
+class _LevelValues(_DictView):
     """Values on the non-root nodes of a tree, kept one array per level.
 
     ``levels[t - 1]`` is a read-only float array with one row per node of
@@ -578,16 +604,9 @@ class _LevelValues(Mapping):
             levels.append(arr)
         self.levels = tuple(levels)
 
-    @cached_property
-    def _by_id(self) -> dict[int, tuple[float, ...]]:
+    def _build(self) -> dict[int, tuple[float, ...]]:
         rows = chain.from_iterable(map(tuple, arr.tolist()) for arr in self.levels)
         return dict(zip(chain.from_iterable(self.ids), rows))
-
-    def __getitem__(self, node_id: int) -> tuple[float, ...]:
-        return self._by_id[node_id]
-
-    def __iter__(self):
-        return iter(self._by_id)
 
     def __len__(self) -> int:
         return sum(map(len, self.ids))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,11 +27,12 @@ from adawass import (
     path_distance,
     path_law,
     represent_curve,
+    tree_to_dict,
     validate,
     w_distance,
 )
-from adawass import bicausal
-from adawass.bicausal import _solve_level
+from adawass import bicausal, cli, curves
+from adawass.bicausal import MulticausalCoupling, _solve_level
 from adawass.discrete_ot import MARGINAL_TOL, solve_transport
 
 from conftest import (
@@ -767,6 +769,70 @@ def test_glue_matches_the_per_node_glue(rng, p):
         assert list(coupling.node_tuple.items()) == list(node_tuple.items())
         assert list(coupling.masses) == list(masses)
         assert [m.hex() for m in coupling.masses.values()] == [m.hex() for m in masses.values()]
+
+
+def test_cli_runs_build_no_tuple_keyed_mappings(tmp_path, monkeypatch):
+    # dist --plan, check-plan and represent keep plans and glued couplings
+    # as leaf-position arrays: their tuple-keyed mappings are never built,
+    # and once read they hold the items of the former per-node glue
+    made = []
+
+    def record(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((cli, "aw_distance"), (cli, "_plan_from_dict"), (curves, "aw_distance"),
+                         (curves, "glue")):
+        record(module, name)
+    rng = np.random.default_rng(41)
+    procs = [random_process(rng, 2, (1, 1), 3) for _ in range(3)]
+    x, y, curve = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "curve.json"
+    x.write_text(json.dumps(tree_to_dict(procs[0])))
+    y.write_text(json.dumps(tree_to_dict(procs[1])))
+    curve.write_text(json.dumps({"grid": [0.0, 0.5, 1.0], "p": 2.0, "processes": list(map(tree_to_dict, procs))}))
+    plan = tmp_path / "plan.json"
+    for argv in (["dist", str(x), str(y), "--plan", str(plan)], ["check-plan", str(plan), str(x), str(y)],
+                 ["represent", str(curve), "--out", str(tmp_path / "flow.json")]):
+        assert cli.main(argv) == 0
+    plans = [m[1] if isinstance(m, tuple) else m for m in made if not isinstance(m, MulticausalCoupling)]
+    (coupling,) = [m for m in made if isinstance(m, MulticausalCoupling)]
+    assert len(plans) == 4
+    views = [pl.pair_masses for pl in plans] + [coupling.masses, coupling.node_tuple]
+    assert not any("_dict" in vars(view) for view in views)
+    # the plan read back lists the written plan's pairs, sorted by leaf ids
+    written, read = plans[:2]
+    assert list(read.pair_masses.items()) == sorted(written.pair_masses.items())
+    _, node_tuple, masses = glue_by_nodes(coupling.plans)
+    assert list(coupling.node_tuple.items()) == list(node_tuple.items())
+    assert [(k, m.hex()) for k, m in coupling.masses.items()] == [(k, m.hex()) for k, m in masses.items()]
+
+
+def test_couplings_built_from_mappings_are_converted_once(rng):
+    # a caller's dicts become the arrays that glue builds: masses by leaf
+    # position, node tuples by factor position per level
+    procs = [random_process(rng, 2, (1, 2), 3) for _ in range(3)]
+    coupling = glue([aw_distance(a, b, 2.0)[1] for a, b in zip(procs, procs[1:])])
+    rebuilt = MulticausalCoupling(processes=coupling.processes, masses=dict(coupling.masses),
+                                  plans=coupling.plans, product=coupling.product,
+                                  node_tuple=dict(coupling.node_tuple))
+    for got, want in zip(rebuilt.positions, coupling.positions):
+        assert np.array_equal(got, want) and not got.flags.writeable
+    for got, want in zip(rebuilt.masses.leaf, coupling.masses.leaf):
+        assert np.array_equal(got, want)
+    assert rebuilt.masses.mass.tolist() == coupling.masses.mass.tolist()
+    assert check_multicausal(rebuilt)
+    # a plan's dict is converted when the plan is built, and a key that is
+    # no leaf id, an int or not, fails there
+    plan = coupling.plans[0]
+    copy = BicausalPlan(x=plan.x, y=plan.y, p=2.0, pair_masses=dict(plan.pair_masses), value=plan.value)
+    assert [a.tolist() for a in copy.pair_masses.leaf] == [a.tolist() for a in plan.pair_masses.leaf]
+    for bad in (plan.x.root_id, "a", None):
+        with pytest.raises(ValueError, match=f"^plan lists a pair with a non-leaf node {bad!r}$"):
+            BicausalPlan.from_pair_masses(plan.x, plan.y, 2.0, {(bad, plan.y.leaves[0]): 1.0})
 
 
 def test_multicausal_check_rejects_non_finite_and_negative_masses(rng):

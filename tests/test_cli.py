@@ -23,6 +23,7 @@ from adawass import (
     build_process,
     canonicalize,
     chain_process,
+    check_bicausal,
     discrete_ot,
     dyadic_grid,
     equivalent,
@@ -36,7 +37,7 @@ from adawass import (
     validate,
 )
 from adawass.bicausal import BicausalPlan
-from adawass.cli import _flow_json, _load_tree, _plan_json, _tree_json, _write_particles_csv, main
+from adawass.cli import _flow_json, _load_tree, _plan_from_dict, _plan_json, _tree_json, _write_particles_csv, main
 
 from conftest import (
     canonicalize_by_nodes,
@@ -467,6 +468,8 @@ def test_check_plan_flags_bad_plan(write_tree, capsys, tmp_path):
     # numbers of the wrong type, as JSON text
     "json leaf_x 1.9", 'json leaf_y "2"', "json leaf_x true", 'json mass "0.5"',
     "json mass false", 'json p "2"', "json p true",
+    # "pairs" not a list: an empty object or string used to read as no pairs
+    "json pairs {}", 'json pairs ""', "json pairs 3",
 ])
 def test_check_plan_rejects_malformed_plan_documents(write_tree, capsys, tmp_path, edit):
     # a NaN mass passed as bicausal: every |...| > tol comparison is false for NaN
@@ -491,7 +494,7 @@ def test_check_plan_rejects_malformed_plan_documents(write_tree, capsys, tmp_pat
         doc["pairs"].append(dict(doc["pairs"][0]))
     elif field.startswith("json "):
         key = field.split()[1]
-        (doc if key == "p" else doc["pairs"][0])[key] = json.loads(bad)
+        (doc if key in ("p", "pairs") else doc["pairs"][0])[key] = json.loads(bad)
     else:
         doc["pairs"][0]["leaf_x"] = bad
     plan_file.write_text(json.dumps(doc))
@@ -500,6 +503,81 @@ def test_check_plan_rejects_malformed_plan_documents(write_tree, capsys, tmp_pat
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+def _nan_then_repeat(doc, x, y):
+    doc["pairs"][1]["mass"] = math.nan
+    doc["pairs"].append(dict(doc["pairs"][0]))
+
+
+def _repeat_then_inf(doc, x, y):
+    doc["pairs"].insert(1, dict(doc["pairs"][0]))
+    doc["pairs"][-1]["mass"] = math.inf
+
+
+def _repeated_non_leaves(doc, x, y):
+    doc["pairs"] += [{"leaf_x": x.level(1)[0], "leaf_y": y.level(1)[0], "mass": 0.0}] * 2
+
+
+def _non_leaf_y_then_x(doc, x, y):
+    doc["pairs"][0]["leaf_y"] = y.level(1)[-1]
+    doc["pairs"][1]["leaf_x"] = x.level(1)[-1]
+
+
+def _bad_p_and_non_leaf(doc, x, y):
+    doc["p"] = 0.5
+    doc["pairs"][0]["leaf_x"] = x.level(1)[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_nan_then_repeat, "plan lists a non-finite mass nan for pair (2, 3)"),
+    (_repeat_then_inf, "plan lists pair (2, 2) twice"),
+    (_repeated_non_leaves, "plan lists pair (1, 1) twice"),
+    (_non_leaf_y_then_x, "plan lists a pair with a non-leaf node 6"),
+    (_bad_p_and_non_leaf, "order p must be a finite number >= 1, got 0.5"),
+])
+def test_check_plan_reports_the_first_fault_in_a_fixed_order(write_tree, capsys, tmp_path, edit, message):
+    # the messages and their order as the per-pair reader gave them: in
+    # listing order a non-finite mass or a repeated pair (leaves or not),
+    # then the order p, then the first non-leaf x id, then the first y id
+    rng = np.random.default_rng(29)
+    xt, yt = random_process(rng, 2, (1, 1), 3), random_process(rng, 2, (1, 1), 3)
+    x, y = write_tree("x.json", xt), write_tree("y.json", yt)
+    plan_file = tmp_path / "plan.json"
+    assert run(capsys, ["dist", x, y, "--plan", str(plan_file)])[0] == 0
+    doc = json.loads(plan_file.read_text())
+    edit(doc, xt, yt)
+    plan_file.write_text(json.dumps(doc))
+    assert run(capsys, ["check-plan", str(plan_file), x, y]) == (2, "", f"error: {message}\n")
+
+
+def relabelled(proc, new_id):
+    """The tree with every node id k replaced by ``new_id(k)``."""
+    doc = tree_to_dict(proc)
+    for node in doc["nodes"]:
+        node["id"] = new_id(node["id"])
+        node["parent"] = None if node["parent"] is None else new_id(node["parent"])
+    return tree_from_dict(doc)
+
+
+@pytest.mark.parametrize("new_id", [lambda k: 2**70 + 3 * k, lambda k: -1 - k])
+def test_plans_round_trip_on_trees_with_extreme_ids(new_id):
+    # the writer sorts pairs by id (negative ids reverse the leaf order) and
+    # the reader finds positions among the sorted leaf ids; both keep ids exact
+    rng = np.random.default_rng(31)
+    x, y = (relabelled(random_process(rng, 2, (1, 1), 3), new_id) for _ in range(2))
+    plan = aw_distance(x, y, 2.0)[1]
+    text = _plan_json(plan)
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2)
+    keys = [(e["leaf_x"], e["leaf_y"]) for e in doc["pairs"]]
+    assert keys == sorted(plan.pair_masses)
+    assert [e["mass"] for e in doc["pairs"]] == list(map(plan.pair_masses.__getitem__, keys))
+    read = _plan_from_dict(doc, x, y)
+    assert [(k, m.hex()) for k, m in read.pair_masses.items()] == \
+        [(k, e["mass"].hex()) for k, e in zip(keys, doc["pairs"])]
+    assert _plan_json(read).split('"value"')[0] == text.split('"value"')[0]
+    assert check_bicausal(read) and math.isclose(read.value, plan.value, rel_tol=1e-12)
 
 
 def test_infinite_depth_or_bad_utf8_exit_code(write_tree, capsys, tmp_path):

@@ -123,6 +123,17 @@ def test_validate_builds_no_node_views():
     assert not NODE_VIEWS & vars(proc).keys()
 
 
+@pytest.mark.parametrize("dims, message", [([1], "node 0 at level 0 is a leaf, expected depth 1"),
+                                           ([], "depth 0 < 1")])
+def test_a_childless_root_fails_with_the_first_validate_message(dims, message):
+    # the layout of a tree with an empty level used to fail inside numpy
+    # ("cannot reshape array of size 0"), and a depth-0 tree further on
+    assert validate(build_process(dims, []))[0] == message
+    runs = (adawass.canonicalize, adawass.information_process, lambda proc: adawass.aw_distance(proc, proc, 2.0))
+    for run in runs:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(build_process(dims, []))
+
 
 # nine probabilities whose left-to-right sum, 1.0319999999999998, is neither
 # numpy's pairwise sum nor the correctly rounded one (both 1.032)
