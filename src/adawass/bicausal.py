@@ -3,13 +3,12 @@
 Two independent routes compute the same optimum.  The main solver runs a
 backward induction over pairs of tree nodes, solving one small transport
 problem per pair; this is exact because bicausal couplings of tree-filtered
-processes factorize into successive conditional couplings.  It solves a
-tree level at a time; the transportation simplex starts each problem with
-two or more children on each side, other than 2x2, at the north-west
-corner of its children sorted by value, and a top-down pass over index
-arrays of the reachable node pairs forms the path-pair masses.  A plan
-keeps its nodewise kernels as one matrix per level over the children of
-both trees (``_LevelKernels``), which ``glue`` reads a level at a time.
+processes factorize into successive conditional couplings.  It assembles
+the costs of a tree level at a time and hands the level's problems to
+``discrete_ot._solve_level``; a top-down pass over index arrays of the
+reachable node pairs then forms the path-pair masses.  A plan keeps its
+nodewise kernels as one matrix per level over the children of both trees
+(``_LevelKernels``), which ``glue`` reads a level at a time.
 Couplings are arrays from end to end: per process the leaf positions of the
 listed leaf tuples, and their masses (``_LeafMasses``); the tuple-keyed
 mappings of plans and glued couplings are views built on first access.
@@ -27,12 +26,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .discrete_ot import (  # noqa: F401  (solve_transport: perfbench/tracer.py wraps it here)
-    BALANCE_TOL,
     MARGINAL_TOL,
-    InfeasibleError,
-    _check_non_negative,
-    _simplex_shape,
-    _solve_batch,
+    _solve_level,
     lp_solve,
     solve_transport,
 )
@@ -43,6 +38,7 @@ from .trees import (
     _DictView,
     _from_levels,
     _int_array,
+    _norms,
     _slices,
     process_with_values,
 )
@@ -73,10 +69,6 @@ MAX_PRODUCT_LEAVES = 100_000
 # row or column of the plan, by at most its length times 1e-13, far below
 # MARGINAL_TOL for the plans the oracle can solve.
 _PRUNE = 1e-13
-# Nodewise problems solved together in one lockstep batch: large enough that
-# the per-pivot numpy calls are shared by many problems, small enough that the
-# batch's basis inverses stay a few megabytes.
-_LEVEL_BATCH = 1024
 
 
 class SizeGuardError(RuntimeError):
@@ -194,9 +186,10 @@ class BicausalPlan:
 
 def _step_costs(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """One-step costs |a - b|_2^p of the p-metric, over the last axis of two
-    value arrays; a cost that overflows is inf, without a warning."""
+    value arrays (norms as in ``trees._norms``); a cost that overflows is
+    inf, without a warning."""
     with np.errstate(over="ignore"):
-        return np.sqrt(((a - b) ** 2).sum(axis=-1)) ** p
+        return _norms(a - b) ** p
 
 
 def _path_costs(x: TreeProcess, y: TreeProcess, p: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -242,69 +235,6 @@ def _expand(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray):
     return k, x0[k] + i, y0[k] + j
 
 
-def _value_order(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Positions of a level's children, each parent's block sorted by value.
-
-    A stable ``np.lexsort``: first by the parent's position, then by the
-    child's value vector in lexicographic order; ties keep tree order.
-    """
-    parent = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    return np.lexsort((*values.T[::-1], parent))
-
-
-def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
-                 cost: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every nodewise problem of one level at once.
-
-    ``cost`` is indexed by the children of the level on both sides; the
-    problem of parents (a, b) is its block ``[bx[a]:bx[a+1], by[b]:by[b+1]]``
-    with edge probabilities ``mu`` and ``nu`` over the same ranges.  Returns
-    the parents' values and the plans, block for block.  The parent pairs
-    are grouped by their numbers of children, and each group is solved in
-    batches of at most ``_LEVEL_BATCH`` problems, which bounds the memory of
-    the lockstep simplex.  Problems for the transportation simplex list
-    their rows and columns in the value order (``_value_order``) of the
-    children's values ``vx`` and ``vy``, one row per child, and their plans
-    are scattered back to tree order; the closed forms keep tree order.
-    """
-    if not np.isfinite(cost).all():
-        if np.isnan(cost).any():
-            raise ValueError("cost entries must be finite")
-        # values are finite, so their costs (or sums of them) overflowed
-        raise OverflowError("nodewise costs overflow: the values are too far apart for this order")
-    kx, ky = np.diff(bx), np.diff(by)
-    mu_sum = np.bincount(np.repeat(np.arange(kx.size), kx), weights=mu, minlength=kx.size)
-    nu_sum = np.bincount(np.repeat(np.arange(ky.size), ky), weights=nu, minlength=ky.size)
-    unbalanced = np.argwhere(~(np.abs(mu_sum[:, None] - nu_sum[None, :]) <= BALANCE_TOL))  # NaN fails
-    if unbalanced.size:
-        a, b = unbalanced[0]
-        raise InfeasibleError(
-            f"marginal masses {mu_sum.item(a)!r} and {nu_sum.item(b)!r} do not balance"
-        )
-    _check_non_negative(mu, nu)
-    values = np.empty((kx.size, ky.size))
-    plans = np.zeros_like(cost)
-    # sorted(set(...)), not np.unique, which imports numpy.ma (2 MB) on first use
-    sizes_x, sizes_y = sorted(set(kx.tolist())), sorted(set(ky.tolist()))
-    # the largest shape is a simplex shape if any is
-    if _simplex_shape(sizes_x[-1], sizes_y[-1]):
-        ox, oy = _value_order(vx, bx), _value_order(vy, by)
-    for n in sizes_x:
-        for m in sizes_y:
-            general = _simplex_shape(n, m)
-            pa, pb = (g.ravel() for g in np.meshgrid(
-                np.flatnonzero(kx == n), np.flatnonzero(ky == m), indexing="ij"))
-            for s in range(0, pa.size, _LEVEL_BATCH):
-                a, b = pa[s:s + _LEVEL_BATCH], pb[s:s + _LEVEL_BATCH]
-                rows = bx[a][:, None] + np.arange(n)
-                cols = by[b][:, None] + np.arange(m)
-                if general:
-                    rows, cols = ox[rows], oy[cols]
-                block = (rows[:, :, None], cols[:, None, :])
-                values[a, b], plans[block] = _solve_batch(mu[rows], nu[cols], cost[block])
-    return values, plans
-
-
 class _LevelKernels(_DictView):
     """The nodewise kernels of a plan, read-only and lazy.
 
@@ -339,11 +269,10 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
     Backward induction: at each pair of nodes the child distributions are
     coupled optimally against the one-step cost plus the continuation value;
     the root value is the p-th power of the distance.  The work runs a level
-    at a time, on cost and value matrices over all node pairs of the level.
-    The transportation simplex starts each general problem at the north-west
-    corner of its children sorted by value: for one-dimensional values and
-    a convex cost that corner is the monotone (quantile) coupling, optimal
-    for the step cost alone, so few pivots remain.  A top-down pass then
+    at a time, on cost and value matrices over all node pairs of the level,
+    each level one call of the level solve of ``discrete_ot``, which starts
+    the simplex problems at the north-west corner of the children sorted by
+    value.  Costs that overflow raise OverflowError.  A top-down pass then
     carries the pair masses down over the reachable pairs only, as index
     arrays; the plan keeps the level plans as its kernels.
     """

@@ -201,10 +201,12 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
 
 def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     """True iff the processes have adapted distance zero for every order, or,
-    for a positive ``tol``, AW_1 (the smallest AW_p) at most ``tol``.  AW = 0
-    exactly when the canonical forms are equal, since equal states emit
-    identical subtrees in rank order; values too far apart for a float cost
-    are farther apart than any ``tol``.
+    for a positive ``tol``, AW_1 at most ``tol``.  AW = 0 exactly when the
+    canonical forms are equal, since equal states emit identical subtrees in
+    rank order; values too far apart for a float cost are farther apart than
+    any ``tol``.  AW_1 is not the smallest AW_p for depth T >= 2; what holds
+    is AW_1 <= T**(1 - 1/p) * AW_p (Hoelder over the steps, then Jensen),
+    with equality for two chains a constant distance apart.
     """
     _check_shapes(a, b)
     _check_tolerance(tol)

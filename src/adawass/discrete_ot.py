@@ -1,24 +1,23 @@
 """Exact optimal transport between finite discrete laws.
 
-Transport problems go to a transportation simplex that solves a batch of
-same-shape problems in lockstep with numpy: a north-west-corner start (no
-phase one) in the order the caller lists the atoms, potentials from a basis
-inverse kept exact by rank-one updates, the most negative reduced cost
-entering with lowest-index tie-breaking, the smallest-index blocking cell
-leaving, and Bland's rule after a run of degenerate pivots, so the
-iteration cannot cycle.  Each problem pivots on
-its own data only and leaves the batch once optimal, so a single problem
-(``solve_transport`` solves a batch of one) gets the same plan as in any
-batch.  One-row, one-column and 2x2 problems have closed forms.  The dense
-two-phase simplex ``lp_solve`` serves only the path-pair oracle: entering
-columns take the largest reduced cost with index tie-breaking and leaving
-rows follow the lexicographic ratio test, which keeps it cycle-free on the
-heavily degenerate causality polytopes.  Both solvers pivot
-deterministically, so together with a fixed atom ordering the same input
-always gives the same optimal vertex.  The start is only as good as that
-order: with atoms on the line sorted by value and a convex cost, the
-north-west corner is the monotone (quantile) coupling, which is optimal, so
-``aw_distance`` lists the children of its simplex problems by value.
+Every transport problem goes through ``_solve_level``, which takes all the
+problems of a tree level (per pair of parents, a block of one cost matrix);
+``solve_transport`` is a level of one.  It checks them, then sends one-row
+and one-column problems to a copy of the other marginal, 2x2 ones to a
+closed form and the rest, in batches of one shape, to a transportation
+simplex run in lockstep with numpy: a north-west-corner start (no phase
+one), potentials from a basis inverse kept exact by rank-one updates, the
+most negative reduced cost entering, lowest index first, the smallest-index
+blocking cell leaving, and Bland's rule after a run of degenerate pivots,
+so it cannot cycle.  A problem pivots on its own data and leaves the batch
+once optimal, so its plan is the same in any batch.  The simplex lists the
+atoms sorted by value (``_value_order``) and maps its plans back: on the
+line with a convex cost that corner is the optimal monotone (quantile)
+coupling, so few pivots remain; ``solve_transport`` passes atom positions
+as values, so its corner is in the caller's order.  The dense two-phase
+simplex ``lp_solve`` serves only the path-pair oracle: largest reduced cost
+entering, lexicographic ratio test leaving, which keeps it cycle-free on the
+degenerate causality polytopes.  Both pivot deterministically.
 """
 
 from __future__ import annotations
@@ -57,8 +56,9 @@ BALANCE_TOL = 1e-9
 # summed along a basis path carry rounding near (n + m) * 1e-16 * max|cost|,
 # far below it, and stopping there leaves the value within it of the optimum.
 _OPTIMALITY_TOL = 1e-12
-# A 2x2 cost gap c00 - c01 - c10 + c11 at or below this is a tie and takes
-# the upper endpoint: gaps this small are rounding noise for costs of order one.
+# A 2x2 cost gap c00 - c01 - c10 + c11 at or below this times the problem's
+# largest |cost| is a tie and takes the upper endpoint: the gap's rounding is
+# near 1e-16 of that scale, at any scale.
 _GAP_TOL = 1e-14
 # Bland's rule takes over after this many degenerate pivots in a row per row
 # and column node: the most negative reduced cost needs fewer pivots on
@@ -81,6 +81,10 @@ _RATIO_TIE = 1e-12
 # max(1, max b) means no feasible point; below it is pivoting residue of an
 # exactly feasible system.
 _PHASE_ONE_TOL = 1e-8
+# Problems solved together in one lockstep batch: large enough that the
+# per-pivot numpy calls are shared by many problems, small enough that the
+# batch's basis inverses stay a few megabytes.
+_LEVEL_BATCH = 1024
 
 
 class InfeasibleError(ValueError):
@@ -344,13 +348,14 @@ def _transport_2x2(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> np.ndarr
 
     ``mu`` and ``nu`` have shape (..., 2) and ``cost`` (..., 2, 2), all
     broadcast together.  Each polytope has one parameter, the mass on cell
-    (0, 0), between ``lo`` and ``hi``; the endpoint is chosen by the cost gap.
+    (0, 0), between ``lo`` and ``hi``; the endpoint is chosen by the cost gap
+    against the problem's scale.
     """
     mu0, mu1, nu0 = mu[..., 0], mu[..., 1], nu[..., 0]
     lo = np.maximum(0.0, mu0 + nu0 - 1.0)
     hi = np.minimum(mu0, nu0)
     gap = cost[..., 0, 0] - cost[..., 0, 1] - cost[..., 1, 0] + cost[..., 1, 1]
-    theta = np.where(gap > _GAP_TOL, lo, hi)
+    theta = np.where(gap > _GAP_TOL * np.abs(cost).max(axis=(-2, -1)), lo, hi)
     plan = np.stack(np.broadcast_arrays(theta, mu0 - theta, nu0 - theta, mu1 - nu0 + theta), axis=-1)
     return np.maximum(plan, 0.0).reshape(plan.shape[:-1] + (2, 2))
 
@@ -382,37 +387,86 @@ def _solve_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> tuple[np.n
     return (plans * cost).reshape(size, n * m).sum(axis=1), plans
 
 
-def _check_non_negative(mu: np.ndarray, nu: np.ndarray) -> None:
-    """Reject a negative mass, whose plan ``_solve_batch`` would clip to 0;
-    written so that a NaN mass fails too."""
+def _value_order(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Positions of a level's children, each parent's block sorted by value.
+
+    A stable ``np.lexsort``: first by the parent's position, then by the
+    child's value vector in lexicographic order; ties keep tree order.
+    """
+    parent = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    return np.lexsort((*values.T[::-1], parent))
+
+
+def _solve_level(mu: np.ndarray, nu: np.ndarray, bx: np.ndarray, by: np.ndarray,
+                 cost: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every transport problem of one level at once.
+
+    The problem of parents (a, b) is the block ``[bx[a]:bx[a+1],
+    by[b]:by[b+1]]`` of ``cost``, with masses ``mu`` and ``nu`` over the
+    same ranges; returns the parents' values and the plans, block for block.
+    Pairs are grouped by shape and solved in batches of at most
+    ``_LEVEL_BATCH``, which bounds the simplex's memory; its problems list
+    their rows and columns in the value order of ``vx`` and ``vy``.  Costs
+    are sums of step costs of finite values, so an infinite one is an
+    OverflowError; a NaN cost, an unbalanced problem, a negative mass or a
+    side with no atom is a ValueError.
+    """
+    if not np.isfinite(cost).all():
+        if np.isnan(cost).any():
+            raise ValueError("cost entries must be finite")
+        raise OverflowError("nodewise costs overflow: the values are too far apart for this order")
+    kx, ky = np.diff(bx), np.diff(by)
+    mu_sum = np.bincount(np.repeat(np.arange(kx.size), kx), weights=mu, minlength=kx.size)
+    nu_sum = np.bincount(np.repeat(np.arange(ky.size), ky), weights=nu, minlength=ky.size)
+    unbalanced = np.argwhere(~(np.abs(mu_sum[:, None] - nu_sum[None, :]) <= BALANCE_TOL))  # NaN fails
+    if unbalanced.size:
+        a, b = unbalanced[0]
+        raise InfeasibleError(f"marginal masses {float(mu_sum[a])!r} and {float(nu_sum[b])!r} do not balance")
     masses = np.concatenate([mu, nu])
-    if not (masses >= 0.0).all():
+    if not (masses >= 0.0).all():   # a negative mass would be clipped to 0 in its plan; NaN fails too
         raise ValueError(f"mass {masses[~(masses >= 0.0)][0].item()!r} is not >= 0")
+    # sorted(set(...)), not np.unique, which imports numpy.ma (2 MB) on first use
+    sizes_x, sizes_y = sorted(set(kx.tolist())), sorted(set(ky.tolist()))
+    if not sizes_x[0] or not sizes_y[0]:
+        raise ValueError("a transport problem needs an atom on each side")
+    values = np.empty((kx.size, ky.size))
+    plans = np.zeros(cost.shape)
+    # the largest shape is a simplex shape if any is
+    if _simplex_shape(sizes_x[-1], sizes_y[-1]):
+        ox, oy = _value_order(vx, bx), _value_order(vy, by)
+    for n in sizes_x:
+        for m in sizes_y:
+            general = _simplex_shape(n, m)
+            pa, pb = (g.ravel() for g in np.meshgrid(
+                np.flatnonzero(kx == n), np.flatnonzero(ky == m), indexing="ij"))
+            for s in range(0, pa.size, _LEVEL_BATCH):
+                a, b = pa[s:s + _LEVEL_BATCH], pb[s:s + _LEVEL_BATCH]
+                rows = bx[a][:, None] + np.arange(n)
+                cols = by[b][:, None] + np.arange(m)
+                if general:
+                    rows, cols = ox[rows], oy[cols]
+                block = (rows[:, :, None], cols[:, None, :])
+                values[a, b], plans[block] = _solve_batch(mu[rows], nu[cols], cost[block])
+    return values, plans
 
 
 def solve_transport(mu_masses, nu_masses, cost) -> tuple[float, np.ndarray]:
     """Optimal plan between raw mass vectors; no atom-size restrictions.
 
-    Internal workhorse behind :func:`w_distance` and the nodewise solves of
-    the bicausal induction, where machine-epsilon atoms can legitimately
-    appear on product trees.  It solves a batch of one, so its result is the
-    one the level-wise induction gets for the same problem.
+    The level solve of a single problem, behind :func:`w_distance`, with the
+    atoms' positions as their values, so that the north-west corner takes
+    them in the order given.  Any non-finite cost is a ValueError.
     """
-    mu_m = np.asarray(mu_masses, dtype=float)
-    nu_m = np.asarray(nu_masses, dtype=float)
-    cmat = np.array(cost, dtype=float)
+    mu_m, nu_m, cmat = (np.asarray(arr, dtype=float) for arr in (mu_masses, nu_masses, cost))
     n, m = mu_m.size, nu_m.size
     if cmat.shape != (n, m):
         raise ValueError(f"cost has shape {cmat.shape}, expected {(n, m)}")
-    if not np.isfinite(cmat).all():
-        raise ValueError("cost entries must be finite")
-    if not abs(mu_m.sum() - nu_m.sum()) <= BALANCE_TOL:  # so that a NaN mass fails too
-        raise InfeasibleError(
-            f"marginal masses {mu_m.sum().item()!r} and {nu_m.sum().item()!r} do not balance"
-        )
-    _check_non_negative(mu_m, nu_m)
-    values, plans = _solve_batch(mu_m[None], nu_m[None], cmat[None])
-    return float(values[0]), plans[0]
+    try:
+        values, plan = _solve_level(mu_m, nu_m, np.array([0, n]), np.array([0, m]), cmat,
+                                    np.arange(n)[:, None], np.arange(m)[:, None])
+    except OverflowError:   # raw costs: an infinite one is no overflow of values
+        raise ValueError("cost entries must be finite") from None
+    return float(values[0, 0]), plan
 
 
 def w_distance(mu: DiscreteLaw, nu: DiscreteLaw, cost) -> tuple[float, TransportPlan]:

@@ -296,7 +296,8 @@ class TreeProcess:
             members.append(kids[_segments(first[members[-1]], count)])
             parent.append(np.repeat(np.arange(count.size), count))
         members.pop()
-        if self.depth < 1 or not members[-1].size:     # no level below the root, or a leaf above level T
+        # no level below the root, or a leaf above level T
+        if self.depth < 1 or not np.diff(first)[np.concatenate(members[:-1])].all():
             raise ValueError(validate(self)[0])
         rows = [values[_segments(start[m], sizes[m])].reshape(m.size, -1) for m in members[1:]]
         return _layout([tuple(map(cols.ids.__getitem__, m.tolist())) for m in members], parent,
@@ -500,6 +501,20 @@ def _check_shapes(x: TreeProcess, y: TreeProcess) -> None:
         )
 
 
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norms sqrt(sum d**2) over the last axis of ``d``, with d
+    first scaled by an exact power of two where its squares would leave the
+    normal floats: a norm of 1e-200 is 1e-200, and others keep their bits."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((d ** 2).sum(axis=-1))
+    # in this range no square overflows, and one that underflows moves the sum by under 2**-70
+    odd = ~((norm > 2.0 ** -500) & (norm < 2.0 ** 500))   # zero or NaN too
+    if odd.any():
+        e = np.frexp(np.abs(d[odd]).max(axis=-1, initial=0.0))[1]
+        norm[odd] = np.ldexp(np.sqrt((np.ldexp(d[odd], -e[:, None]) ** 2).sum(axis=-1)), e)
+    return norm
+
+
 def path_distance(x: Sequence[Sequence[float]], y: Sequence[Sequence[float]], p: float) -> float:
     """p-metric between two paths: (sum_t |x_t - y_t|_2^p)^(1/p)."""
     _check_order(p)
@@ -509,8 +524,7 @@ def path_distance(x: Sequence[Sequence[float]], y: Sequence[Sequence[float]], p:
     for xt, yt in zip(x, y):
         if len(xt) != len(yt):
             raise ShapeMismatchError(f"step dims {len(xt)} != {len(yt)}")
-        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(xt, yt)))
-        total += d**p
+        total += float(_norms(np.subtract(xt, yt, dtype=float)[None])[0]) ** p
     return total ** (1.0 / p)
 
 

@@ -8,8 +8,10 @@ from itertools import chain, repeat
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
-from adawass import TreeNode, TreeProcess, aw_distance, build_process, chain_process, path_law, tree_to_dict
+from adawass import (DiscreteLaw, TreeNode, TreeProcess, aw_distance, build_process, chain_process, path_distance,
+                     path_law, tree_to_dict, w_distance)
 from adawass.canonical import InfoState
 from adawass.discrete_ot import MARGINAL_TOL
 from adawass.trees import PROB_TOL
@@ -65,6 +67,60 @@ def random_pair(rng, depth=None, dims=None, max_branch=3, **kw):
         dims = tuple(int(rng.integers(1, 3)) for _ in range(depth))
     return (random_process(rng, depth, dims, max_branch, **kw),
             random_process(rng, depth, dims, max_branch, **kw))
+
+
+@st.composite
+def small_trees(draw, dims=None):
+    """Trees of depth 1..3 (or of value dims ``dims``), value dims 1..2, up to
+    three children per node with masses from few weights, and values in
+    [-10, 10]."""
+    if dims is None:
+        depth = draw(st.integers(1, 3))
+        dims = draw(st.lists(st.integers(1, 2), min_size=depth, max_size=depth))
+    depth = len(dims)
+    number = st.floats(-10.0, 10.0)
+    level = [(1, [])]   # the nodes whose children are drawn next: (their level, their branches)
+    root = level[0][1]
+    while level:
+        t, out = level.pop()
+        weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        for w in weights:
+            value = draw(st.lists(number, min_size=dims[t - 1], max_size=dims[t - 1]))
+            out.append((w / sum(weights), tuple(value), kids := []))
+            if t < depth:
+                level.append((t + 1, kids))
+    return build_process(dims, root)
+
+
+def relisted(proc, order, rng):
+    """The same tree with its node list depth-first (as built), breadth-first,
+    in the same order with fresh ids ("relabelled"), or shuffled with fresh
+    ids."""
+    nodes = list(proc.nodes)
+    if order == "breadth-first":
+        nodes.sort(key=lambda n: n.time)
+    elif order in ("relabelled", "shuffled"):
+        fresh = dict(zip((n.id for n in nodes), (7 * rng.permutation(len(nodes)) - 3).tolist()))
+        listing = rng.permutation(len(nodes)).tolist() if order == "shuffled" else range(len(nodes))
+        nodes = [TreeNode(fresh[n.id], fresh.get(n.parent), n.time, n.value, n.prob)
+                 for n in map(nodes.__getitem__, listing)]
+    return TreeProcess(proc.depth, proc.value_dims, nodes)
+
+
+def w_of_path_laws(x, y, p):
+    """Classical distance between the path laws, forgetting filtrations."""
+    lx, ly = path_law(x), path_law(y)
+    mu = DiscreteLaw.from_arrays(
+        [np.concatenate(atom) for atom, _ in lx.atoms], [m for _, m in lx.atoms]
+    )
+    nu = DiscreteLaw.from_arrays(
+        [np.concatenate(atom) for atom, _ in ly.atoms], [m for _, m in ly.atoms]
+    )
+    cost = [
+        [path_distance(a, b, p) ** p for b, _ in ly.atoms] for a, _ in lx.atoms
+    ]
+    value, _ = w_distance(mu, nu, cost)
+    return value ** (1.0 / p)
 
 
 def ancestor_at(proc, node_id, t):

@@ -7,7 +7,6 @@ import pytest
 
 from adawass import (
     BicausalPlan,
-    DiscreteLaw,
     GridCurve,
     InfeasibleError,
     ShapeMismatchError,
@@ -24,16 +23,13 @@ from adawass import (
     factor_plan,
     geodesic,
     glue,
-    path_distance,
-    path_law,
     represent_curve,
     tree_to_dict,
     validate,
-    w_distance,
 )
-from adawass import bicausal, cli, curves
-from adawass.bicausal import MulticausalCoupling, _solve_level
-from adawass.discrete_ot import MARGINAL_TOL, solve_transport
+from adawass import bicausal, cli, curves, discrete_ot
+from adawass.bicausal import MulticausalCoupling
+from adawass.discrete_ot import MARGINAL_TOL, _solve_level, solve_transport
 
 from conftest import (
     ancestor_at,
@@ -46,23 +42,8 @@ from conftest import (
     random_pair,
     random_process,
     step_cost,
+    w_of_path_laws,
 )
-
-
-def w_of_path_laws(x, y, p):
-    """Classical distance between the path laws, forgetting filtrations."""
-    lx, ly = path_law(x), path_law(y)
-    mu = DiscreteLaw.from_arrays(
-        [np.concatenate(atom) for atom, _ in lx.atoms], [m for _, m in lx.atoms]
-    )
-    nu = DiscreteLaw.from_arrays(
-        [np.concatenate(atom) for atom, _ in ly.atoms], [m for _, m in ly.atoms]
-    )
-    cost = [
-        [path_distance(a, b, p) ** p for b, _ in ly.atoms] for a, _ in lx.atoms
-    ]
-    value, _ = w_distance(mu, nu, cost)
-    return value ** (1.0 / p)
 
 
 # -- aw_distance --------------------------------------------------------------
@@ -147,7 +128,7 @@ def test_level_solve_matches_per_pair_solve_transport(rng, monkeypatch):
     # n != m among them, and a batch size of 5 cuts every group into batches;
     # values on a coarse grid tie, in the first coordinate or in both
     for choices, batch in (([1, 2, 2, 3], 1024), ([1, 2, 3, 4, 5], 1024), ([1, 2, 3, 4, 5], 5)):
-        monkeypatch.setattr(bicausal, "_LEVEL_BATCH", batch)
+        monkeypatch.setattr(discrete_ot, "_LEVEL_BATCH", batch)
         kx, ky = rng.choice(choices, size=12), rng.choice(choices, size=10)
         bx, by = np.concatenate([[0], np.cumsum(kx)]), np.concatenate([[0], np.cumsum(ky)])
         mu = np.concatenate([w / w.sum() for w in (rng.uniform(0.1, 1.0, k) for k in kx)])
@@ -913,3 +894,14 @@ def test_aw_distance_rejects_a_negative_edge_probability():
         aw_distance(x, coin, 1.0)
     with pytest.raises(ValueError, match=r"^mass -0.5 is not >= 0$"):
         aw_distance(coin, x, 2.0)
+
+
+def test_step_costs_of_tiny_and_huge_differences_are_their_norms():
+    # the squares of the differences underflowed to 0 or overflowed to inf,
+    # so these distances of order one read 0 or raised OverflowError
+    assert aw_distance(chain_process([0.0]), chain_process([6e-280]), 1.0)[0] == 6e-280
+    assert aw_distance(chain_process([(0.0, 0.0)]), chain_process([(3e-200, 4e-200)]), 1.0)[0] == 5e-200
+    far = aw_distance(chain_process([(0.0, 0.0)]), chain_process([(3e200, 4e200)]), 1.0)[0]
+    assert far == pytest.approx(5e200, rel=1e-15)
+    with pytest.raises(OverflowError, match="^nodewise costs overflow"):
+        aw_distance(chain_process([(0.0, 0.0)]), chain_process([(3e200, 4e200)]), 2.0)

@@ -31,6 +31,8 @@ from conftest import (
     information_process_by_nodes,
     law_by_nodes,
     random_process,
+    relisted,
+    small_trees,
     snapped_by_nodes,
 )
 
@@ -242,19 +244,6 @@ def test_canonicalize_tolerant_chain_snaps_to_the_grid():
     assert [(k.value, k.prob) for k in kids] == [((0.0,), 0.25), ((1e-6,), 0.75)]
 
 
-def relisted(proc, order, rng):
-    """The same tree with its node list depth-first (as built), breadth-first,
-    or shuffled with fresh ids."""
-    nodes = list(proc.nodes)
-    if order == "breadth-first":
-        nodes.sort(key=lambda n: n.time)
-    elif order == "shuffled":
-        fresh = dict(zip((n.id for n in nodes), (7 * rng.permutation(len(nodes)) - 3).tolist()))
-        nodes = [TreeNode(fresh[n.id], fresh.get(n.parent), n.time, n.value, n.prob)
-                 for n in map(nodes.__getitem__, rng.permutation(len(nodes)).tolist())]
-    return TreeProcess(proc.depth, proc.value_dims, nodes)
-
-
 def with_leaf_moved(proc, delta):
     """``proc`` with the value of its last listed leaf moved by ``delta``."""
     nodes = list(proc.nodes)
@@ -448,6 +437,23 @@ def test_equivalent_tolerance_on_values_whose_costs_overflow():
     assert canonicalize(a, tol=1.0) == a
 
 
+def test_aw_1_is_not_the_smallest_order_and_the_verdict_reads_aw_1():
+    # two chains one apart at both steps: AW_p = 2**(1/p) falls with p, so
+    # AW_1 = 2 is the largest, and AW_1 <= T**(1 - 1/p) * AW_p holds with
+    # equality; equivalent(x, y, tol) stays AW_1 <= tol
+    x, y = chain_process([0.0, 0.0]), chain_process([1.0, 1.0])
+    values = {p: aw_distance(x, y, p)[0] for p in (1.0, 1.5, 2.0, 4.0)}
+    assert values[1.0] == 2.0
+    assert values[1.5] == pytest.approx(1.5874010519681994, rel=1e-15)
+    assert values[2.0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert values[4.0] == pytest.approx(1.189207115002721, rel=1e-15)
+    for p, value in values.items():
+        assert values[1.0] == pytest.approx(2.0 ** (1.0 - 1.0 / p) * value, rel=1e-15)
+    assert values[2.0] <= 1.5
+    assert not equivalent(x, y, 1.5)
+    assert equivalent(x, y, 2.0)
+
+
 @pytest.mark.parametrize("tol", [5e-324, 1e-310, 1e308])
 def test_canonicalize_keeps_values_whose_grid_point_floats_cannot_hold(tol):
     # a subnormal mesh overflows value / tol, and a huge one overflows
@@ -467,26 +473,6 @@ def test_canonicalize_writes_a_value_snapped_to_zero_as_positive_zero():
 
 # relative slack on the bound for the rounding of the AW computation itself
 AW_ROUNDING = 1e-9
-
-
-@st.composite
-def small_trees(draw):
-    """Trees of depth 1..3, value dims 1..2, up to three children per node with
-    masses from few weights, and values in [-10, 10]."""
-    depth = draw(st.integers(1, 3))
-    dims = draw(st.lists(st.integers(1, 2), min_size=depth, max_size=depth))
-    number = st.floats(-10.0, 10.0)
-    level = [(1, [])]   # the nodes whose children are drawn next: (their level, their branches)
-    root = level[0][1]
-    while level:
-        t, out = level.pop()
-        weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-        for w in weights:
-            value = draw(st.lists(number, min_size=dims[t - 1], max_size=dims[t - 1]))
-            out.append((w / sum(weights), tuple(value), kids := []))
-            if t < depth:
-                level.append((t + 1, kids))
-    return build_process(dims, root)
 
 
 @FUZZ

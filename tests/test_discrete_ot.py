@@ -70,7 +70,7 @@ def closed_form_2x2(mu, nu, cost):
     lo = max(0.0, mu[0] + nu[0] - 1.0)
     hi = min(mu[0], nu[0])
     gap = cost[0, 0] - cost[0, 1] - cost[1, 0] + cost[1, 1]
-    theta = lo if gap > 1e-14 else hi
+    theta = lo if gap > 1e-14 * np.abs(cost).max() else hi
     plan = np.array([[theta, mu[0] - theta], [nu[0] - theta, mu[1] - nu[0] + theta]])
     return np.maximum(plan, 0.0)
 
@@ -405,9 +405,19 @@ def test_batched_2x2_matches_scalar_closed_form():
     nu[:10] = mu[:10]                                  # equal marginals
     cost = rng.uniform(0.0, 3.0, size=(40, 2, 2))
     cost[10:20, 1, 1] = cost[10:20, 0, 1] + cost[10:20, 1, 0] - cost[10:20, 0, 0]  # zero gap
-    batched = _transport_2x2(mu, nu, cost)
-    for k in range(40):
-        assert batched[k].tobytes() == closed_form_2x2(mu[k], nu[k], cost[k]).tobytes()
+    for scale in (1.0, 1e-20, 1e20):    # the tie threshold scales with the costs
+        batched = _transport_2x2(mu, nu, scale * cost)
+        for k in range(40):
+            assert batched[k].tobytes() == closed_form_2x2(mu[k], nu[k], scale * cost[k]).tobytes()
+
+
+def test_a_2x2_gap_counts_at_the_scale_of_its_costs():
+    # a gap at or below an absolute 1e-14 was a tie, so every 2x2 problem
+    # with costs far below one took the upper endpoint: here the diagonal,
+    # of cost 1e-20, where the anti-diagonal costs 0
+    for scale in (1e-20, 1.0, 1e20):
+        value, plan = solve_transport([0.5, 0.5], [0.5, 0.5], [[scale, 0.0], [0.0, scale]])
+        assert value == 0.0 and plan.tolist() == [[0.0, 0.5], [0.5, 0.0]]
 
 
 def test_discrete_law_rejects_degenerate_masses():
@@ -442,6 +452,32 @@ def test_solve_transport_rejects_a_negative_mass():
         solve_transport([0.5, 0.5], [1.25, -0.25], [[0.0, 1.0], [1.0, 0.0]])
     value, plan = solve_transport([0.5, 0.5], [1.0, -0.0], [[0.0, 1.0], [1.0, 0.0]])
     assert value == 0.5 and plan.tolist() == [[0.5, 0.0], [0.5, 0.0]]
+
+
+def test_solve_transport_rejects_an_empty_side():
+    # a 0 x 0 problem failed inside numpy, in the 2x2 closed form; a side
+    # with atoms against one with none does not balance
+    with pytest.raises(ValueError, match=r"^a transport problem needs an atom on each side$"):
+        solve_transport([], [], np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"^a transport problem needs an atom on each side$"):
+        solve_transport([], [0.0], np.zeros((0, 1)))
+    with pytest.raises(InfeasibleError, match=r"^marginal masses 1.0 and 0.0 do not balance$"):
+        solve_transport([1.0], [], np.zeros((1, 0)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_cost_is_invalid_input(bad):
+    # solve_transport and w_distance take raw costs, so an infinite one is a
+    # ValueError, not the overflow that aw_distance reports for its costs
+    cost = [[0.0, 1.0], [bad, 0.0]]
+    with pytest.raises(ValueError, match=r"^cost entries must be finite$") as caught:
+        solve_transport([0.5, 0.5], [0.5, 0.5], cost)
+    assert type(caught.value) is ValueError
+    law = DiscreteLaw.from_arrays([[0.0], [1.0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^cost entries must be finite$"):
+        w_distance(law, law, cost)
+    with pytest.raises(ValueError, match=r"^cost entries must be finite$"):
+        solve_transport([1.0], [1.0], [[bad]])
 
 
 def small_float_literals(source: str) -> list[tuple[int, float]]:

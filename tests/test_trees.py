@@ -2,6 +2,7 @@ import ast
 import functools
 import math
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -123,16 +124,22 @@ def test_validate_builds_no_node_views():
     assert not NODE_VIEWS & vars(proc).keys()
 
 
-@pytest.mark.parametrize("dims, message", [([1], "node 0 at level 0 is a leaf, expected depth 1"),
-                                           ([], "depth 0 < 1")])
-def test_a_childless_root_fails_with_the_first_validate_message(dims, message):
+@pytest.mark.parametrize("dims, branches, message", [
+    ([1], [], "node 0 at level 0 is a leaf, expected depth 1"),
+    ([], [], "depth 0 < 1"),
+    ([1, 1], [(0.5, 0.0, [(1.0, 0.0, [])]), (0.5, 1.0, [])], "node 3 at level 1 is a leaf, expected depth 2"),
+], ids=["dims0-node 0 at level 0 is a leaf, expected depth 1", "dims1-depth 0 < 1", "leaf above level T"])
+def test_a_childless_root_fails_with_the_first_validate_message(dims, branches, message):
     # the layout of a tree with an empty level used to fail inside numpy
-    # ("cannot reshape array of size 0"), and a depth-0 tree further on
-    assert validate(build_process(dims, []))[0] == message
-    runs = (adawass.canonicalize, adawass.information_process, lambda proc: adawass.aw_distance(proc, proc, 2.0))
+    # ("cannot reshape array of size 0"), and a depth-0 tree further on; a
+    # leaf above level T got a layout, so aw_distance failed to balance its
+    # masses and canonicalize returned a form of the invalid tree
+    assert validate(build_process(dims, branches))[0] == message
+    runs = (adawass.canonicalize, adawass.information_process, lambda proc: adawass.aw_distance(proc, proc, 2.0),
+            lambda proc: adawass.equivalent(proc, proc))
     for run in runs:
         with pytest.raises(ValueError, match=f"^{message}$"):
-            run(build_process(dims, []))
+            run(build_process(dims, branches))
 
 
 # nine probabilities whose left-to-right sum, 1.0319999999999998, is neither
@@ -189,6 +196,15 @@ def test_path_distance_examples():
     assert path_distance([(1.0,), (2.0,)], [(3.0,), (5.0,)], 2.0) == pytest.approx(math.sqrt(13))
     assert path_distance([(1.0,), (2.0,)], [(1.0,), (2.0,)], 2.0) == 0.0
     assert path_distance([(0.0,), (0.0,)], [(1.0,), (1.0,)], 1.0) == pytest.approx(2.0)
+
+
+def test_path_distance_of_tiny_and_huge_differences_is_their_norm():
+    # the squares of the differences underflowed to 0, so these read 0; the
+    # norms are the step costs' of aw_distance, bit for bit
+    assert path_distance([(0.0,)], [(6e-280,)], 1.0) == 6e-280
+    assert path_distance([(0.0, 0.0)], [(3e-200, 4e-200)], 1.0) == 5e-200
+    assert path_distance([(0.0, 0.0)], [(3e200, 4e200)], 1.0) == pytest.approx(5e200, rel=1e-15)
+    assert path_distance([(0.5, 0.25)], [(0.125, 2.0)], 1.0) == math.sqrt(0.375 ** 2 + 1.75 ** 2)
 
 
 def order_comparisons(source: str) -> set[str]:
@@ -316,6 +332,22 @@ def test_no_library_function_calls_itself():
                       "class A:\n    def h(self):\n        return self.h()\n"
                       "    def k(self):\n        return other.k()\n") == {"f", "h"}
 
+
+
+SOLVER_INTERNALS = re.compile(r"\b(_solve_batch|_simplex_shape|_transport_simplex|_transport_2x2|_LEVEL_BATCH)\b")
+
+
+def test_transport_solver_internals_stay_in_discrete_ot():
+    # discrete_ot alone checks, dispatches and batches transport problems;
+    # other modules reach them through _solve_level or solve_transport
+    src = Path(adawass.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))}
+    assert {"discrete_ot", "bicausal"} <= set(sources)
+    assert {name: sorted(set(SOLVER_INTERNALS.findall(text))) for name, text in sources.items()
+            if name != "discrete_ot" and SOLVER_INTERNALS.search(text)} == {}
+    assert len(set(SOLVER_INTERNALS.findall(sources["discrete_ot"]))) == 5
+    assert SOLVER_INTERNALS.findall("from .discrete_ot import _solve_batch, my_simplex_shape\nx._LEVEL_BATCH") == [
+        "_solve_batch", "_LEVEL_BATCH"]
 
 
 def builtin_sum_calls(source: str, function: str | None = None) -> int:
