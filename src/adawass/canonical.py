@@ -11,22 +11,37 @@ arrays, merging siblings with equal states as it goes: the states of a
 level are ranked by sorting, in the tree-isomorphism manner of Aho,
 Hopcroft and Ullman, and siblings are grouped by rank.  A tolerance never
 changes that rule: ``canonicalize`` snaps the values to a grid first, and
-``equivalent`` bounds the adapted distance of the exact forms.  Nothing
-recurses, so trees of any depth have canonical forms.  A non-finite value
-or edge probability has no place in the order, and raises ValueError.
+``equivalent`` bounds the adapted distance of the exact forms.  Its verdict
+comes from the first of three tests that decides: equal exact forms; then,
+with a tolerance, a lower bound on AW_1 from the level marginals, one sort
+and no solve; then the backward induction.  Nothing recurses, so trees of
+any depth have canonical forms.  A non-finite value or edge probability has
+no place in the order, and raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bicausal   # bicausal.aw_distance looked up per call, where perfbench/tracer.py wraps it
-from .trees import (TreeProcess, _check_finite, _check_shapes, _check_tolerance, _segment_sums, build_process,
-                    process_with_values)
+from .trees import (PROB_TOL, TreeProcess, _check_finite, _check_shapes, _check_tolerance, _child_sums_off,
+                    _norms, _running_sums, _segment_sums, build_process, process_with_values)
 
 __all__ = ["InfoState", "information_process", "canonicalize", "equivalent"]
+
+# The marginal bound says "not equivalent" only when it exceeds ``tol`` by
+# more than this times the sum over levels of the level's value diameter
+# (the diagonal of the box holding both trees' values).  Each of the bound's
+# masses, its CDF sums and the induction's value errs by at most about
+# (N + T) * 2**-53 of that sum for N nodes and depth T; the slack covers the
+# three with room to spare up to N + T = 2**20, about a million nodes.  A
+# tree whose children sum to one only within PROB_TOL adds 4 * T * PROB_TOL
+# to it: its masses drift by up to t * PROB_TOL at level t, which moves the
+# bound and the induction's value by up to 2 * T * PROB_TOL of the sum each.
+_BOUND_SLACK = 2.0 ** -30
 
 
 class InfoState(NamedTuple):
@@ -199,6 +214,51 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     return build_process(proc.value_dims, branches)
 
 
+def _marginal_bound(a: TreeProcess, b: TreeProcess) -> tuple[float, float]:
+    """L = sum_t |(W_1(law a_t^k, law b_t^k))_k|_2 over levels t and value
+    components k, a lower bound on AW_1(a, b), and its slack (``_BOUND_SLACK``
+    and 4 * T * PROB_TOL, times the summed level diameters).
+
+    A bicausal coupling couples the level marginals, E|x_t - y_t|_2 is at
+    least the 2-norm of the components' E|x_t^k - y_t^k|, and each of those
+    is at least W_1, which on the line is the L1 distance of the two CDFs
+    (Vallender 1973).  One ``np.lexsort`` of every (level, component, value)
+    of both trees, masses signed (a's reaches minus b's), the CDF differences
+    summed within each (level, component) group (``_running_sums``), each
+    gap times its |CDF| summed per group by ``np.bincount``, and the level
+    norms by ``_norms``.  An infinite gap makes L infinite, and one across
+    which the CDFs agree makes it NaN; neither warns."""
+    width, n = max(a.value_dims), len(a.value_dims)
+    values, group, mass = [], [], []
+    for proc, sign in ((a, 1.0), (b, -1.0)):
+        levels = proc.layout[1:]
+        count = [len(level.ids) for level in levels]
+        dims = np.repeat(a.value_dims, count)                    # per node
+        first = np.repeat(np.cumsum(dims) - dims, dims)          # per value: its node's first value
+        values += [level.values.ravel() for level in levels]
+        group.append(np.repeat(np.repeat(np.arange(n) * width, count), dims) + np.arange(first.size) - first)
+        mass.append(sign * np.repeat(np.concatenate([level.reach for level in levels]), dims))
+    values, group, mass = np.concatenate(values), np.concatenate(group), np.concatenate(mass)
+    order = np.lexsort((values, group))
+    values, group = values[order], group[order]
+    cdf = _running_sums(mass[order], np.bincount(group))
+    inside = group[1:] == group[:-1]     # the gap to the next value is inside a group
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.bincount(group[:-1], np.where(inside, np.diff(values) * np.abs(cdf[:-1]), 0.0), n * width)
+        bound = math.fsum(_norms(w.reshape(n, width)).tolist())
+    # the groups' ranges, scaled first so that they cannot overflow
+    scaled = values * (_BOUND_SLACK + 4 * n * PROB_TOL)
+    spread = np.bincount(group[:-1], np.where(inside, np.diff(scaled), 0.0), n * width)
+    return bound, math.fsum(_norms(spread.reshape(n, width)).tolist())
+
+
+def _normalized(proc: TreeProcess) -> bool:
+    """Whether every edge probability is >= 0 and no node's children miss
+    one by more than ``validate`` allows (``_child_sums_off``)."""
+    probs = np.asarray(proc.columns.probs, dtype=float)[proc._children[0]]
+    return bool((probs >= 0.0).all()) and not _child_sums_off(proc).any()
+
+
 def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     """True iff the processes have adapted distance zero for every order, or,
     for a positive ``tol``, AW_1 at most ``tol``.  AW = 0 exactly when the
@@ -207,11 +267,25 @@ def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     any ``tol``.  AW_1 is not the smallest AW_p for depth T >= 2; what holds
     is AW_1 <= T**(1 - 1/p) * AW_p (Hoelder over the steps, then Jensen),
     with equality for two chains a constant distance apart.
+
+    The verdict is decided in this order: equal canonical forms are
+    equivalent, and with ``tol`` zero unequal ones are not.  Then the level
+    marginals' bound L <= AW_1 (``_marginal_bound``) says "not equivalent"
+    when L exceeds ``tol`` by more than its slack, on trees whose edge
+    probabilities are >= 0 and sum to one as ``validate`` has it; the solve
+    could only agree.  Otherwise, and when L is NaN, the backward induction
+    on the canonical forms decides.
     """
     _check_shapes(a, b)
     _check_tolerance(tol)
     ca, cb = canonicalize(a), canonicalize(b)
+    same = ca == cb
+    if same or tol == 0.0:
+        return same
+    bound, slack = _marginal_bound(a, b)
+    if bound - slack > tol and _normalized(a) and _normalized(b):
+        return False
     try:
-        return ca == cb or tol > 0.0 and bicausal.aw_distance(ca, cb, 1.0)[0] <= tol
+        return bicausal.aw_distance(ca, cb, 1.0)[0] <= tol
     except OverflowError:
         return False

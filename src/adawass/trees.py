@@ -129,17 +129,35 @@ def _slices(items: list, size: np.ndarray):
     return map(items.__getitem__, map(slice, [0] + end[:-1], end))
 
 
+def _row_cumsums(x: np.ndarray, size: np.ndarray):
+    """For each distinct length of the consecutive segments of ``size[k]``
+    entries of ``x``: the segments' numbers k, their entries' positions as
+    rows, and those rows' ``np.cumsum``, each segment summed left to right
+    from its first entry.  (``np.add.reduce`` and ``reduceat`` sum pairwise
+    from 9 terms on.)"""
+    start = np.cumsum(size) - size
+    for length in set(size.tolist()) - {0}:
+        k = np.flatnonzero(size == length)
+        at = start[k, None] + np.arange(length)
+        yield k, at, np.cumsum(x[at], axis=1)
+
+
+def _running_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Every partial sum of each segment (``_row_cumsums``), in place of its entries."""
+    out = np.empty(x.size)
+    for _, at, sums in _row_cumsums(x, size):
+        out[at] = sums
+    return out
+
+
 def _segment_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The float sum of each of the consecutive segments of ``size[k]``
     entries of ``x``, left to right from +0.0 as
     ``functools.reduce(operator.add, segment, 0.0)`` sums it, 0.0 for an
-    empty segment: one ``np.cumsum`` along the rows of a matrix per distinct
-    length.  (``np.add.reduce`` and ``reduceat`` sum pairwise from 9 terms on.)"""
+    empty segment: the last of its ``_row_cumsums``."""
     out = np.zeros(size.size)
-    start = np.cumsum(size) - size
-    for length in set(size.tolist()) - {0}:
-        k = np.flatnonzero(size == length)
-        out[k] = np.cumsum(x[start[k, None] + np.arange(length)], axis=1)[:, -1]
+    for k, _, sums in _row_cumsums(x, size):
+        out[k] = sums[:, -1]
     return out + 0.0    # the sum from the first term is -0.0 only where all terms are, and +0.0 then
 
 
@@ -407,6 +425,16 @@ def _check_finite(proc: TreeProcess) -> None:
             raise ValueError(faults[0])
 
 
+def _child_sums_off(proc: TreeProcess) -> np.ndarray:
+    """Per node in node-list order, whether it has children whose edge
+    probabilities, summed in sibling order (``_segment_sums``), miss one by
+    more than PROB_TOL; a NaN sum does not miss."""
+    kids, bounds = proc._children
+    count = np.diff(bounds)
+    sums = _segment_sums(np.asarray(proc.columns.probs, dtype=float)[kids], count)
+    return (count > 0) & (np.abs(sums - 1.0) > PROB_TOL)
+
+
 def validate(proc: TreeProcess) -> list[str]:
     """Check every structural invariant; returns [] iff the tree is valid.
 
@@ -468,11 +496,10 @@ def validate(proc: TreeProcess) -> list[str]:
     ])
 
     count = np.diff(bounds)
-    sums = _segment_sums(prob[kids], count)
     interior = time < depth
     violations += _report([
         (interior & (count == 0), lambda k: f"node {ids[k]} at level {times[k]} is a leaf, expected depth {depth}"),
-        (interior & (count > 0) & (np.abs(sums - 1.0) > PROB_TOL),
+        (interior & _child_sums_off(proc),
          # worded from the numbers as given, so that int probabilities sum to an int
          lambda k: f"children of node {ids[k]} have probability sum "
                    f"{reduce(operator.add, probs[kids[bounds[k]:bounds[k + 1]]].tolist(), 0)!r}"),

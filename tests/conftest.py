@@ -123,6 +123,27 @@ def w_of_path_laws(x, y, p):
     return value ** (1.0 / p)
 
 
+def marginal_bound_by_levels(x, y):
+    """sum_t |(W_1(law x_t^k, law y_t^k))_k|_2, level by level and component
+    by component: the values of both trees sorted stably (x's before y's at
+    a tie, each in layout order), the CDF difference summed left to right,
+    and each gap times its |CDF| summed left to right from 0.0."""
+    levels = []
+    for lx, ly in zip(x.layout[1:], y.layout[1:]):
+        w = []
+        for k in range(lx.values.shape[1]):
+            values = np.concatenate([lx.values[:, k], ly.values[:, k]]).tolist()
+            masses = np.concatenate([lx.reach, -ly.reach]).tolist()
+            order = sorted(range(len(values)), key=values.__getitem__)
+            cdf = total = 0.0
+            for i, j in zip(order, order[1:]):
+                cdf += masses[i]
+                total += (values[j] - values[i]) * abs(cdf)
+            w.append(total)
+        levels.append(math.hypot(*w))
+    return math.fsum(levels)
+
+
 def ancestor_at(proc, node_id, t):
     """The ancestor of ``node_id`` at level ``t``, by a walk up the parents."""
     nid = node_id

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adawass import (
+    InfeasibleError,
     ShapeMismatchError,
     TreeNode,
     TreeProcess,
@@ -19,9 +20,10 @@ from adawass import (
     chain_process,
     equivalent,
     information_process,
+    bicausal,
     validate,
 )
-from adawass.canonical import InfoState
+from adawass.canonical import InfoState, _marginal_bound
 
 from conftest import (
     FUZZ,
@@ -30,6 +32,7 @@ from conftest import (
     equivalent_by_nodes,
     information_process_by_nodes,
     law_by_nodes,
+    marginal_bound_by_levels,
     random_process,
     relisted,
     small_trees,
@@ -428,13 +431,107 @@ def test_tolerant_canonical_form_of_a_fan_does_not_depend_on_its_listing():
     assert aw_distance(forward, merged, 1.0)[0] == pytest.approx(0.0025)
 
 
-def test_equivalent_tolerance_on_values_whose_costs_overflow():
-    # AW_1 is 2e308, past the largest float, so above any finite tol
+@pytest.fixture
+def solves(monkeypatch):
+    """The pairs that ``equivalent`` hands to ``bicausal.aw_distance``, which
+    still runs."""
+    calls, solve = [], bicausal.aw_distance
+
+    def spy(x, y, p):
+        calls.append((x, y))
+        return solve(x, y, p)
+
+    monkeypatch.setattr(bicausal, "aw_distance", spy)
+    return calls
+
+
+def test_equivalent_tolerance_on_values_whose_costs_overflow(solves):
+    # AW_1 is 2e308, past the largest float, so above any finite tol; the
+    # marginal bound reads infinity (its slack does not) and decides alone
     a, b = chain_process([1e308]), chain_process([-1e308])
     with pytest.raises(OverflowError):
         aw_distance(a, b, 1.0)
     assert not equivalent(a, b, tol=1.0)
     assert canonicalize(a, tol=1.0) == a
+    bound, slack = _marginal_bound(a, b)
+    assert bound == math.inf and math.isfinite(slack)
+    assert solves == []
+
+
+@pytest.mark.parametrize("dims, x, y, error", [
+    ([1], [(0.6, 0.0, [])], [(1.0, 5.0, [])], InfeasibleError),
+    ([1], [(1.5, 0.0, []), (-0.5, 3.0, [])], [(1.0, 5.0, [])], ValueError),
+    # the level totals balance, so no check of level masses sees it
+    ([1, 1], [(0.5, 0.0, [(0.6, 1.0, [])]), (0.5, 1.0, [(1.4, 2.0, [])])],
+     [(0.5, 0.0, [(1.0, 5.0, [])]), (0.5, 1.0, [(1.0, 6.0, [])])], InfeasibleError),
+], ids=["short mass", "negative mass", "children off one"])
+def test_equivalent_keeps_the_solves_errors_on_trees_that_are_not_probability_trees(dims, x, y, error):
+    # the marginal bound alone would say "not equivalent"; it decides only on
+    # trees whose edge probabilities are >= 0 and sum to one as validate has it
+    a, b = build_process(dims, x), build_process(dims, y)
+    assert marginal_bound_by_levels(a, b) > 0.2
+    message = {InfeasibleError: "marginal masses 0.6 and 1.0 do not balance", ValueError: "mass -0.5 is not >= 0"}
+    with pytest.raises(error, match=f"^{message[error]}$"):
+        equivalent(a, b, tol=0.1)
+
+
+def test_equivalent_solves_when_the_marginals_agree_but_the_information_differs(solves):
+    # x reveals the time-2 sign at time 1, y does not: equal marginals, L = 0, AW_1 = 1
+    x = build_process([1, 1], [(0.5, 0.0, [(1.0, 1.0, [])]), (0.5, 0.0, [(1.0, -1.0, [])])])
+    y = build_process([1, 1], [(1.0, 0.0, [(0.5, 1.0, []), (0.5, -1.0, [])])])
+    assert _marginal_bound(x, y)[0] == 0.0
+    assert aw_distance(x, y, 1.0)[0] == 1.0
+    assert not equivalent(x, y, tol=0.5)
+    assert equivalent(x, y, tol=1.5)
+    assert len(solves) == 2
+
+
+def test_equivalent_decides_a_shifted_leaf_by_the_marginal_bound(solves):
+    rng = np.random.default_rng(5)
+    x = random_process(rng, depth=3, dims=(1, 2, 1))
+    last = x.leaves[-1]
+    y = TreeProcess(x.depth, x.value_dims, [n._replace(value=(n.value[0] + 0.5,)) if n.id == last else n
+                                             for n in x.nodes])
+    tol = aw_distance(x, y, 1.0)[0] / 2.0
+    assert not equivalent(x, y, tol) and not equivalent(y, x, tol)
+    assert solves == []
+    assert equivalent(x, y, 2.0 * tol)
+    assert len(solves) == 1
+
+
+def test_equivalent_of_deep_chains_that_differ_needs_no_solve(solves):
+    # the bound reads AW_1 = 0.5 * 1.0 from the last level's marginals
+    a, b = two_chain_tree(5000, 5000.0), two_chain_tree(5000, 5001.0)
+    assert _marginal_bound(a, b)[0] == 0.5
+    assert not equivalent(a, b, 1e-9)
+    assert solves == []
+
+
+def test_equivalent_keeps_the_verdict_on_trees_that_sum_to_one_only_within_prob_tol():
+    # each step has probability 1 + 0.9e-12 in x and 1 - 0.9e-12 in y, inside
+    # validate's PROB_TOL, so the chains' masses drift apart level by level
+    # and the bound reads 4e-6 where both trees take the values 0 and 1 alike
+    def drifting(steps, q):
+        first = second = []
+        for t in range(steps, 0, -1):
+            first, second = [(0.5 if t == 1 else q, 0.0, first)], [(0.5 if t == 1 else q, 1.0, second)]
+        return build_process([1] * steps, first + second)
+
+    x, y = drifting(3000, 1.0 + 0.9e-12), drifting(3000, 1.0 - 0.9e-12)
+    assert validate(x) == validate(y) == []
+    assert _marginal_bound(x, y)[0] > 4e-6
+    assert aw_distance(canonicalize(x), canonicalize(y), 1.0)[0] == 0.0
+    assert equivalent(x, y, tol=1e-6)
+
+
+def test_equivalent_defers_a_marginal_bound_that_reads_nan(solves):
+    # level 1 agrees across a gap of 2e308, which overflows: 0 * inf is NaN
+    # there, so the solve decides, and its costs overflow; level 2 differs
+    x = build_process([1, 1], [(0.5, -1e308, [(1.0, 0.0, [])]), (0.5, 1e308, [(1.0, 0.0, [])])])
+    y = build_process([1, 1], [(0.5, -1e308, [(1.0, 1.0, [])]), (0.5, 1e308, [(1.0, 1.0, [])])])
+    assert math.isnan(_marginal_bound(x, y)[0])
+    assert not equivalent(x, y, tol=0.5)
+    assert len(solves) == 1
 
 
 def test_aw_1_is_not_the_smallest_order_and_the_verdict_reads_aw_1():

@@ -15,8 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adawass import TreeNode, TreeProcess, aw_distance, canonicalize, path_distance, path_law
+from adawass.canonical import _marginal_bound
 
-from conftest import FUZZ, relisted, small_trees, w_of_path_laws
+from conftest import FUZZ, marginal_bound_by_levels, relisted, small_trees, w_of_path_laws
 
 ORDERS = st.sampled_from([1.0, 1.5, 2.0, 3.0])
 # Relative slack between two computations of one distance: each sums a few
@@ -38,6 +39,10 @@ def same_shape_trees(draw, count):
     depth = draw(st.integers(1, 3))
     dims = draw(st.lists(st.integers(1, 2), min_size=depth, max_size=depth))
     return [draw(small_trees(dims)) for _ in range(count)]
+
+
+# value dims of one, two and mixed components per step
+DIMS = st.sampled_from([(1,), (1, 1), (1, 1, 1), (2,), (2, 2), (2, 2, 2), (1, 2), (2, 1), (2, 1, 2)])
 
 
 def with_redundant_copy(proc, position, share):
@@ -122,3 +127,29 @@ def test_the_classical_distance_of_the_path_laws_is_at_most_aw(trees, p):
     assert classical <= adapted * (1.0 + SAME_VALUE)
     if x.depth == 1:     # one step reveals everything: every coupling is bicausal
         assert abs(classical - adapted) <= SAME_VALUE * adapted
+
+
+@FUZZ
+@given(dims=DIMS, data=st.data())
+def test_the_marginal_bound_is_at_most_aw_1_and_matches_its_level_by_level_reference(dims, data):
+    # a bicausal coupling couples each level's marginals, so AW_1 is at least
+    # the sum over levels of the 2-norm of the components' W_1
+    x, y = data.draw(small_trees(dims)), data.draw(small_trees(dims))
+    bound, slack = _marginal_bound(x, y)
+    reference = marginal_bound_by_levels(x, y)
+    assert abs(bound - reference) <= 1e-15 * reference
+    assert bound <= aw_distance(x, y, 1.0)[0] + slack
+    assert bound <= aw_distance(canonicalize(x), canonicalize(y), 1.0)[0] + slack
+
+
+@FUZZ
+@given(dims=DIMS, data=st.data(), position=st.integers(0, 100), share=st.sampled_from([0.5, 0.25]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_marginal_bound_of_an_equivalent_copy_is_within_its_slack(dims, data, position, share, seed):
+    proc = data.draw(small_trees(dims))
+    rng = np.random.default_rng(seed)
+    for other in (with_redundant_copy(proc, position, share), relisted(proc, "shuffled", rng),
+                  relisted(proc, "relabelled", rng)):
+        bound, slack = _marginal_bound(proc, other)
+        assert bound <= slack
+        assert abs(bound - marginal_bound_by_levels(proc, other)) <= 1e-15 * bound
