@@ -226,8 +226,9 @@ def _marginal_bound(a: TreeProcess, b: TreeProcess) -> tuple[float, float]:
     of both trees, masses signed (a's reaches minus b's), the CDF differences
     summed within each (level, component) group (``_running_sums``), each
     gap times its |CDF| summed per group by ``np.bincount``, and the level
-    norms by ``_norms``.  An infinite gap makes L infinite, and one across
-    which the CDFs agree makes it NaN; neither warns."""
+    norms by ``_norms``.  An infinite gap, or level norms whose sum
+    overflows, make L infinite, and a gap across which the CDFs agree makes
+    it NaN; neither warns."""
     width, n = max(a.value_dims), len(a.value_dims)
     values, group, mass = [], [], []
     for proc, sign in ((a, 1.0), (b, -1.0)):
@@ -245,11 +246,20 @@ def _marginal_bound(a: TreeProcess, b: TreeProcess) -> tuple[float, float]:
     inside = group[1:] == group[:-1]     # the gap to the next value is inside a group
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.bincount(group[:-1], np.where(inside, np.diff(values) * np.abs(cdf[:-1]), 0.0), n * width)
-        bound = math.fsum(_norms(w.reshape(n, width)).tolist())
+        bound = _total(_norms(w.reshape(n, width)))
     # the groups' ranges, scaled first so that they cannot overflow
     scaled = values * (_BOUND_SLACK + 4 * n * PROB_TOL)
     spread = np.bincount(group[:-1], np.where(inside, np.diff(scaled), 0.0), n * width)
-    return bound, math.fsum(_norms(spread.reshape(n, width)).tolist())
+    return bound, _total(_norms(spread.reshape(n, width)))
+
+
+def _total(norms: np.ndarray) -> float:
+    """``math.fsum`` of the level norms, inf where finite norms sum past the
+    largest float (fsum raises OverflowError there)."""
+    try:
+        return math.fsum(norms.tolist())
+    except OverflowError:
+        return math.inf
 
 
 def _normalized(proc: TreeProcess) -> bool:

@@ -129,36 +129,30 @@ def _slices(items: list, size: np.ndarray):
     return map(items.__getitem__, map(slice, [0] + end[:-1], end))
 
 
-def _row_cumsums(x: np.ndarray, size: np.ndarray):
-    """For each distinct length of the consecutive segments of ``size[k]``
-    entries of ``x``: the segments' numbers k, their entries' positions as
-    rows, and those rows' ``np.cumsum``, each segment summed left to right
-    from its first entry.  (``np.add.reduce`` and ``reduceat`` sum pairwise
-    from 9 terms on.)"""
-    start = np.cumsum(size) - size
-    for length in set(size.tolist()) - {0}:
-        k = np.flatnonzero(size == length)
-        at = start[k, None] + np.arange(length)
-        yield k, at, np.cumsum(x[at], axis=1)
-
-
-def _running_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Every partial sum of each segment (``_row_cumsums``), in place of its entries."""
-    out = np.empty(x.size)
-    for _, at, sums in _row_cumsums(x, size):
-        out[at] = sums
-    return out
-
-
 def _segment_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The float sum of each of the consecutive segments of ``size[k]``
     entries of ``x``, left to right from +0.0 as
     ``functools.reduce(operator.add, segment, 0.0)`` sums it, 0.0 for an
-    empty segment: the last of its ``_row_cumsums``."""
+    empty segment: one ``np.cumsum`` along the rows of a matrix per distinct
+    length.  (``np.add.reduce`` and ``reduceat`` sum pairwise from 9 terms on.)"""
     out = np.zeros(size.size)
-    for k, _, sums in _row_cumsums(x, size):
-        out[k] = sums[:, -1]
+    start = np.cumsum(size) - size
+    for length in set(size.tolist()) - {0}:
+        k = np.flatnonzero(size == length)
+        out[k] = np.cumsum(x[start[k, None] + np.arange(length)], axis=1)[:, -1]
     return out + 0.0    # the sum from the first term is -0.0 only where all terms are, and +0.0 then
+
+
+def _running_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Every partial sum of each of the consecutive segments of ``size[k]``
+    entries of ``x``, in place of its entries, each segment summed left to
+    right from its first entry as ``_segment_sums`` sums it."""
+    out = np.empty(x.size)
+    start = np.cumsum(size) - size
+    for length in set(size.tolist()) - {0}:
+        at = start[size == length, None] + np.arange(length)
+        out[at] = np.cumsum(x[at], axis=1)
+    return out
 
 
 def _columns(rows: Sequence[tuple]) -> TreeColumns:

@@ -456,6 +456,12 @@ def test_equivalent_tolerance_on_values_whose_costs_overflow(solves):
     bound, slack = _marginal_bound(a, b)
     assert bound == math.inf and math.isfinite(slack)
     assert solves == []
+    # each level's W_1 is 1e308, finite, and their sum is past the largest float
+    a, b = chain_process([1e308, 1e308]), chain_process([0.0, 0.0])
+    bound, slack = _marginal_bound(a, b)
+    assert bound == math.inf and math.isfinite(slack)
+    assert not equivalent(a, b, tol=1.0)
+    assert solves == []
 
 
 @pytest.mark.parametrize("dims, x, y, error", [

@@ -674,6 +674,9 @@ def test_canonical_and_equiv_with_a_tolerance(write_tree, capsys, tmp_path):
         assert run(capsys, ["equiv", fan, str(out_file), "--tol-equiv", tol]) == (0, verdict + "\n", "")
     huge, low = write_tree("huge.json", chain_process([1e308])), write_tree("low.json", chain_process([-1e308]))
     assert run(capsys, ["equiv", huge, low, "--tol-equiv", "1"]) == (0, "not equivalent\n", "")
+    # finite level distances of 1e308 whose sum overflows
+    huge, zero = write_tree("huge2.json", chain_process([1e308, 1e308])), write_tree("zero2.json", chain_process([0, 0]))
+    assert run(capsys, ["equiv", huge, zero, "--tol-equiv", "1"]) == (0, "not equivalent\n", "")
 
 
 def test_curve_energy_and_represent(write_tree, capsys, tmp_path):
