@@ -5,10 +5,10 @@ backward induction over pairs of tree nodes, solving one small transport
 problem per pair; this is exact because bicausal couplings of tree-filtered
 processes factorize into successive conditional couplings.  It assembles
 the costs of a tree level at a time and hands the level's problems to
-``discrete_ot._solve_level``; a top-down pass over index arrays of the
-reachable node pairs then forms the path-pair masses.  A plan keeps its
-nodewise kernels as one matrix per level over the children of both trees
-(``_LevelKernels``), which ``glue`` reads a level at a time.
+``discrete_ot._solve_level``.  A plan keeps its nodewise kernels as one
+matrix per level over the children of both trees (``_LevelKernels``).  One
+level step expands node tuples through such kernels: ``glue`` composes a
+chain's plans with it, and the path-pair masses are its two-process case.
 Couplings are arrays from end to end: per process the leaf positions of the
 listed leaf tuples, and their masses (``_LeafMasses``); the tuple-keyed
 mappings of plans and glued couplings are views built on first access.
@@ -273,8 +273,8 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
     each level one call of the level solve of ``discrete_ot``, which starts
     the simplex problems at the north-west corner of the children sorted by
     value.  Costs that overflow raise OverflowError.  A top-down pass then
-    carries the pair masses down over the reachable pairs only, as index
-    arrays; the plan keeps the level plans as its kernels.
+    carries the pair masses down the reachable pairs by glue's level step
+    with this one plan; the plan keeps the level plans as its kernels.
     """
     _check_order(p)
     _check_shapes(x, y)
@@ -291,20 +291,14 @@ def aw_distance(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bicaus
                                         cost, kx.values, ky.values)
 
     total = float(values[0, 0])
-    # top-down pass: per level the reachable pairs as positions (px, py), the
-    # cells of their blocks, and the masses, child = parent mass times plan entry
-    px = py = np.zeros(1, dtype=np.intp)
-    mass = np.ones(1)
-    levels = []
+    # top-down pass: the reachable pairs, rows of positions, and their masses
+    pos, mass, levels = np.zeros((1, 2), dtype=np.intp), np.ones(1), []
     for t in range(T):
-        bx, by = lx[t].bounds, ly[t].bounds
-        levels.append((px, py, plans[t]))
-        k, cx, cy = _expand(bx[px], bx[px + 1], by[py], by[py + 1])
-        flat = plans[t][cx, cy]
-        reached = flat > 0.0
-        px, py, mass = cx[reached], cy[reached], mass[k[reached]] * flat[reached]
+        levels.append((pos[:, 0], pos[:, 1], plans[t]))
+        k, pos, w = _level_step(pos, (lx[t].bounds, ly[t].bounds), plans[t:t + 1])
+        mass = mass[k] * w
     value = _pth_root(total, p)
-    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=_LeafMasses((x, y), (px, py), mass), value=value,
+    plan = BicausalPlan(x=x, y=y, p=p, pair_masses=_LeafMasses((x, y), tuple(pos.T), mass), value=value,
                         kernels=_LevelKernels(x, y, levels))
     return value, plan
 
@@ -487,15 +481,37 @@ def _row_sums(kernel: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return out
 
 
+def _level_step(pos: np.ndarray, bounds: Sequence[np.ndarray], kernels: Sequence[np.ndarray]):
+    """One level of a chain's joint transitions: the children of the node
+    tuples whose factor positions are the rows of ``pos``, from the factors'
+    level ``bounds`` and each plan's level kernel.  Factors 0 and 1 move
+    jointly, to the positive cells of the tuple's block in ``kernels[0]``,
+    weighted by those entries; each later factor moves on its predecessor's
+    child, to the positive entries of that child's row in the next kernel,
+    weighted by entry over row sum.  Returns each child's parent row, factor
+    positions (rows, tuple after tuple, cells row-major) and weight."""
+    a, b = pos[:, 0], pos[:, 1]
+    k, cx, cy = _expand(bounds[0][a], bounds[0][a + 1], bounds[1][b], bounds[1][b + 1])
+    live = (w := kernels[0][cx, cy]) > 0.0
+    k, w, child = k[live], w[live], np.column_stack([cx[live], cy[live]])
+    for f in range(1, len(kernels)):
+        kernel, b = kernels[f], pos[k, f + 1]
+        lo, hi = bounds[f + 1][b], bounds[f + 1][b + 1]
+        rowsum = _row_sums(kernel, child[:, f], lo, hi)
+        e, r, c = _expand(child[:, f], child[:, f] + 1, lo, hi)
+        q = kernel[r, c]
+        live = (rowsum[e] > 0.0) & (q > 0.0)
+        e, c, q = e[live], c[live], q[live]
+        k, w, child = k[e], w[e] * (q / rowsum[e]), np.column_stack([child[e], c])
+    return k, child, w
+
+
 def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) -> MulticausalCoupling:
     """Concatenate consecutive bicausal plans into one multicausal coupling.
 
-    The joint transition at a tuple of nodes composes the nodewise kernels
-    Markov-chain style along the chain: the first coordinate moves jointly
-    with the second through the first plan's kernel, each later coordinate
-    moves conditionally on its predecessor through the next kernel.  The
-    product tree is built a level at a time over the factor positions of
-    its nodes, one row per product node, reading the plans' level kernels.
+    The product tree is built a level at a time over the factor positions
+    of its nodes, one row per product node: its children are the level step
+    ``_level_step``, the plans' level kernels composed Markov-chain style.
     """
     if not plans:
         raise ValueError("no plans to glue")
@@ -513,23 +529,7 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
     parents, probs, values = [], [], []      # the product's level arrays, t = 1..T
     first = 1                                # id of the next level's first product node
     for t in range(T):
-        bounds = [pr.layout[t].bounds for pr in chain]
-        # joint children: every child of the first factor, extended one
-        # coordinate at a time by the positive entries of its row in the next
-        # kernel, weighted by entry over row sum; the first kernel's blocks
-        # are joint laws, so its entries are the weights themselves
-        a, zero = pos[:, 0], np.zeros(len(pos), dtype=np.intp)
-        k, r, _ = _expand(bounds[0][a], bounds[0][a + 1], zero, zero + 1)
-        child, w = r[:, None], np.ones(k.size)
-        for f in range(n - 1):
-            kernel, b = kernels[f][t], pos[k, f + 1]
-            lo, hi = bounds[f + 1][b], bounds[f + 1][b + 1]
-            rowsum = _row_sums(kernel, child[:, f], lo, hi) if f else np.ones(k.size)
-            e, r, c = _expand(child[:, f], child[:, f] + 1, lo, hi)
-            q = kernel[r, c]
-            live = (rowsum[e] > 0.0) & (q > 0.0)
-            e, c, q = e[live], c[live], q[live]
-            k, w, child = k[e], w[e] * (q / rowsum[e]), np.column_stack([child[e], c])
+        k, child, w = _level_step(pos, [pr.layout[t].bounds for pr in chain], [kern[t] for kern in kernels])
         counts = np.bincount(k, minlength=len(pos))
         total = np.fromiter(map(math.fsum, _slices(w.tolist(), counts)), float, len(pos))
         if (total <= 0.0).any():

@@ -12,9 +12,9 @@ level are ranked by sorting, in the tree-isomorphism manner of Aho,
 Hopcroft and Ullman, and siblings are grouped by rank.  A tolerance never
 changes that rule: ``canonicalize`` snaps the values to a grid first, and
 ``equivalent`` bounds the adapted distance of the exact forms.  Its verdict
-comes from the first of three tests that decides: equal exact forms; then,
-with a tolerance, a lower bound on AW_1 from the level marginals, one sort
-and no solve; then the backward induction.  Nothing recurses, so trees of
+comes from the first of three tests that decides: with a tolerance, a lower
+bound on AW_1 from the level marginals, one sort and no canonical form or
+solve; then equal exact forms; then the backward induction.  Nothing recurses, so trees of
 any depth have canonical forms.  A non-finite value or edge probability has
 no place in the order, and raises ValueError.
 """
@@ -278,23 +278,28 @@ def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     is AW_1 <= T**(1 - 1/p) * AW_p (Hoelder over the steps, then Jensen),
     with equality for two chains a constant distance apart.
 
-    The verdict is decided in this order: equal canonical forms are
-    equivalent, and with ``tol`` zero unequal ones are not.  Then the level
+    The verdict is decided in this order: with a positive ``tol``, the level
     marginals' bound L <= AW_1 (``_marginal_bound``) says "not equivalent"
     when L exceeds ``tol`` by more than its slack, on trees whose edge
-    probabilities are >= 0 and sum to one as ``validate`` has it; the solve
-    could only agree.  Otherwise, and when L is NaN, the backward induction
-    on the canonical forms decides.
+    probabilities are >= 0 and sum to one as ``validate`` has it; equal
+    forms give L within the slack, and the solve could only agree.  Then
+    equal canonical forms are equivalent, and with ``tol`` zero unequal ones
+    are not.  Otherwise, and when L is NaN, the backward induction on the
+    canonical forms decides.
     """
     _check_shapes(a, b)
     _check_tolerance(tol)
+    if tol > 0.0:
+        for proc in (a, b):      # canonicalize's errors, in its order
+            _check_finite(proc)
+            proc.layout
+        bound, slack = _marginal_bound(a, b)
+        if bound - slack > tol and _normalized(a) and _normalized(b):
+            return False
     ca, cb = canonicalize(a), canonicalize(b)
     same = ca == cb
     if same or tol == 0.0:
         return same
-    bound, slack = _marginal_bound(a, b)
-    if bound - slack > tol and _normalized(a) and _normalized(b):
-        return False
     try:
         return bicausal.aw_distance(ca, cb, 1.0)[0] <= tol
     except OverflowError:

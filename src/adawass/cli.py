@@ -37,11 +37,11 @@ from .curves import (
     GridCurve,
     _check_grid,
     _particle_levels,
+    _riemann_sum,
     dyadic_grid,
     flow_energy,
     geodesic,
     metric_derivative,
-    p_energy,
     represent_curve,
     skorokhod,
 )
@@ -385,9 +385,10 @@ def cmd_curve_energy(args) -> int:
     curve = _curve_from_dict(_load_json(args.curve))
     if args.p is not None:
         curve = GridCurve(grid=curve.grid, processes=curve.processes, p=args.p)
-    energy = p_energy(curve)
+    quotients = metric_derivative(curve)
+    energy = _riemann_sum(quotients, curve.p)
     if args.csv:
-        _write_derivative_csv(args.csv, metric_derivative(curve))
+        _write_derivative_csv(args.csv, quotients)
     print(_fmt(energy))
     return EXIT_OK
 

@@ -177,9 +177,8 @@ def geodesic(x: TreeProcess, y: TreeProcess, p: float, grid: Sequence[float],
     g = _check_grid(grid)
     _, plan = aw_distance(x, y, p)
     coupling = glue([plan], max_leaves=max_leaves)
-    # a product node's value is its x-value followed by its y-value
-    levels = [(level.values, d) for level, d in zip(coupling.product.layout[1:], x.value_dims)]
-    labels = [[(1.0 - u) * v[:, :d] + u * v[:, d:] for v, d in levels] for u in g]
+    ends = list(zip(coupling.factor_values(0), coupling.factor_values(1)))
+    labels = [[(1.0 - u) * a + u * b for a, b in ends] for u in g]
     targets = (x,) + (None,) * (len(g) - 2) + (y,)
     return CommonSpaceFlow(base=coupling.product, grid=g, labels=labels, p=p,
                            targets=targets, coupling=coupling)
@@ -197,9 +196,14 @@ def metric_derivative(curve: GridCurve) -> list[tuple[tuple[float, float], float
 
 def p_energy(curve: GridCurve) -> float:
     """Riemann sum of the p-th power of the grid difference quotients."""
+    return _riemann_sum(metric_derivative(curve), curve.p)
+
+
+def _riemann_sum(quotients: Sequence[tuple[tuple[float, float], float]], p: float) -> float:
+    """``p_energy`` from the rows of ``metric_derivative``, summed in grid order."""
     total = 0.0
-    for (lo, hi), quot in metric_derivative(curve):
-        total += (hi - lo) * quot**curve.p
+    for (lo, hi), quot in quotients:
+        total += (hi - lo) * quot**p
     return total
 
 
@@ -280,10 +284,15 @@ def represent_curve(curve: GridCurve, interpolation: str = "linear",
     """
     procs = curve.processes
     plans = [aw_distance(a, b, curve.p)[1] for a, b in zip(procs, procs[1:])]
+    return _glued_flow(curve, plans, interpolation, max_leaves)
+
+
+def _glued_flow(curve: GridCurve, plans, interpolation: str, max_leaves: int) -> CommonSpaceFlow:
+    """``represent_curve`` from the optimal plans of the curve's consecutive processes."""
     coupling = glue(plans, max_leaves=max_leaves)
     labels = [coupling.factor_values(i) for i in range(len(curve.grid))]
     return CommonSpaceFlow(base=coupling.product, grid=curve.grid, labels=labels, p=curve.p,
-                           interpolation=interpolation, targets=procs, coupling=coupling)
+                           interpolation=interpolation, targets=curve.processes, coupling=coupling)
 
 
 def _weights(weights: Sequence[float], n: int) -> tuple[float, ...]:
@@ -344,24 +353,24 @@ def skorokhod(seq: Sequence[TreeProcess], limit: TreeProcess, p: float,
             raise ValueError(f"weights sum to {s!r}, expected 1")
         used = [w / s for w in used]
     else:
-        dists = [aw_distance(chain[i], chain[i + 1], p)[0] for i in range(len(chain) - 1)]
-        total_d = sum(dists)
+        solved = [aw_distance(a, b, p) for a, b in zip(chain, chain[1:])]
+        total_d = sum(d for d, _ in solved)
         if total_d <= 0.0:
-            chain = [chain[0], chain[-1]]
-            used = [1.0]
+            ends, used = [len(solved)], [1.0]
         else:
-            # drop processes reached with a zero-length leg; they are
-            # equivalent to their predecessor and would collapse the grid
-            kept = [chain[0]]
-            used = []
-            for proc, d in zip(chain[1:], dists):
-                if d > 0.0:
-                    kept.append(proc)
-                    used.append(d / total_d)
-            chain = kept
+            # the legs' ends: drop processes reached with a zero-length leg;
+            # they are equivalent to their predecessor and would collapse the grid
+            ends = [j for j, (d, _) in enumerate(solved, 1) if d > 0.0]
+            used = [solved[j - 1][0] / total_d for j in ends]
+        # a leg that spans a dropped process is solved anew
+        plans = [solved[i][1] if j == i + 1 else aw_distance(chain[i], chain[j], p)[1]
+                 for i, j in zip([0] + ends[:-1], ends)]
+        chain = [chain[0]] + [chain[j] for j in ends]
     grid = [0.0]
     for w in used:
         grid.append(grid[-1] + w)
     grid[-1] = 1.0
     curve = GridCurve(grid=tuple(grid), processes=tuple(chain), p=p)
-    return represent_curve(curve, max_leaves=max_leaves)
+    if weights is not None:
+        return represent_curve(curve, max_leaves=max_leaves)
+    return _glued_flow(curve, plans, "linear", max_leaves)

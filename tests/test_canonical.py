@@ -23,6 +23,7 @@ from adawass import (
     bicausal,
     validate,
 )
+from adawass import canonical
 from adawass.canonical import InfoState, _marginal_bound
 
 from conftest import (
@@ -445,6 +446,20 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def canonicalizes(monkeypatch):
+    """The trees that ``equivalent`` hands to ``canonical.canonicalize``,
+    which still runs."""
+    calls, form = [], canonical.canonicalize
+
+    def spy(proc, tol=0.0):
+        calls.append(proc)
+        return form(proc, tol)
+
+    monkeypatch.setattr(canonical, "canonicalize", spy)
+    return calls
+
+
 def test_equivalent_tolerance_on_values_whose_costs_overflow(solves):
     # AW_1 is 2e308, past the largest float, so above any finite tol; the
     # marginal bound reads infinity (its slack does not) and decides alone
@@ -492,7 +507,7 @@ def test_equivalent_solves_when_the_marginals_agree_but_the_information_differs(
     assert len(solves) == 2
 
 
-def test_equivalent_decides_a_shifted_leaf_by_the_marginal_bound(solves):
+def test_equivalent_decides_a_shifted_leaf_by_the_marginal_bound(solves, canonicalizes):
     rng = np.random.default_rng(5)
     x = random_process(rng, depth=3, dims=(1, 2, 1))
     last = x.leaves[-1]
@@ -501,16 +516,49 @@ def test_equivalent_decides_a_shifted_leaf_by_the_marginal_bound(solves):
     tol = aw_distance(x, y, 1.0)[0] / 2.0
     assert not equivalent(x, y, tol) and not equivalent(y, x, tol)
     assert solves == []
+    assert canonicalizes == []
     assert equivalent(x, y, 2.0 * tol)
     assert len(solves) == 1
 
 
-def test_equivalent_of_deep_chains_that_differ_needs_no_solve(solves):
+def test_equivalent_of_deep_chains_that_differ_needs_no_solve(solves, canonicalizes):
     # the bound reads AW_1 = 0.5 * 1.0 from the last level's marginals
     a, b = two_chain_tree(5000, 5000.0), two_chain_tree(5000, 5001.0)
     assert _marginal_bound(a, b)[0] == 0.5
     assert not equivalent(a, b, 1e-9)
     assert solves == []
+    assert canonicalizes == []
+
+
+_LEAF_EARLY = "node 1 at level 1 is a leaf, expected depth 2"
+_NON_FINITE = "node 1 has non-finite value (nan,)"
+_TWO_ROOTS = "expected exactly one root, found 2"
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.1])
+@pytest.mark.parametrize("first, second, message", [
+    ("leaf early", "non-finite", _LEAF_EARLY),
+    ("non-finite", "leaf early", _NON_FINITE),
+    ("valid", "leaf early", _LEAF_EARLY),
+    ("valid", "non-finite", _NON_FINITE),
+    ("two roots", "non-finite", _TWO_ROOTS),
+    ("valid", "two roots", _TWO_ROOTS),
+    ("negative mass", "non-finite", _NON_FINITE),
+])
+def test_equivalent_checks_each_tree_in_canonicalizes_order(first, second, message, tol):
+    # the marginal bound runs before the canonical forms; each tree's finite
+    # values and then its layout are checked first, a's before b's, so the
+    # error is the one that canonicalize(a), then canonicalize(b), raises
+    valid = build_process([1, 1], [(1.0, 0.0, [(1.0, 3.0, [])])])
+    trees = {
+        "valid": valid,
+        "leaf early": build_process([1, 1], [(0.5, 0.0, []), (0.5, 1.0, [(1.0, 2.0, [])])]),
+        "non-finite": build_process([1, 1], [(1.0, math.nan, [(1.0, 0.0, [])])]),
+        "two roots": TreeProcess(2, (1, 1), list(valid.nodes) + [valid.nodes[0]._replace(id=9)]),
+        "negative mass": build_process([1, 1], [(1.5, 0.0, [(1.0, 0.0, [])]), (-0.5, 9.0, [(1.0, 0.0, [])])]),
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        equivalent(trees[first], trees[second], tol)
 
 
 def test_equivalent_keeps_the_verdict_on_trees_that_sum_to_one_only_within_prob_tol():

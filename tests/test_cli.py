@@ -28,6 +28,8 @@ from adawass import (
     dyadic_grid,
     equivalent,
     geodesic,
+    metric_derivative,
+    p_energy,
     process_with_values,
     quantize_paths,
     represent_curve,
@@ -205,13 +207,18 @@ def write_seq(tmp_path, procs):
     ["skorokhod", "{seq}", "{limit}", "--weights", "1"],
     ["skorokhod", "{seq}", "{limit}", "--weights", "nan,1"],
     ["quantize", "{samples}", "--branching", "x,2"],
+    # a sequence directory with no process file
+    ["skorokhod", "{empty}", "{limit}"],
 ])
 def test_bad_weights_or_branching_exit_code(write_tree, capsys, tmp_path, argv):
     seq = write_seq(tmp_path, [chain_process([1.0, 1.0]), chain_process([0.5, 0.5])])
     limit = write_tree("limit.json", chain_process([0.0, 0.0]))
     samples = tmp_path / "samples.json"
     samples.write_text(json.dumps({"samples": [[[0.0], [1.0]], [[1.0], [2.0]]]}))
-    code, out, err = run(capsys, [a.format(seq=seq, limit=limit, samples=samples) for a in argv])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no process here")
+    code, out, err = run(capsys, [a.format(seq=seq, limit=limit, samples=samples, empty=empty) for a in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
@@ -696,6 +703,29 @@ def test_curve_energy_and_represent(write_tree, capsys, tmp_path):
     assert code == 0
     assert float(out.strip()) == pytest.approx(8.0)
     assert flow_file.exists()
+
+
+def test_curve_energy_p_overrides_the_documents_order_and_solves_each_interval_once(capsys, tmp_path,
+                                                                                    monkeypatch):
+    procs = [chain_process([0.0, 0.0]), chain_process([1.0, 3.0]), chain_process([0.5, 0.5])]
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps({"grid": [0.0, 0.25, 1.0], "p": 2.0,
+                                      "processes": [tree_to_dict(proc) for proc in procs]}))
+    solves, solve = [], adawass.curves.aw_distance
+
+    def spy(x, y, p):
+        solves.append(p)
+        return solve(x, y, p)
+
+    monkeypatch.setattr(adawass.curves, "aw_distance", spy)
+    csv_file = tmp_path / "deriv.csv"
+    code, out, _ = run(capsys, ["curve-energy", str(curve_file), "--p", "1", "--csv", str(csv_file)])
+    assert solves == [1.0, 1.0]
+    monkeypatch.undo()
+    curve = GridCurve(grid=(0.0, 0.25, 1.0), processes=tuple(procs), p=1.0)
+    assert (code, out) == (0, f"{p_energy(curve):.12f}\n")
+    quotients = [float(line.split(",")[2]) for line in csv_file.read_text().splitlines()[1:]]
+    assert quotients == [quot for _, quot in metric_derivative(curve)]
 
 
 def test_curve_energy_exits_3_on_processes_of_different_shapes(capsys, tmp_path):

@@ -19,6 +19,7 @@ from adawass import (
     factor_plan,
     flow_energy,
     geodesic,
+    glue,
     metric_derivative,
     p_energy,
     path_distance,
@@ -29,6 +30,7 @@ from adawass import (
     verify_flow_ac,
     weighted_p_variation,
 )
+from adawass import curves
 from adawass.cli import _flow_json, _tree_json
 from adawass.curves import MAX_DYADIC_LEVEL
 from adawass.trees import tree_from_dict, tree_to_dict
@@ -691,6 +693,49 @@ def test_skorokhod_explicit_weights_place_grid():
     a, b, c = (chain_process([float(k), float(k)]) for k in range(3))
     flow = skorokhod([a, b], c, 2.0, weights=[0.25, 0.75])
     assert flow.grid == (0.0, 0.25, 1.0)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The pairs that the curves code hands to ``aw_distance``, which still runs."""
+    calls, solve = [], curves.aw_distance
+
+    def spy(x, y, p):
+        calls.append((x, y))
+        return solve(x, y, p)
+
+    monkeypatch.setattr(curves, "aw_distance", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seq, weights, grid, expected", [
+    ([1.0, 0.5, 0.25], None, (0.0, 0.5, 0.75, 1.0), 3),
+    # the second process is dropped, so the leg from the first to the third is new
+    ([1.0, 1.0, 0.5], None, (0.0, 0.5, 1.0), 4),
+    # every leg has length zero: one leg from the first process to the limit
+    ([0.0, 0.0, 0.0], None, (0.0, 1.0), 4),
+    ([0.0], None, (0.0, 1.0), 1),
+    ([1.0, 0.5], [0.25, 0.75], (0.0, 0.25, 1.0), 2),
+], ids=["every leg kept", "a leg dropped", "every leg zero", "one zero leg", "weights"])
+def test_skorokhod_solves_each_leg_once(solves, seq, weights, grid, expected):
+    procs, limit = [chain_process([v, v]) for v in seq], chain_process([0.0, 0.0])
+    flow = skorokhod(procs, limit, 2.0, weights)
+    assert flow.grid == grid
+    assert len(solves) == expected
+    # the flow that represent_curve builds from the same grid curve, byte for byte
+    curve = GridCurve(grid=flow.grid, processes=flow.targets, p=2.0)
+    assert _flow_json(flow) == _flow_json(represent_curve(curve))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a, b: weighted_p_variation([a], 2.0), "need at least two processes"),
+    (lambda a, b: weighted_p_variation([a, b, a], 2.0, weights=[0.6, 0.6]), r"weights sum to 1\.2 > 1"),
+    (lambda a, b: skorokhod([], b, 2.0), "empty sequence"),
+    (lambda a, b: glue([]), "no plans to glue"),
+], ids=["one process", "weights past one", "no sequence", "no plans"])
+def test_chains_reject_too_few_processes_or_too_much_weight(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(chain_process([0.0]), chain_process([1.0]))
 
 
 def test_skorokhod_rejects_bad_weights():

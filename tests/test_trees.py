@@ -142,6 +142,27 @@ def test_a_childless_root_fails_with_the_first_validate_message(dims, branches, 
             run(build_process(dims, branches))
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"time": 1}, "root node 0 is at level 1, expected 0"),
+    ({"value": (0.0,)}, "root node 0 carries a value"),
+], ids=["root off level 0", "root with a value"])
+def test_validate_flags_a_malformed_root(edit, message):
+    proc = build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])])
+    nodes = [n._replace(**edit) if n.parent is None else n for n in proc.nodes]
+    assert validate(TreeProcess(1, (1,), nodes))[0] == message
+
+
+@pytest.mark.parametrize("values, message", [
+    ([[[0.0], [1.0]], [[2.0]]], "2 value levels for a tree of depth 1"),
+    ([[[0.0]]], r"level 1 values have shape \(1, 1\), expected one row per each of its 2 nodes"),
+    ([[0.0, 1.0]], r"level 1 values have shape \(2,\), expected one row per each of its 2 nodes"),
+], ids=["too many levels", "too few rows", "rows of no dimension"])
+def test_process_with_values_rejects_values_that_miss_the_layout(values, message):
+    proc = build_process([1], [(0.5, 0.0, []), (0.5, 1.0, [])])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        adawass.process_with_values(proc, values)
+
+
 # nine probabilities whose left-to-right sum, 1.0319999999999998, is neither
 # numpy's pairwise sum nor the correctly rounded one (both 1.032)
 NINE = [0.011, 0.016, 0.043, 0.113, 0.149, 0.165, 0.173, 0.174, 0.188]
