@@ -278,27 +278,31 @@ def equivalent(a: TreeProcess, b: TreeProcess, tol: float = 0.0) -> bool:
     is AW_1 <= T**(1 - 1/p) * AW_p (Hoelder over the steps, then Jensen),
     with equality for two chains a constant distance apart.
 
-    The verdict is decided in this order: with a positive ``tol``, the level
-    marginals' bound L <= AW_1 (``_marginal_bound``) says "not equivalent"
-    when L exceeds ``tol`` by more than its slack, on trees whose edge
-    probabilities are >= 0 and sum to one as ``validate`` has it; equal
-    forms give L within the slack, and the solve could only agree.  Then
-    equal canonical forms are equivalent, and with ``tol`` zero unequal ones
-    are not.  Otherwise, and when L is NaN, the backward induction on the
-    canonical forms decides.
+    The verdict is decided in this order: with a positive ``tol``, a finite
+    level marginals' bound L <= AW_1 (``_marginal_bound``) says "not
+    equivalent" when L exceeds ``tol`` by more than its slack, on trees
+    whose edge probabilities are >= 0 and sum to one as ``validate`` has it;
+    equal forms give a finite L within the slack, and the solve could only
+    agree.  Then equal canonical forms are equivalent, and with ``tol`` zero
+    unequal ones are not.  An infinite L says "not equivalent" only now: a
+    CDF that cancels only up to rounding, times an infinite gap, makes it
+    infinite on equal forms too.  Otherwise, and when L is NaN, the backward
+    induction on the canonical forms decides.
     """
     _check_shapes(a, b)
     _check_tolerance(tol)
+    apart = False
     if tol > 0.0:
         for proc in (a, b):      # canonicalize's errors, in its order
             _check_finite(proc)
             proc.layout
         bound, slack = _marginal_bound(a, b)
-        if bound - slack > tol and _normalized(a) and _normalized(b):
+        apart = bound - slack > tol and _normalized(a) and _normalized(b)
+        if apart and bound < math.inf:
             return False
     ca, cb = canonicalize(a), canonicalize(b)
     same = ca == cb
-    if same or tol == 0.0:
+    if same or tol == 0.0 or apart:
         return same
     try:
         return bicausal.aw_distance(ca, cb, 1.0)[0] <= tol

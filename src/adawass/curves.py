@@ -372,5 +372,5 @@ def skorokhod(seq: Sequence[TreeProcess], limit: TreeProcess, p: float,
     grid[-1] = 1.0
     curve = GridCurve(grid=tuple(grid), processes=tuple(chain), p=p)
     if weights is not None:
-        return represent_curve(curve, max_leaves=max_leaves)
+        plans = [aw_distance(a, b, p)[1] for a, b in zip(chain, chain[1:])]
     return _glued_flow(curve, plans, "linear", max_leaves)

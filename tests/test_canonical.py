@@ -479,6 +479,20 @@ def test_equivalent_tolerance_on_values_whose_costs_overflow(solves):
     assert solves == []
 
 
+@pytest.mark.parametrize("order", ["depth-first", "shuffled"])
+def test_equivalent_tolerance_on_equal_forms_whose_bound_overflows(order, solves):
+    # the CDF at -1e308 cancels only up to rounding (a residue of about
+    # 2.8e-17), and that times the infinite gap to 1e308 makes L infinite
+    # with a finite slack; the equal canonical forms decide, with no solve
+    a = build_process([1], [(0.1, -1e308, []), (0.2, -1e308, []), (0.7, 1e308, [])])
+    b = relisted(a, order, np.random.default_rng(0))
+    bound, slack = _marginal_bound(a, b)
+    assert bound == math.inf and math.isfinite(slack)
+    assert equivalent(a, b, tol=1.0)
+    assert equivalent(a, b, tol=0.0)
+    assert solves == []
+
+
 @pytest.mark.parametrize("dims, x, y, error", [
     ([1], [(0.6, 0.0, [])], [(1.0, 5.0, [])], InfeasibleError),
     ([1], [(1.5, 0.0, []), (-0.5, 3.0, [])], [(1.0, 5.0, [])], ValueError),
