@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bicausal   # bicausal.aw_distance looked up per call, where perfbench/tracer.py wraps it
 from .trees import (PROB_TOL, TreeProcess, _check_finite, _check_shapes, _check_tolerance, _child_sums_off,
-                    _norms, _running_sums, _segment_sums, build_process, process_with_values)
+                    _norms, _preorder, _running_sums, _segment_sums, process_with_values)
 
 __all__ = ["InfoState", "information_process", "canonicalize", "equivalent"]
 
@@ -202,16 +202,11 @@ def canonicalize(proc: TreeProcess, tol: float = 0.0) -> TreeProcess:
     records = _states(proc)
     values = [rec.values.tolist() for rec in records]
     laws = [(rec.law.tolist(), rec.child.tolist(), rec.mass.tolist()) for rec in records]
-    # the build_process branches of the root's merged law, by an explicit-stack walk
-    branches: list = []
-    stack = [(0, 0, branches)]      # (level, node position, its branches to fill)
-    while stack:
-        t, k, out = stack.pop()
+
+    def merged(t: int, k: int) -> list:     # the merged law of node k of level t
         law, child, mass = laws[t]
-        for e in range(law[k], law[k + 1]):
-            out.append((mass[e], values[t + 1][child[e]], kids := []))
-            stack.append((t + 1, child[e], kids))
-    return build_process(proc.value_dims, branches)
+        return [(mass[e], values[t + 1][child[e]], child[e]) for e in range(law[k], law[k + 1])]
+    return _preorder(proc.value_dims, merged(0, 0), merged)
 
 
 def _marginal_bound(a: TreeProcess, b: TreeProcess) -> tuple[float, float]:

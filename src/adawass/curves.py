@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -318,14 +321,15 @@ def weighted_p_variation(seq: Sequence[TreeProcess], p: float,
         raise ValueError("need at least two processes")
     dists = [aw_distance(seq[i], seq[i + 1], p)[0] for i in range(len(seq) - 1)]
     if weights is None:
-        total_d = sum(dists)
+        total_d = reduce(operator.add, dists, 0.0)
         if total_d <= 0.0:
             return 0.0, tuple(0.0 for _ in dists)
         used = tuple(d / total_d for d in dists)
     else:
         used = _weights(weights, len(dists))
-        if sum(used) > 1.0 + WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {sum(used)!r} > 1")
+        s = reduce(operator.add, used, 0.0)
+        if s > 1.0 + WEIGHT_SUM_TOL:
+            raise ValueError(f"weights sum to {s!r} > 1")
     total = 0.0
     for d, b in zip(dists, used):
         if d > 0.0:
@@ -339,8 +343,9 @@ def skorokhod(seq: Sequence[TreeProcess], limit: TreeProcess, p: float,
     """Common-space representation of a convergent sequence of processes.
 
     Places the sequence along a grid whose spacings are the weights (the
-    normalized consecutive adapted distances when not given), appends the
-    limit at parameter one, and realizes the resulting grid curve through
+    normalized consecutive adapted distances when not given, a process at
+    distance zero from its predecessor dropped), appends the limit at
+    parameter one, and realizes the resulting grid curve through
     displacement interpolation on each segment.
     """
     if not seq:
@@ -348,29 +353,24 @@ def skorokhod(seq: Sequence[TreeProcess], limit: TreeProcess, p: float,
     chain = list(seq) + [limit]
     if weights is not None:
         used = _weights(weights, len(chain) - 1)
-        s = sum(used)
+        s = reduce(operator.add, used, 0.0)
         if abs(s - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {s!r}, expected 1")
-        used = [w / s for w in used]
-    else:
-        solved = [aw_distance(a, b, p) for a, b in zip(chain, chain[1:])]
-        total_d = sum(d for d, _ in solved)
-        if total_d <= 0.0:
-            ends, used = [len(solved)], [1.0]
-        else:
-            # the legs' ends: drop processes reached with a zero-length leg;
-            # they are equivalent to their predecessor and would collapse the grid
-            ends = [j for j, (d, _) in enumerate(solved, 1) if d > 0.0]
-            used = [solved[j - 1][0] / total_d for j in ends]
-        # a leg that spans a dropped process is solved anew
-        plans = [solved[i][1] if j == i + 1 else aw_distance(chain[i], chain[j], p)[1]
-                 for i, j in zip([0] + ends[:-1], ends)]
-        chain = [chain[0]] + [chain[j] for j in ends]
-    grid = [0.0]
-    for w in used:
-        grid.append(grid[-1] + w)
-    grid[-1] = 1.0
-    curve = GridCurve(grid=tuple(grid), processes=tuple(chain), p=p)
-    if weights is not None:
-        plans = [aw_distance(a, b, p)[1] for a, b in zip(chain, chain[1:])]
+        # every process kept, and the curve built before any solve, so that a bad grid raises first
+        curve = GridCurve(grid=(*accumulate([w / s for w in used[:-1]], initial=0.0), 1.0),
+                          processes=tuple(chain), p=p)
+    solved = [aw_distance(a, b, p) for a, b in zip(chain, chain[1:])]
+    ends = list(range(1, len(chain)))   # the legs' ends, as positions in chain
+    if weights is None:
+        total_d = reduce(operator.add, (d for d, _ in solved), 0.0)
+        # drop processes reached with a zero-length leg; they are equivalent
+        # to their predecessor and would collapse the grid
+        ends = [j for j in ends if solved[j - 1][0] > 0.0]
+        used = [solved[j - 1][0] / total_d for j in ends[:-1]]
+        ends[-1:] = [len(chain) - 1]    # the last end is the limit itself, kept or dropped
+        curve = GridCurve(grid=(*accumulate(used, initial=0.0), 1.0),
+                          processes=tuple(chain[j] for j in [0] + ends), p=p)
+    # a leg that spans a dropped process is solved anew
+    plans = [solved[i][1] if j == i + 1 else aw_distance(chain[i], chain[j], p)[1]
+             for i, j in zip([0] + ends[:-1], ends)]
     return _glued_flow(curve, plans, "linear", max_leaves)

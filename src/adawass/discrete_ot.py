@@ -22,7 +22,9 @@ degenerate causality polytopes.  Both pivot deterministically.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -113,8 +115,9 @@ class DiscreteLaw:
             raise ValueError("empty law")
         if any(m < _MIN_ATOM for m in self.masses):
             raise ValueError(f"degenerate atom mass below {_MIN_ATOM!r}")
-        if not abs(sum(self.masses) - 1.0) <= MASS_TOL * max(1.0, len(self.masses)):  # a NaN sum fails
-            raise ValueError(f"masses sum to {sum(self.masses)!r}, expected 1")
+        total = reduce(operator.add, self.masses, 0)    # left to right on any interpreter; ints sum to an int
+        if not abs(total - 1.0) <= MASS_TOL * max(1.0, len(self.masses)):  # a NaN sum fails
+            raise ValueError(f"masses sum to {total!r}, expected 1")
 
     @classmethod
     def from_arrays(cls, points, masses) -> "DiscreteLaw":

@@ -565,22 +565,29 @@ def chain_process(values: Sequence[Sequence[float] | float]) -> TreeProcess:
     return build_process([len(v) if isinstance(v, (tuple, list)) else 1 for v in values], branches)
 
 
+def _preorder(value_dims: Sequence[int], branches, children) -> TreeProcess:
+    """The tree whose root has the ``(prob, value, item)`` triples ``branches``
+    and a level-t node those of ``children(t, item)``.  Node ids are assigned
+    in depth-first preorder, by a walk with an explicit stack that fills the
+    columns of the node list and calls ``children`` as it lists a node."""
+    rows = [(0, None, 0, None, 1.0)]
+    stack = [(0, 1, branch) for branch in reversed(list(branches))]
+    while stack:
+        parent, t, (prob, value, item) = stack.pop()
+        vec = tuple(value) if isinstance(value, (tuple, list)) else (float(value),)
+        rows.append((len(rows), parent, t, vec, float(prob)))
+        stack += [(rows[-1][0], t + 1, branch) for branch in reversed(list(children(t, item)))]
+    return TreeProcess._from_columns(len(value_dims), tuple(value_dims), _columns(rows))
+
+
 def build_process(value_dims: Sequence[int], branches) -> TreeProcess:
     """Build a process from a nested description.
 
     ``branches`` is a list of ``(prob, value, children)`` triples hanging off
     the root; ``children`` recursively has the same shape and is empty at the
-    terminal level.  Node ids are assigned in depth-first preorder, by a walk
-    with an explicit stack that fills the columns of the node list.
+    terminal level.  Node ids are assigned in depth-first preorder.
     """
-    rows = [(0, None, 0, None, 1.0)]
-    stack = [(0, 1, branch) for branch in reversed(list(branches))]
-    while stack:
-        parent, t, (prob, value, kids) = stack.pop()
-        vec = tuple(value) if isinstance(value, (tuple, list)) else (float(value),)
-        rows.append((len(rows), parent, t, vec, float(prob)))
-        stack += [(rows[-1][0], t + 1, branch) for branch in reversed(list(kids))]
-    return TreeProcess._from_columns(len(value_dims), tuple(value_dims), _columns(rows))
+    return _preorder(value_dims, branches, lambda t, kids: kids)
 
 
 class _DictView(Mapping):
@@ -730,28 +737,24 @@ def quantize_paths(samples: Sequence[Sequence[Sequence[float] | float]],
             raise ValueError("sample values must be finite")
 
     rng = np.random.default_rng(seed)
-    branches: list = []
-    # a depth-first walk: (level t, the samples of a node at level t - 1, its branches to fill)
-    stack = [(1, list(range(len(paths))), branches)]
+
+    # a level-t node's children: its samples clustered on step t + 1, the rng drawing as the walk lists it
+    def children(t: int, members: list[int]) -> list:
+        if t == depth:
+            return []
+        labels = _kmeans(np.array([paths[i][t] for i in members]), branching[t], rng)
+        groups: dict[int, list[int]] = {}
+        for i, lab in zip(members, labels):
+            groups.setdefault(int(lab), []).append(i)
+        # sort children by centroid for a stable layout
+        entries = sorted(((tuple(np.array([paths[i][t] for i in grp]).mean(axis=0).tolist()), grp)
+                          for grp in groups.values()), key=lambda e: e[0])
+        return [(len(grp) / len(members), centroid, grp) for centroid, grp in entries]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            while stack:
-                t, members, out = stack.pop()
-                labels = _kmeans(np.array([paths[i][t - 1] for i in members]), branching[t - 1], rng)
-                groups: dict[int, list[int]] = {}
-                for i, lab in zip(members, labels):
-                    groups.setdefault(int(lab), []).append(i)
-                # sort children by centroid for a stable layout
-                entries = sorted(((tuple(np.array([paths[i][t - 1] for i in grp]).mean(axis=0).tolist()), grp)
-                                  for grp in groups.values()), key=lambda e: e[0])
-                kids = [(len(grp) / len(members), centroid, []) for centroid, grp in entries]
-                out += kids
-                if t < depth:
-                    # last child pushed first, so the first child's subtree is clustered next
-                    stack += [(t + 1, grp, sub) for (_, grp), (_, _, sub) in zip(entries[::-1], kids[::-1])]
+            return _preorder(dims, children(0, list(range(len(paths)))), children)
     except FloatingPointError as exc:
         raise OverflowError(f"sample values too far apart to cluster: {exc}") from None
-    return build_process(dims, branches)
 
 
 def tree_to_dict(proc: TreeProcess) -> dict:

@@ -643,6 +643,14 @@ def test_glue_rejects_inconsistent_chain():
             glue([p1, p2])
 
 
+def test_glue_rejects_a_plan_without_mass():
+    # no kernel leaves the root of a plan whose one pair has mass zero
+    x, y = epsilon_x(), epsilon_y(0.5)
+    plan = BicausalPlan.from_pair_masses(x, y, 2.0, {(x.leaves[0], y.leaves[0]): 0.0})
+    with pytest.raises(RuntimeError, match="^degenerate kernel at product node 0$"):
+        glue([plan])
+
+
 def test_glue_size_guard():
     rng = np.random.default_rng(137)
     procs = [random_process(rng, 2, (1, 1), 3, min_prob=0.3) for _ in range(3)]
@@ -806,6 +814,13 @@ def test_couplings_built_from_mappings_are_converted_once(rng):
         assert np.array_equal(got, want)
     assert rebuilt.masses.mass.tolist() == coupling.masses.mass.tolist()
     assert check_multicausal(rebuilt)
+    # a node tuple that names no node of its factor's level fails
+    tuples = dict(coupling.node_tuple)
+    leaf = coupling.product.leaves[0]
+    tuples[leaf] = (procs[0].root_id,) + tuples[leaf][1:]
+    with pytest.raises(ValueError, match=f"^node tuples name no node {procs[0].root_id} at level 2$"):
+        MulticausalCoupling(processes=coupling.processes, masses=coupling.masses, plans=coupling.plans,
+                            product=coupling.product, node_tuple=tuples)
     # a plan's dict is converted when the plan is built, and a key that is
     # no leaf id, an int or not, fails there
     plan = coupling.plans[0]

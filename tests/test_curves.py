@@ -583,6 +583,8 @@ def test_the_flow_path_builds_no_nodes():
 
 def test_grid_curve_validation():
     x = epsilon_x()
+    with pytest.raises(ValueError, match="^one process per grid point required$"):
+        GridCurve(grid=(0.0, 0.5, 1.0), processes=(x, x), p=2.0)
     with pytest.raises(ValueError):
         GridCurve(grid=(0.0, 0.5), processes=(x, x), p=2.0)
     with pytest.raises(ValueError):
@@ -708,19 +710,25 @@ def solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("seq, weights, grid, expected", [
-    ([1.0, 0.5, 0.25], None, (0.0, 0.5, 0.75, 1.0), 3),
+@pytest.mark.parametrize("seq, weights, copies, grid, expected", [
+    ([1.0, 0.5, 0.25], None, 1, (0.0, 0.5, 0.75, 1.0), 3),
     # the second process is dropped, so the leg from the first to the third is new
-    ([1.0, 1.0, 0.5], None, (0.0, 0.5, 1.0), 4),
+    ([1.0, 1.0, 0.5], None, 1, (0.0, 0.5, 1.0), 4),
     # every leg has length zero: one leg from the first process to the limit
-    ([0.0, 0.0, 0.0], None, (0.0, 1.0), 4),
-    ([0.0], None, (0.0, 1.0), 1),
-    ([1.0, 0.5], [0.25, 0.75], (0.0, 0.25, 1.0), 2),
-], ids=["every leg kept", "a leg dropped", "every leg zero", "one zero leg", "weights"])
-def test_skorokhod_solves_each_leg_once(solves, seq, weights, grid, expected):
-    procs, limit = [chain_process([v, v]) for v in seq], chain_process([0.0, 0.0])
+    ([0.0, 0.0, 0.0], None, 1, (0.0, 1.0), 4),
+    ([0.0], None, 1, (0.0, 1.0), 1),
+    ([1.0, 0.5], [0.25, 0.75], 1, (0.0, 0.25, 1.0), 2),
+    # the last leg has length zero, the limit is another tree of the last
+    # process's law: the curve ends at the limit, on a leg solved anew
+    ([1.0, 0.0], None, 2, (0.0, 1.0), 3),
+], ids=["every leg kept", "a leg dropped", "every leg zero", "one zero leg", "weights", "last leg zero"])
+def test_skorokhod_solves_each_leg_once(solves, seq, weights, copies, grid, expected):
+    procs = [chain_process([v, v]) for v in seq]
+    # the path (0, 0) listed as this many equal branches
+    limit = build_process([1, 1], [(1.0 / copies, 0.0, [(1.0, 0.0, [])])] * copies)
     flow = skorokhod(procs, limit, 2.0, weights)
     assert flow.grid == grid
+    assert flow.targets[-1] is limit
     assert len(solves) == expected
     # the flow that represent_curve builds from the same grid curve, byte for byte
     curve = GridCurve(grid=flow.grid, processes=flow.targets, p=2.0)
@@ -730,9 +738,12 @@ def test_skorokhod_solves_each_leg_once(solves, seq, weights, grid, expected):
 @pytest.mark.parametrize("call, message", [
     (lambda a, b: weighted_p_variation([a], 2.0), "need at least two processes"),
     (lambda a, b: weighted_p_variation([a, b, a], 2.0, weights=[0.6, 0.6]), r"weights sum to 1\.2 > 1"),
+    # summed left to right on any interpreter: the builtin sum of Python 3.12 says 1.1
+    (lambda a, b: weighted_p_variation([a, b] * 6, 2.0, weights=[0.1] * 11),
+     r"weights sum to 1\.0999999999999999 > 1"),
     (lambda a, b: skorokhod([], b, 2.0), "empty sequence"),
     (lambda a, b: glue([]), "no plans to glue"),
-], ids=["one process", "weights past one", "no sequence", "no plans"])
+], ids=["one process", "weights past one", "weights summed in order", "no sequence", "no plans"])
 def test_chains_reject_too_few_processes_or_too_much_weight(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(chain_process([0.0]), chain_process([1.0]))

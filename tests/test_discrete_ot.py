@@ -140,6 +140,17 @@ def test_lp_transport_reduction_consistency():
     assert value == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("a_mat, b, equality, message", [
+    ([1.0, 1.0], [1.0], None, "constraint matrix must be two-dimensional"),
+    ([[1.0, 1.0]], [1.0], None, "inconsistent LP shapes"),
+    ([[1.0]], [1.0, 2.0], None, "inconsistent LP shapes"),
+    ([[1.0]], [1.0], [True, False], "equality flags must match the number of rows"),
+], ids=["flat matrix", "costs", "right-hand side", "equality flags"])
+def test_lp_rejects_inconsistent_shapes(a_mat, b, equality, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lp_solve([1.0], a_mat, b, equality)
+
+
 def test_lp_reports_infeasible():
     with pytest.raises(InfeasibleError):
         lp_solve([1.0], [[1.0], [1.0]], [1.0, 2.0])
@@ -425,6 +436,13 @@ def test_discrete_law_rejects_degenerate_masses():
         DiscreteLaw.from_arrays([[0.0], [1.0]], [1.0 - 1e-16, 1e-16])
     with pytest.raises(ValueError):
         DiscreteLaw.from_arrays([[0.0]], [0.9])
+    with pytest.raises(ValueError, match="^points and masses differ in length$"):
+        DiscreteLaw.from_arrays([[0.0], [1.0]], [1.0])
+    with pytest.raises(ValueError, match="^empty law$"):
+        DiscreteLaw.from_arrays([], [])
+    # summed left to right on any interpreter: the builtin sum of Python 3.12 says 0.9
+    with pytest.raises(ValueError, match=r"^masses sum to 0\.8999999999999999, expected 1$"):
+        DiscreteLaw(points=((0.0,),) * 9, masses=(0.1,) * 9)
 
 
 @pytest.mark.parametrize("masses", [[np.nan], [0.5, np.nan], [np.inf], [np.inf, 0.5]])

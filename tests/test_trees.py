@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import math
 import operator
@@ -25,7 +26,7 @@ from adawass import (
 
 from adawass.cli import _tree_json
 
-from adawass.trees import _segment_sums
+from adawass.trees import _LevelValues, _segment_sums
 
 from conftest import (assert_same_layout, build_process_by_nodes, layout_by_nodes, random_process, total_mass,
                       validate_by_nodes)
@@ -372,11 +373,12 @@ def test_transport_solver_internals_stay_in_discrete_ot():
 
 
 def builtin_sum_calls(source: str, function: str | None = None) -> int:
-    """How many times ``source``, or its top-level function ``function``,
-    calls the builtin ``sum(...)``."""
+    """How many times ``source``, or its top-level function or class
+    ``function``, calls the builtin ``sum(...)``."""
     tree = ast.parse(source)
     if function is not None:
-        tree = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == function)
+        tree = next(fn for fn in tree.body
+                    if isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and fn.name == function)
     return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
                for node in ast.walk(tree))
 
@@ -384,12 +386,16 @@ def builtin_sum_calls(source: str, function: str | None = None) -> int:
 def test_canonical_forms_and_validate_call_no_builtin_sum():
     # Python's sum adds floats with compensation from 3.12 on; canonical
     # masses and validate's children sums are trees._segment_sums, left to
-    # right from +0.0 on any interpreter
+    # right from +0.0 on any interpreter, and the curves' distances and
+    # weights and a DiscreteLaw's masses are summed left to right too
     src = Path(adawass.__file__).parent
     assert builtin_sum_calls((src / "canonical.py").read_text(encoding="utf-8")) == 0
     assert builtin_sum_calls((src / "trees.py").read_text(encoding="utf-8"), "validate") == 0
+    assert builtin_sum_calls((src / "curves.py").read_text(encoding="utf-8")) == 0
+    assert builtin_sum_calls((src / "discrete_ot.py").read_text(encoding="utf-8"), "DiscreteLaw") == 0
     assert builtin_sum_calls("def f(x):\n    return sum(x) + np.sum(x) + x.sum()\ny = sum([])\n") == 2
     assert builtin_sum_calls("def f(x):\n    return sum(x)\ny = sum([])\n", "f") == 1
+    assert builtin_sum_calls("class C:\n    def f(self, x):\n        return sum(x)\ny = sum([])\n", "C") == 1
 
 def random_description(rng, depth, dims):
     """Nested ``build_process`` branches whose values are scalars or tuples
@@ -581,6 +587,29 @@ def test_json_round_trip_is_bit_exact():
     for _ in range(20):
         proc = random_process(rng)
         assert tree_from_dict(tree_to_dict(proc)) == proc
+
+
+def test_trees_are_frozen_values():
+    proc = build_process([1], [(0.25, 0.0, []), (0.75, 1.0, [])])
+    for change in (lambda: setattr(proc, "depth", 2), lambda: delattr(proc, "depth")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change()
+    assert proc.depth == 1
+    # equal trees, one read from a document and one from node views, hash equal
+    for equal in (tree_from_dict(tree_to_dict(proc)), TreeProcess(1, (1,), proc.nodes)):
+        assert equal == proc and hash(equal) == hash(proc)
+    assert proc != "a tree" and proc != tree_to_dict(proc)
+    assert repr(proc) == ("TreeProcess(depth=1, value_dims=(1,), nodes=("
+                          "TreeNode(id=0, parent=None, time=0, value=None, prob=1.0), "
+                          "TreeNode(id=1, parent=0, time=1, value=(0.0,), prob=0.25), "
+                          "TreeNode(id=2, parent=0, time=1, value=(1.0,), prob=0.75)))")
+
+
+def test_level_values_count_and_show_their_nodes():
+    proc = build_process([1, 2], [(0.5, 0.0, [(1.0, (1.0, 2.0), [])]), (0.5, 3.0, [(1.0, (4.0, 5.0), [])])])
+    values = _LevelValues(proc, [[[9.0], [8.0]], [[7.0, 6.0], [5.0, 4.0]]])
+    assert len(values) == 4 and "_dict" not in vars(values)    # counted from the level ids
+    assert repr(values) == "_LevelValues({1: (9.0,), 3: (8.0,), 2: (7.0, 6.0), 4: (5.0, 4.0)})"
 
 
 def test_tree_from_dict_rejects_malformed():
