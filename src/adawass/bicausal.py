@@ -38,6 +38,7 @@ from .trees import (
     _DictView,
     _from_levels,
     _int_array,
+    _left_sum,
     _norms,
     _slices,
     process_with_values,
@@ -160,9 +161,7 @@ class BicausalPlan:
         _check_order(p)
         _check_shapes(x, y)
         masses = _LeafMasses.of((x, y), masses)
-        weighted = masses.mass * _path_costs(x, y, p, *masses.leaf)
-        # summed in listing order, as a running total
-        cost = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
+        cost = _left_sum(masses.mass * _path_costs(x, y, p, *masses.leaf))   # in listing order
         return cls(x=x, y=y, p=p, pair_masses=masses, value=_pth_root(cost, p))
 
     @classmethod
@@ -207,7 +206,8 @@ def _path_costs(x: TreeProcess, y: TreeProcess, p: float, i: np.ndarray, j: np.n
 
 def _levels_from_masses(plan: BicausalPlan):
     """Kernel levels of a plan from its cylinder masses: per level, the mass
-    of every node pair summed over the leaf pairs below it in listing order;
+    of every node pair summed over the leaf pairs below it in listing order
+    (floats, also where no pair is listed and ``np.bincount`` gives ints);
     the reachable pairs are those of positive mass, row-major, and each child
     pair's mass is divided by its parent pair's mass."""
     x, y = plan.x, plan.y
@@ -216,7 +216,7 @@ def _levels_from_masses(plan: BicausalPlan):
     for t in range(x.depth + 1):
         nx, ny = len(x.level(t)), len(y.level(t))
         cell = x.leaf_ancestors[t][i] * ny + y.leaf_ancestors[t][j]
-        cyl.append(np.bincount(cell, weights=m, minlength=nx * ny).reshape(nx, ny))
+        cyl.append(np.bincount(cell, weights=m, minlength=nx * ny).reshape(nx, ny).astype(float))
     levels = []
     for t in range(x.depth):
         parent = cyl[t][x.layout[t + 1].parent[:, None], y.layout[t + 1].parent]
@@ -351,19 +351,20 @@ def aw_distance_lp(x: TreeProcess, y: TreeProcess, p: float) -> tuple[float, Bic
     return value, plan
 
 
-def _residuals(procs: Sequence[TreeProcess], leaf: Sequence[np.ndarray],
-               m: np.ndarray) -> tuple[float, float]:
-    """The worst marginal and the worst causality residual of masses ``m``
-    on leaf tuples, ``leaf[i]`` holding their leaf positions in ``procs[i]``.
+def _verdict(masses: _LeafMasses, tol: float) -> bool:
+    """Whether masses on leaf tuples meet the marginals within MARGINAL_TOL
+    and every causality identity within ``tol``: the one verdict of
+    ``check_bicausal`` and ``check_multicausal``.
 
     Marginal: a leaf's mass against its path probability, or a negative
     mass.  Causality: P(v) gamma(k, w) = P(k) gamma(v, w) for a process i,
     a time t, a leaf k of i below its level-t node v and a tuple w of
     level-t nodes of the others, gamma a cylinder mass; for two processes
-    i = 0 is causality, i = 1 anticausality.  NaN if a mass is not finite.
+    i = 0 is causality, i = 1 anticausality.  False if a mass is not finite.
     """
+    procs, leaf, m = masses.procs, masses.leaf, masses.mass
     if not np.isfinite(m).all():
-        return math.nan, math.nan
+        return False
     marginal = -m.min(initial=0.0)
     for proc, pos in zip(procs, leaf):
         gaps = np.bincount(pos, weights=m, minlength=len(proc.leaves)) - proc.layout[-1].reach
@@ -388,15 +389,13 @@ def _residuals(procs: Sequence[TreeProcess], leaf: Sequence[np.ndarray],
             up = proc.leaf_ancestors[t]
             gap = proc.layout[t].reach[up][:, None] * full - proc.layout[-1].reach[:, None] * cyl[up]
             causal = max(causal, np.abs(gap).max(initial=0.0))
-    return float(marginal), float(causal)
+    return bool(marginal <= MARGINAL_TOL and causal <= tol)
 
 
 def check_bicausal(plan: BicausalPlan, tol: float = CAUSALITY_TOL) -> bool:
     """Verify marginal and two-sided causality identities of a plan, the
     two-process case of ``check_multicausal``."""
-    masses = plan.pair_masses
-    marginal, causal = _residuals(masses.procs, masses.leaf, masses.mass)
-    return marginal <= MARGINAL_TOL and causal <= tol   # false for NaN
+    return _verdict(plan.pair_masses, tol)
 
 
 class _NodeTuples(_DictView):
@@ -558,9 +557,7 @@ def glue(plans: Sequence[BicausalPlan], max_leaves: int = MAX_PRODUCT_LEAVES) ->
 
 def check_multicausal(coupling: MulticausalCoupling, tol: float = CAUSALITY_TOL) -> bool:
     """Verify factor marginals and every multicausal product identity."""
-    masses = coupling.masses
-    marginal, causal = _residuals(masses.procs, masses.leaf, masses.mass)
-    return marginal <= MARGINAL_TOL and causal <= tol   # false for NaN
+    return _verdict(coupling.masses, tol)
 
 
 def factor_plan(coupling: MulticausalCoupling, i: int, p: float) -> BicausalPlan:

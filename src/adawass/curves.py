@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -27,7 +25,8 @@ from .bicausal import (
     aw_distance,
     glue,
 )
-from .trees import TreeProcess, _LevelValues, _check_order, _check_shapes, process_with_values
+from .trees import (TreeProcess, _LevelValues, _check_order, _check_shapes, _left_sum, _segment_sums,
+                    process_with_values)
 
 __all__ = [
     "GridCurve",
@@ -204,10 +203,7 @@ def p_energy(curve: GridCurve) -> float:
 
 def _riemann_sum(quotients: Sequence[tuple[tuple[float, float], float]], p: float) -> float:
     """``p_energy`` from the rows of ``metric_derivative``, summed in grid order."""
-    total = 0.0
-    for (lo, hi), quot in quotients:
-        total += (hi - lo) * quot**p
-    return total
+    return _left_sum([(hi - lo) * quot**p for (lo, hi), quot in quotients])
 
 
 def _particle_levels(flow: CommonSpaceFlow) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -242,9 +238,8 @@ def flow_energy(flow: CommonSpaceFlow, p: float) -> float:
     """Particle-level p-energy, exact for piecewise-linear particle paths."""
     _check_order(p)
     g = flow.grid
-    terms = _particle_terms(flow, p, [(b - a) ** (1.0 - p) for a, b in zip(g, g[1:])])
-    # a running total, particle by particle and interval by interval
-    return float(np.cumsum(terms)[-1])
+    # summed particle by particle and interval by interval
+    return _left_sum(_particle_terms(flow, p, [(b - a) ** (1.0 - p) for a, b in zip(g, g[1:])]))
 
 
 @dataclass(frozen=True)
@@ -266,8 +261,8 @@ def verify_flow_ac(flow: CommonSpaceFlow, p: float) -> list[IntervalSlack]:
     grid processes, ``rhs`` the expected p-th power of the particle step;
     the slack is nonnegative for every flow on a common filtered space.
     """
-    # running totals over the particles, one per interval
-    rhs = np.cumsum(_particle_terms(flow, p, np.ones(len(flow.grid) - 1)), axis=0)[-1]
+    terms = _particle_terms(flow, p, np.ones(len(flow.grid) - 1)).T   # per interval, over the particles
+    rhs = _segment_sums(terms.ravel(), np.full(len(terms), terms.shape[1]))
     out = []
     for i in range(len(flow.grid) - 1):
         dist, _ = aw_distance(flow.process_at(i), flow.process_at(i + 1), p)
@@ -321,20 +316,16 @@ def weighted_p_variation(seq: Sequence[TreeProcess], p: float,
         raise ValueError("need at least two processes")
     dists = [aw_distance(seq[i], seq[i + 1], p)[0] for i in range(len(seq) - 1)]
     if weights is None:
-        total_d = reduce(operator.add, dists, 0.0)
+        total_d = _left_sum(dists)
         if total_d <= 0.0:
             return 0.0, tuple(0.0 for _ in dists)
         used = tuple(d / total_d for d in dists)
     else:
         used = _weights(weights, len(dists))
-        s = reduce(operator.add, used, 0.0)
+        s = _left_sum(used)
         if s > 1.0 + WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {s!r} > 1")
-    total = 0.0
-    for d, b in zip(dists, used):
-        if d > 0.0:
-            total += b ** (1.0 - p) * d**p
-    return total, used
+    return _left_sum([b ** (1.0 - p) * d**p for d, b in zip(dists, used) if d > 0.0]), used
 
 
 def skorokhod(seq: Sequence[TreeProcess], limit: TreeProcess, p: float,
@@ -353,7 +344,7 @@ def skorokhod(seq: Sequence[TreeProcess], limit: TreeProcess, p: float,
     chain = list(seq) + [limit]
     if weights is not None:
         used = _weights(weights, len(chain) - 1)
-        s = reduce(operator.add, used, 0.0)
+        s = _left_sum(used)
         if abs(s - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {s!r}, expected 1")
         # every process kept, and the curve built before any solve, so that a bad grid raises first
@@ -362,7 +353,7 @@ def skorokhod(seq: Sequence[TreeProcess], limit: TreeProcess, p: float,
     solved = [aw_distance(a, b, p) for a, b in zip(chain, chain[1:])]
     ends = list(range(1, len(chain)))   # the legs' ends, as positions in chain
     if weights is None:
-        total_d = reduce(operator.add, (d for d, _ in solved), 0.0)
+        total_d = _left_sum([d for d, _ in solved])
         # drop processes reached with a zero-length leg; they are equivalent
         # to their predecessor and would collapse the grid
         ends = [j for j in ends if solved[j - 1][0] > 0.0]

@@ -101,6 +101,11 @@ class SolverError(RuntimeError):
     """A simplex hit its iteration limit: a defect, since neither solver can cycle."""
 
 
+def _masses_off(total: float, n: int) -> bool:
+    """Whether n masses summing to ``total`` miss one by more than MASS_TOL each (a NaN sum does)."""
+    return not abs(total - 1.0) <= MASS_TOL * max(1.0, n)
+
+
 @dataclass(frozen=True)
 class DiscreteLaw:
     """Finitely supported law: an array of points and positive masses summing to one."""
@@ -116,7 +121,7 @@ class DiscreteLaw:
         if any(m < _MIN_ATOM for m in self.masses):
             raise ValueError(f"degenerate atom mass below {_MIN_ATOM!r}")
         total = reduce(operator.add, self.masses, 0)    # left to right on any interpreter; ints sum to an int
-        if not abs(total - 1.0) <= MASS_TOL * max(1.0, len(self.masses)):  # a NaN sum fails
+        if _masses_off(total, len(self.masses)):
             raise ValueError(f"masses sum to {total!r}, expected 1")
 
     @classmethod

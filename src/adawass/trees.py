@@ -25,6 +25,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .discrete_ot import _masses_off
+
 __all__ = [
     "TreeNode",
     "TreeLevel",
@@ -129,30 +131,36 @@ def _slices(items: list, size: np.ndarray):
     return map(items.__getitem__, map(slice, [0] + end[:-1], end))
 
 
-def _segment_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The float sum of each of the consecutive segments of ``size[k]``
-    entries of ``x``, left to right from +0.0 as
-    ``functools.reduce(operator.add, segment, 0.0)`` sums it, 0.0 for an
-    empty segment: one ``np.cumsum`` along the rows of a matrix per distinct
-    length.  (``np.add.reduce`` and ``reduceat`` sum pairwise from 9 terms on.)"""
-    out = np.zeros(size.size)
-    start = np.cumsum(size) - size
-    for length in set(size.tolist()) - {0}:
-        k = np.flatnonzero(size == length)
-        out[k] = np.cumsum(x[start[k, None] + np.arange(length)], axis=1)[:, -1]
-    return out + 0.0    # the sum from the first term is -0.0 only where all terms are, and +0.0 then
-
-
 def _running_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Every partial sum of each of the consecutive segments of ``size[k]``
-    entries of ``x``, in place of its entries, each segment summed left to
-    right from its first entry as ``_segment_sums`` sums it."""
+    entries of ``x``, in place of its entries, each summed left to right
+    from its first entry: one ``np.cumsum`` along the rows of a matrix per
+    distinct length.  The library's one rule for a float total (with
+    ``_segment_sums`` and ``_left_sum``), the same on any interpreter: 3.12's
+    ``sum`` compensates, ``np.add.reduce`` sums pairwise.  Kept apart: exact
+    ``math.fsum``, which no order changes (``bicausal.glue``, ``canonical._total``),
+    and pairwise sums whose bits are pinned (``discrete_ot._solve_level``'s
+    values, ``bicausal._row_sums``)."""
     out = np.empty(x.size)
     start = np.cumsum(size) - size
     for length in set(size.tolist()) - {0}:
         at = start[size == length, None] + np.arange(length)
         out[at] = np.cumsum(x[at], axis=1)
     return out
+
+
+def _segment_sums(x: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The total of each segment of ``_running_sums``, from +0.0 as
+    ``functools.reduce(operator.add, segment, 0.0)`` sums it: 0.0 for an
+    empty segment, and +0.0 where every term is -0.0."""
+    ends = np.append(0.0, _running_sums(x, size))[np.cumsum(size)]
+    return np.where(size > 0, ends, 0.0) + 0.0
+
+
+def _left_sum(x) -> float:
+    """The total of the numbers ``x`` in their order (C order for an array), one segment."""
+    x = np.asarray(x, dtype=float).ravel()
+    return float(_segment_sums(x, np.array([x.size]))[0])
 
 
 def _columns(rows: Sequence[tuple]) -> TreeColumns:
@@ -437,8 +445,8 @@ def validate(proc: TreeProcess) -> list[str]:
     rules on a node's parent, level, probability and value, then, in a
     second pass, those on its children.  No node view is built.  A node's
     children's probabilities are summed in sibling order (node-list order),
-    left to right from +0.0 (``_segment_sums``), on any interpreter; Python
-    3.12's ``sum`` adds floats with compensation, and is not used.
+    left to right (``_segment_sums``).  Last, the leaf masses, in layout
+    order, must sum to one as a ``DiscreteLaw``'s must: a valid tree's path law is a law.
     """
     ids, parents, times, probs, _, sizes = proc.columns
     depth, dims = proc.depth, proc.value_dims
@@ -499,6 +507,10 @@ def validate(proc: TreeProcess) -> list[str]:
                    f"{reduce(operator.add, probs[kids[bounds[k]:bounds[k + 1]]].tolist(), 0)!r}"),
         (~interior & (count > 0), lambda k: f"node {ids[k]} at terminal level has children"),
     ])
+    if not violations:      # the layout is read last, so that building it cannot fail back into validate
+        reach = proc.layout[-1].reach
+        if _masses_off(total := _left_sum(reach), reach.size):
+            violations.append(f"leaf masses sum to {total!r}, expected 1")
     return violations
 
 
@@ -541,12 +553,12 @@ def path_distance(x: Sequence[Sequence[float]], y: Sequence[Sequence[float]], p:
     _check_order(p)
     if len(x) != len(y):
         raise ShapeMismatchError(f"paths have {len(x)} and {len(y)} steps")
-    total = 0.0
+    terms = []
     for xt, yt in zip(x, y):
         if len(xt) != len(yt):
             raise ShapeMismatchError(f"step dims {len(xt)} != {len(yt)}")
-        total += float(_norms(np.subtract(xt, yt, dtype=float)[None])[0]) ** p
-    return total ** (1.0 / p)
+        terms.append(float(_norms(np.subtract(xt, yt, dtype=float)[None])[0]) ** p)
+    return _left_sum(terms) ** (1.0 / p)
 
 
 def path_law(proc: TreeProcess) -> PathLaw:

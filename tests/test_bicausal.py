@@ -643,10 +643,13 @@ def test_glue_rejects_inconsistent_chain():
             glue([p1, p2])
 
 
-def test_glue_rejects_a_plan_without_mass():
-    # no kernel leaves the root of a plan whose one pair has mass zero
+@pytest.mark.parametrize("masses", ["one pair of mass zero", "no pairs"])
+def test_glue_rejects_a_plan_without_mass(masses):
+    # no kernel leaves the root of a plan whose one pair has mass zero, nor
+    # of one with no pairs, whose cylinder masses are floats all the same
     x, y = epsilon_x(), epsilon_y(0.5)
-    plan = BicausalPlan.from_pair_masses(x, y, 2.0, {(x.leaves[0], y.leaves[0]): 0.0})
+    pairs = {(x.leaves[0], y.leaves[0]): 0.0} if masses == "one pair of mass zero" else {}
+    plan = BicausalPlan.from_pair_masses(x, y, 2.0, pairs)
     with pytest.raises(RuntimeError, match="^degenerate kernel at product node 0$"):
         glue([plan])
 

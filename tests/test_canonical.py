@@ -578,16 +578,27 @@ def test_equivalent_checks_each_tree_in_canonicalizes_order(first, second, messa
 def test_equivalent_keeps_the_verdict_on_trees_that_sum_to_one_only_within_prob_tol():
     # each step has probability 1 + 0.9e-12 in x and 1 - 0.9e-12 in y, inside
     # validate's PROB_TOL, so the chains' masses drift apart level by level
-    # and the bound reads 4e-6 where both trees take the values 0 and 1 alike
-    def drifting(steps, q):
+    # and the bound reads 4e-6 where both trees take the values 0 and 1 alike;
+    # the leaf masses miss one by 2.7e-9, so validate rejects the trees, but
+    # the library's functions take them unvalidated
+    def drifting(steps, q, back=False):
         first = second = []
         for t in range(steps, 0, -1):
-            first, second = [(0.5 if t == 1 else q, 0.0, first)], [(0.5 if t == 1 else q, 1.0, second)]
+            qt = 2.0 - q if back and t > steps // 2 else q
+            first, second = [(0.5 if t == 1 else qt, 0.0, first)], [(0.5 if t == 1 else qt, 1.0, second)]
         return build_process([1] * steps, first + second)
 
     x, y = drifting(3000, 1.0 + 0.9e-12), drifting(3000, 1.0 - 0.9e-12)
-    assert validate(x) == validate(y) == []
+    assert validate(x) == ["leaf masses sum to 1.0000000026989404, expected 1"]
+    assert validate(y) == ["leaf masses sum to 0.9999999973010596, expected 1"]
     assert _marginal_bound(x, y)[0] > 4e-6
+    assert aw_distance(canonicalize(x), canonicalize(y), 1.0)[0] == 0.0
+    assert equivalent(x, y, tol=1e-6)
+    # drifting there and back, the leaf masses sum to one and the trees
+    # validate, while the middle level's masses sit 2.7e-9 apart
+    x, y = drifting(3000, 1.0 + 0.9e-12, back=True), drifting(3000, 1.0 - 0.9e-12, back=True)
+    assert validate(x) == validate(y) == []
+    assert _marginal_bound(x, y)[0] > 2e-6
     assert aw_distance(canonicalize(x), canonicalize(y), 1.0)[0] == 0.0
     assert equivalent(x, y, tol=1e-6)
 

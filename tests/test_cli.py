@@ -104,6 +104,10 @@ def test_exit_codes(write_tree, capsys, tmp_path):
     invalid = build_process([1], [(0.5, 0.0, []), (0.6, 1.0, [])])
     f = write_tree("invalid.json", invalid)
     assert run(capsys, ["dist", a, f])[0] == 2
+    # leaf masses summing to one only within PROB_TOL per level
+    drift = write_tree("drift.json", build_process([1, 1], [(1.0 + 0.9e-12, 0.0, [(1.0 + 0.9e-12, 0.0, [])])]))
+    code, _, err = run(capsys, ["dist", a, drift])
+    assert code == 2 and err.endswith("invalid tree: leaf masses sum to 1.0000000000018, expected 1\n")
     # zero-dimensional values, as a quantize of empty sample steps wrote them
     flat = write_tree("flat.json", TreeProcess(depth=2, value_dims=(0, 0), nodes=(
         TreeNode(0, None, 0, None, 1.0), TreeNode(1, 0, 1, (), 1.0), TreeNode(2, 1, 2, (), 1.0))))

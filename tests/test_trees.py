@@ -11,6 +11,7 @@ import pytest
 
 import adawass
 from adawass import (
+    DiscreteLaw,
     ShapeMismatchError,
     TreeNode,
     TreeProcess,
@@ -26,7 +27,7 @@ from adawass import (
 
 from adawass.cli import _tree_json
 
-from adawass.trees import _LevelValues, _segment_sums
+from adawass.trees import _LevelValues, _left_sum, _segment_sums
 
 from conftest import (assert_same_layout, build_process_by_nodes, layout_by_nodes, random_process, total_mass,
                       validate_by_nodes)
@@ -198,6 +199,25 @@ def test_validate_sums_children_as_the_node_by_node_reference(shuffle):
         assert "children of node 1 have probability sum 1.0319999999999998" in got
 
 
+@pytest.mark.parametrize("steps, total", [(1, None), (2, "1.0000000000018"), (3000, "1.0000000026998404")])
+def test_validate_rejects_leaf_masses_that_miss_one_as_a_law_does(steps, total):
+    # every step of the chain has probability 1 + 0.9e-12, inside PROB_TOL,
+    # but the leaf mass compounds it; validate takes a tree iff DiscreteLaw
+    # takes its path law, MASS_TOL per leaf
+    branches = []
+    for _ in range(steps):
+        branches = [(1.0 + 0.9e-12, 0.0, branches)]
+    proc = build_process([1] * steps, branches)
+    law = path_law(proc)
+    if total is None:
+        assert validate(proc) == []
+        DiscreteLaw.from_arrays([np.concatenate(a) for a, _ in law.atoms], [m for _, m in law.atoms])
+    else:
+        assert validate(proc) == [f"leaf masses sum to {total}, expected 1"]
+        with pytest.raises(ValueError, match=f"^masses sum to {total}, expected 1$"):
+            DiscreteLaw.from_arrays([np.concatenate(a) for a, _ in law.atoms], [m for _, m in law.atoms])
+
+
 def test_segment_sums_add_left_to_right_from_positive_zero():
     rng = np.random.default_rng(3)
     size = rng.integers(0, 30, size=300)
@@ -213,6 +233,10 @@ def test_segment_sums_add_left_to_right_from_positive_zero():
     pairwise = np.add.reduceat(x, np.cumsum(size) - size)[size > 0]
     assert (pairwise != want[size > 0]).any()
     assert _segment_sums(np.empty(0), np.zeros(2, dtype=np.intp)).tolist() == [0.0, 0.0]
+    # the scalar totals: one segment, an array's entries in C order
+    assert _left_sum(x).hex() == functools.reduce(operator.add, x.tolist(), 0.0).hex()
+    assert _left_sum(x[15:75].reshape(6, 10)).hex() == _left_sum(x[15:75].tolist()).hex()
+    assert [_left_sum([]).hex(), _left_sum([-0.0, -0.0]).hex()] == ["0x0.0p+0"] * 2
 
 def test_path_distance_examples():
     assert path_distance([(1.0,), (2.0,)], [(3.0,), (5.0,)], 2.0) == pytest.approx(math.sqrt(13))
@@ -372,30 +396,48 @@ def test_transport_solver_internals_stay_in_discrete_ot():
         "_solve_batch", "_LEVEL_BATCH"]
 
 
-def builtin_sum_calls(source: str, function: str | None = None) -> int:
-    """How many times ``source``, or its top-level function or class
-    ``function``, calls the builtin ``sum(...)``."""
-    tree = ast.parse(source)
-    if function is not None:
-        tree = next(fn for fn in tree.body
-                    if isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and fn.name == function)
-    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
-               for node in ast.walk(tree))
+def float_totals(source: str) -> dict[str, list[str]]:
+    """Per top-level function or class of ``source`` (``<module>`` for the
+    rest), the source of its builtin ``sum(...)`` calls, its
+    ``reduce(operator.add, ...)`` calls and its totals taken as the last
+    entry of a ``cumsum``, such as ``np.cumsum(x)[-1]``."""
+    out = {}
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            index = isinstance(node, ast.Subscript) and getattr(node.slice, "elts", [node.slice])[-1]
+            last_of_cumsum = (index and ast.unparse(index) == "-1" and isinstance(node.value, ast.Call)
+                              and getattr(node.value.func, "attr", None) == "cumsum")
+            builtin = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+                node.func.id == "sum" or node.func.id == "reduce" and ast.unparse(node.args[0]) == "operator.add")
+            if last_of_cumsum or builtin:
+                out.setdefault(getattr(top, "name", "<module>"), []).append(ast.unparse(node))
+    return out
 
 
 def test_canonical_forms_and_validate_call_no_builtin_sum():
-    # Python's sum adds floats with compensation from 3.12 on; canonical
-    # masses and validate's children sums are trees._segment_sums, left to
-    # right from +0.0 on any interpreter, and the curves' distances and
-    # weights and a DiscreteLaw's masses are summed left to right too
+    # Python's sum adds floats with compensation from 3.12 on; every float
+    # total of the library goes through trees._running_sums, left to right
+    # on any interpreter (canonical masses and validate's children sums as
+    # trees._segment_sums, the curves' energies, distances and weights and a
+    # plan's cost as trees._left_sum).  The builtin sum stays on ints, and
+    # reduce on the two totals worded from the numbers as given, ints as ints.
     src = Path(adawass.__file__).parent
-    assert builtin_sum_calls((src / "canonical.py").read_text(encoding="utf-8")) == 0
-    assert builtin_sum_calls((src / "trees.py").read_text(encoding="utf-8"), "validate") == 0
-    assert builtin_sum_calls((src / "curves.py").read_text(encoding="utf-8")) == 0
-    assert builtin_sum_calls((src / "discrete_ot.py").read_text(encoding="utf-8"), "DiscreteLaw") == 0
-    assert builtin_sum_calls("def f(x):\n    return sum(x) + np.sum(x) + x.sum()\ny = sum([])\n") == 2
-    assert builtin_sum_calls("def f(x):\n    return sum(x)\ny = sum([])\n", "f") == 1
-    assert builtin_sum_calls("class C:\n    def f(self, x):\n        return sum(x)\ny = sum([])\n", "C") == 1
+    found = {path.stem: float_totals(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    assert {"bicausal", "canonical", "curves", "discrete_ot", "trees"} <= set(found)
+    assert {stem: totals for stem, totals in found.items() if totals} == {
+        "bicausal": {"glue": ["sum((pr.value_dims[t] for pr in chain))"]},
+        "cli": {"_write_particles_csv": ["sum(dims)"]},
+        "discrete_ot": {"DiscreteLaw": ["reduce(operator.add, self.masses, 0)"]},
+        "trees": {"validate": ["reduce(operator.add, probs[kids[bounds[k]:bounds[k + 1]]].tolist(), 0)"],
+                  "_LevelValues": ["sum(map(len, self.ids))"]},
+    }
+    assert float_totals("def f(x):\n    return sum(x) + np.sum(x) + x.sum()\ny = sum([])\n") == {
+        "f": ["sum(x)"], "<module>": ["sum([])"]}
+    assert float_totals("class C:\n    def f(self, x):\n        return reduce(operator.add, x, 0.0)\n") == {
+        "C": ["reduce(operator.add, x, 0.0)"]}
+    assert float_totals("a = np.cumsum(x)[-1] + x.cumsum(axis=1)[:, -1] + np.cumsum(x)[:-1] + reduce(max, x)\n") == {
+        "<module>": ["np.cumsum(x)[-1]", "x.cumsum(axis=1)[:, -1]"]}
+
 
 def random_description(rng, depth, dims):
     """Nested ``build_process`` branches whose values are scalars or tuples
